@@ -13,6 +13,9 @@ or convergence failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -44,6 +47,7 @@ from . import oscillator as osc_mod
 
 _VALIDATION_ERRORS = (DomainError, ConfigurationError)
 _INTERNAL_ERRORS = (InvariantError, ConvergenceError)
+_NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run"}  # parsed, not replayed
 
 
 def _fmt(value) -> str:
@@ -96,8 +100,11 @@ def argv_from_manifest(manifest: dict | RunManifest) -> list[str]:
     return argv
 
 
-def _csv_lines(rows) -> list[str]:
-    return [",".join(_fmt(cell) for cell in row) for row in rows]
+def _csv(rows) -> str:
+    """CSV text of the rows; only cells holding a comma, quote or newline get quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(cell) for cell in row] for row in rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, stream) -> None:
@@ -146,6 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--system", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_constants)
 
     p = sub.add_parser("oscillator", help="Ground-state width, variance and sample moments.")
     p.add_argument("--m", type=float, required=True, help="Oscillator mass.")
@@ -155,6 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_oscillator)
 
     p = sub.add_parser("field", help="Spectral field simulation.")
     fs = p.add_subparsers(dest="field_command", required=True, parser_class=_Parser)
@@ -170,6 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "json"], default=None,
                    help="csv: table only; json: summary only; default: both.")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_field_scaling)
 
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
     p.add_argument("--area", type=float, required=True)
@@ -180,6 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_casimir)
 
     p = sub.add_parser("lamb", help="Hydrogen level shift from positional jitter.")
     p.add_argument("--n", type=int, default=2)
@@ -189,6 +200,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega-max", type=float, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_lamb)
 
     p = sub.add_parser("coil", help="Tap-current estimates for a coil in the field.")
     p.add_argument("--turns", type=int, required=True)
@@ -199,6 +211,7 @@ def build_parser() -> _Parser:
     p.add_argument("--units", choices=["gaussian", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=_cmd_coil)
 
     return parser
 
@@ -212,21 +225,20 @@ def _render_keyed(payload: dict, fmt: str, out) -> None:
         _emit(_json_dump(payload), out)
     else:
         rows = [("name", "value")] + [(k, v) for k, v in payload.items()]
-        _emit("\n".join(_csv_lines(rows)), out)
+        _emit(_csv(rows), out)
 
 
-def _cmd_constants(args, out) -> dict:
+def _cmd_constants(args, out) -> str:
     table = constants_for(args.system)
     rows = list(table.rows())
     if args.format == "json":
         _emit(_json_dump([{"name": n, "value": v, "unit": u} for n, v, u in rows]), out)
     else:
-        lines = [("name", "value", "unit")] + rows
-        _emit("\n".join(_csv_lines(lines)), out)
-    return {"system": args.system, "format": args.format}
+        _emit(_csv([("name", "value", "unit")] + rows), out)
+    return table.system
 
 
-def _cmd_oscillator(args, out) -> dict:
+def _cmd_oscillator(args, out) -> str:
     table = constants_for(args.units)
     params = osc_mod.OscillatorParams(m=args.m, omega=args.omega, hbar=table.hbar.value)
     payload = {
@@ -239,29 +251,24 @@ def _cmd_oscillator(args, out) -> dict:
         payload["sample_mean"] = float(draws.mean())
         payload["sample_variance"] = float(draws.var(ddof=1))
     _render_keyed(payload, args.format, out)
-    return {
-        "m": args.m,
-        "omega": args.omega,
-        "samples": args.samples,
-        "seed": args.seed,
-        "units": args.units,
-        "format": args.format,
-    }
+    return table.system
 
 
-def _cmd_field_scaling(args, out) -> dict:
+def _cmd_field_scaling(args, out) -> str:
     if args.scales is None:
-        scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
+        args.scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
     else:
-        scales = _parse_scales(args.scales)
+        args.scales = sorted(_parse_scales(args.scales))
+    if args.k_max is None:
+        args.k_max = math.pi * args.grid / args.box
     spec = field_mod.LatticeSpec(
         box_size=args.box,
         points_per_axis=args.grid,
-        k_max=args.k_max if args.k_max is not None else math.pi * args.grid / args.box,
+        k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
     report, fit = field_mod.scaling_run(
-        spec, scales, draws=args.draws, seed=args.seed, window=args.window,
+        spec, args.scales, draws=args.draws, seed=args.seed, window=args.window,
         threads=_threads(),
     )
     csv_rows = [("scale", "rms", "stderr")] + [
@@ -281,23 +288,14 @@ def _cmd_field_scaling(args, out) -> dict:
         "fit_skipped_reason": None if fit else "fewer than 3 scales",
     }
     if args.format != "json":
-        _emit("\n".join(_csv_lines(csv_rows)), out)
+        _emit(_csv(csv_rows), out)
     if args.format != "csv":
         _emit(_json_dump(summary), out)
-    return {
-        "grid": args.grid,
-        "box": args.box,
-        "draws": args.draws,
-        "seed": args.seed,
-        "scales": list(report.scales),
-        "kappa": args.kappa,
-        "k_max": spec.k_max,
-        "window": args.window,
-        "format": args.format,
-    }
+    return "natural"
 
 
-def _cmd_casimir(args, out) -> dict:
+def _cmd_casimir(args, out) -> str:
+    args.epsilons = _parse_epsilons(args.epsilons)
     table = constants_for(args.units)
     payload = {
         "force_closed": casimir_mod.casimir_force_closed(args.area, args.sep, table).value,
@@ -309,7 +307,7 @@ def _cmd_casimir(args, out) -> dict:
         config = casimir_mod.CasimirConfig(
             plate_area=args.area,
             separation=args.sep,
-            regulator_epsilons=_parse_epsilons(args.epsilons),
+            regulator_epsilons=args.epsilons,
             extrapolation_order=args.order,
         )
         result = casimir_mod.casimir_energy_modesum(config, table)
@@ -331,18 +329,10 @@ def _cmd_casimir(args, out) -> dict:
         _render_keyed(flat, "csv", out)
     else:
         _emit(_json_dump(payload), out)
-    return {
-        "area": args.area,
-        "sep": args.sep,
-        "units": args.units,
-        "modesum": args.modesum,
-        "epsilons": list(_parse_epsilons(args.epsilons)),
-        "order": args.order,
-        "format": args.format,
-    }
+    return table.system
 
 
-def _cmd_lamb(args, out) -> dict:
+def _cmd_lamb(args, out) -> str:
     table = constants_for("gaussian")
     if args.jitter is not None:
         if args.omega_min is not None or args.omega_max is not None:
@@ -350,11 +340,11 @@ def _cmd_lamb(args, out) -> dict:
         jitter = lamb_mod.JitterVariance(value=args.jitter)
     else:
         omega_min, omega_max = lamb_mod.default_cutoffs(table)
-        if args.omega_min is not None:
-            omega_min = args.omega_min
-        if args.omega_max is not None:
-            omega_max = args.omega_max
-        jitter = lamb_mod.welton_jitter(omega_min, omega_max, table)
+        if args.omega_min is None:
+            args.omega_min = omega_min
+        if args.omega_max is None:
+            args.omega_max = omega_max
+        jitter = lamb_mod.welton_jitter(args.omega_min, args.omega_max, table)
     state = lamb_mod.HydrogenState(n=args.n, ell=args.ell)
     shift = lamb_mod.hydrogen_s_shift(state, jitter, table)
     freq = lamb_mod.shift_to_frequency(shift, table)
@@ -380,18 +370,11 @@ def _cmd_lamb(args, out) -> dict:
             out,
         )
     else:
-        _emit("\n".join(_csv_lines(rows)), out)
-    return {
-        "n": args.n,
-        "ell": args.ell,
-        "jitter": args.jitter,
-        "omega_min": jitter.omega_min,
-        "omega_max": jitter.omega_max,
-        "format": args.format,
-    }
+        _emit(_csv(rows), out)
+    return table.system
 
 
-def _cmd_coil(args, out) -> dict:
+def _cmd_coil(args, out) -> str:
     table = constants_for(args.units)
     spec = coil_mod.CoilSpec(turns=args.turns, area=args.area, resistance=args.resistance)
     scale = Quantity(args.scale, LENGTH, args.units)
@@ -417,19 +400,18 @@ def _cmd_coil(args, out) -> dict:
         _render_keyed(flat, "csv", out)
     else:
         _emit(_json_dump(payload), out)
-    return {
-        "turns": args.turns,
-        "area": args.area,
-        "resistance": args.resistance,
-        "scale": args.scale,
-        "particle": args.particle,
-        "units": args.units,
-        "format": args.format,
-    }
+    return table.system
 
 
 def dispatch(argv, stdout=None, stderr=None) -> int:
-    """Parse argv, run the subcommand, emit results and the run manifest."""
+    """Parse argv, run the subcommand, emit results and the run manifest.
+
+    Each handler resolves its defaults into ``args``, prints its result and
+    returns the unit system of the printed numbers.  The manifest parameters
+    are the parsed arguments after that, so every flag is replayed.
+    ``--manifest PATH`` is opened before the run: an unwritable path exits 1
+    with nothing on stdout, and a run that then fails leaves the file empty.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
@@ -442,41 +424,41 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
 
-    handlers = {
-        "constants": (_cmd_constants, "constants", lambda a: a.system),
-        "oscillator": (_cmd_oscillator, "oscillator", lambda a: a.units),
-        "field": (_cmd_field_scaling, "field scaling-run", lambda a: "natural"),
-        "casimir": (_cmd_casimir, "casimir", lambda a: a.units),
-        "lamb": (_cmd_lamb, "lamb", lambda a: "gaussian"),
-        "coil": (_cmd_coil, "coil", lambda a: a.units),
-    }
-    handler, name, units_of = handlers[args.subcommand]
-    start = time.perf_counter()
     try:
-        parameters = handler(args, out)
-    except _VALIDATION_ERRORS as exc:
-        _emit(f"error: {exc}", err)
+        manifest_out = (
+            open(args.manifest, "w", encoding="utf-8")
+            if args.manifest
+            else contextlib.nullcontext(err)
+        )
+    except OSError as exc:
+        _emit(f"error: cannot write manifest: {exc}", err)
         return 1
-    except _INTERNAL_ERRORS as exc:
-        _emit(f"internal error: {exc}", err)
-        return 2
-    duration = time.perf_counter() - start
+    with manifest_out as sink:
+        start = time.perf_counter()
+        try:
+            units = args.run(args, out)
+        except _VALIDATION_ERRORS as exc:
+            _emit(f"error: {exc}", err)
+            return 1
+        except _INTERNAL_ERRORS as exc:
+            _emit(f"internal error: {exc}", err)
+            return 2
+        duration = time.perf_counter() - start
 
-    manifest = RunManifest(
-        subcommand=name,
-        parameters=parameters,
-        units=units_of(args),
-        seed=parameters.get("seed"),
-        version=__version__,
-        constants_snapshot=SNAPSHOT,
-        duration_seconds=duration,
-    )
-    manifest_json = json.dumps(asdict(manifest), sort_keys=True)
-    if getattr(args, "manifest", None):
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(manifest_json + "\n")
-    else:
-        _emit(manifest_json, err)
+        subcommand = args.subcommand
+        if subcommand == "field":
+            subcommand += " " + args.field_command
+        parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+        manifest = RunManifest(
+            subcommand=subcommand,
+            parameters=parameters,
+            units=units,
+            seed=parameters.get("seed"),
+            version=__version__,
+            constants_snapshot=SNAPSHOT,
+            duration_seconds=duration,
+        )
+        _emit(json.dumps(asdict(manifest), sort_keys=True), sink)
     return 0
 
 

@@ -78,19 +78,12 @@ def test_criterion_1_casimir_coefficients():
         assert abs(force_numeric - closed) <= 1e-3 * abs(closed)
 
 
-def test_criterion_2_regulated_sum_oracle():
-    with _Stopwatch("criterion 2: regulated sum vs closed form and zeta(-3)", 1.0):
-        import mpmath
-
-        def oracle(eps):
-            with mpmath.workdps(40):
-                e = mpmath.mpf(eps)
-                ee = mpmath.exp(e)
-                return float(ee * (ee * ee + 4 * ee + 1) / (ee - 1) ** 4 - 6 / e**4)
-
+def test_criterion_2_regulated_sum_oracle(term_by_term_sum):
+    with _Stopwatch("criterion 2: regulated sum vs term-by-term sum and zeta(-3)", 1.0):
         for eps in (0.05, 0.1, 0.2, 0.4, 1.0, 10.0):
             value = regulated_cubic_sum(eps)
-            assert abs(value - oracle(eps)) <= 1e-10 * abs(oracle(eps))
+            oracle = term_by_term_sum(eps)
+            assert abs(value - oracle) <= 1e-10 * abs(oracle)
 
         ladder = (0.4, 0.2, 0.1, 0.05)
         values = tuple(regulated_cubic_sum(e) for e in ladder)

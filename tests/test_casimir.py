@@ -23,15 +23,15 @@ NATURAL = constants_for("natural")
 SI = constants_for("si")
 
 
-def closed_form_regulated(eps: float) -> float:
-    """Brute-force oracle: geometric-series derivative minus continuum term.
+def closed_form_regulated(eps: float, dps: int = 40) -> float:
+    """Geometric-series derivative minus continuum term at ``dps`` digits.
 
-    Evaluated at 40 digits because the continuum subtraction cancels ~9
-    digits at the small end of the epsilon range.
+    The default 40 digits cover the ~9 digits the continuum subtraction
+    cancels at eps = 0.05.
     """
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         e = mpmath.mpf(eps)
         ee = mpmath.exp(e)
         value = ee * (ee * ee + 4 * ee + 1) / (ee - 1) ** 4 - 6 / e**4
@@ -77,17 +77,25 @@ class TestClosedForm:
 
 
 class TestRegulatedSum:
-    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4, 1.0, 10.0])
-    def test_matches_closed_form(self, eps):
-        assert regulated_cubic_sum(eps) == pytest.approx(
-            closed_form_regulated(eps), rel=1e-10
-        )
+    """regulated_cubic_sum evaluates the closed form; the reference adds terms."""
 
-    def test_closed_form_agreement_across_range(self):
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4, 1.0, 10.0])
+    def test_matches_closed_form(self, eps, term_by_term_sum):
+        assert regulated_cubic_sum(eps) == pytest.approx(term_by_term_sum(eps), rel=1e-10)
+
+    def test_closed_form_agreement_across_range(self, term_by_term_sum):
         for eps in np.geomspace(0.05, 10.0, 40):
             assert regulated_cubic_sum(float(eps)) == pytest.approx(
-                closed_form_regulated(float(eps)), rel=1e-10
+                term_by_term_sum(float(eps)), rel=1e-10
             )
+
+    @pytest.mark.parametrize("eps", [float(e) for e in np.geomspace(1e-6, 10.0, 15)])
+    def test_correctly_rounded(self, eps):
+        assert regulated_cubic_sum(eps) == closed_form_regulated(eps, dps=120)
+
+    def test_tiny_epsilon_returns_the_limit(self):
+        # a term-by-term sum would need ~1e300 terms here
+        assert regulated_cubic_sum(1e-300) == pytest.approx(1.0 / 120.0, rel=1e-15)
 
     def test_epsilon_one_frozen_value(self):
         # (e^3 + 4e^2 + e)/(e-1)^4 - 6 at 40 digits, frozen to float64
@@ -106,6 +114,10 @@ class TestRegulatedSum:
         with pytest.raises(DomainError):
             regulated_cubic_sum(-0.3)
 
+    def test_infinite_epsilon(self):
+        with pytest.raises(DomainError):
+            regulated_cubic_sum(math.inf)
+
 
 class TestExtrapolation:
     def test_limit_hits_zeta_minus_three(self):
@@ -121,6 +133,15 @@ class TestExtrapolation:
     def test_coarse_ladder_raises_convergence_error(self):
         config = CasimirConfig(
             plate_area=1.0, separation=1.0, regulator_epsilons=(10.0, 5.0),
+            extrapolation_order=1,
+        )
+        with pytest.raises(ConvergenceError):
+            casimir_energy_modesum(config, NATURAL)
+
+    def test_overflowing_ladder_raises_convergence_error(self):
+        # 1e300 squared overflows, so the extrapolant and its residual are NaN
+        config = CasimirConfig(
+            plate_area=1.0, separation=1.0, regulator_epsilons=(1e300, 0.4),
             extrapolation_order=1,
         )
         with pytest.raises(ConvergenceError):

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,14 @@ class TestCasimirCommand:
         )
         assert code == 2
         assert "residual" in err
+
+    def test_infinite_epsilon_exits_one(self):
+        code, out, err = run(
+            ["casimir", "--area", "1", "--sep", "1", "--modesum", "--epsilons", "inf,0.4"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in err
 
 
 class TestLambCommand:
@@ -229,6 +241,15 @@ class TestManifest:
         assert manifest["version"]
         assert manifest["duration_seconds"] >= 0
 
+    def test_unwritable_manifest_path_exits_one_before_computing(self, tmp_path):
+        path = tmp_path / "missing" / "m.json"
+        code, out, err = run(
+            ["casimir", "--area", "1", "--sep", "1", "--manifest", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_manifest_contains_defaulted_parameters(self):
         _, _, err = run(["lamb"])
         manifest = manifest_of(err)
@@ -254,3 +275,18 @@ class TestManifest:
         code2, out2, _ = run(replay_argv)
         assert code2 == 0
         assert out2 == out1
+
+
+def test_cli_import_needs_only_numpy_and_mpmath():
+    probe = (
+        "import sys, mpmath, numpy\n"
+        "before = set(sys.modules)\n"
+        "import zpflab.cli\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'zpflab'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

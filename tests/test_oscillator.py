@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from zpflab.errors import DomainError
 from zpflab.oscillator import (
@@ -96,12 +96,9 @@ class TestWidthAndVariance:
         for _ in range(5):
             p = random_params(rng, span=1.5)
             sigma = math.sqrt(position_variance(p))
-            moment, _ = quad(
-                lambda x: x**2 * ground_state_psi(x, p) ** 2,
-                -12 * sigma,
-                12 * sigma,
-                epsabs=0.0,
-                epsrel=1e-12,
+            moment = mpmath.quad(
+                lambda x: x**2 * float(ground_state_psi(float(x), p)) ** 2,
+                [-12 * sigma, 0.0, 12 * sigma],
             )
             assert moment == pytest.approx(position_variance(p), rel=1e-8)
 
