@@ -59,7 +59,9 @@ def _fmt(value) -> str:
 
 def _threads() -> int:
     raw = os.environ.get("ZPFLAB_THREADS")
-    if raw is None:
+    if raw is None:  # the CPUs this process may run on
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(raw)
@@ -113,22 +115,20 @@ def _emit(text: str, stream) -> None:
         stream.write("\n")
 
 
-def _parse_scales(raw: str) -> list[float]:
+def _finite(raw: str) -> float:
+    """argparse type of every float flag: a finite number, so no inf or nan reaches a handler."""
     try:
-        scales = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise DomainError(f"could not parse scales list {raw!r}") from exc
-    if not scales:
-        raise DomainError("scales list is empty")
-    return scales
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_epsilons(raw: str) -> tuple[float, ...]:
-    try:
-        eps = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise DomainError(f"could not parse epsilon list {raw!r}") from exc
-    return eps
+def _finite_list(raw: str) -> list[float]:
+    """argparse type of the comma-list flags: finite numbers, empty entries skipped."""
+    return [_finite(tok) for tok in raw.split(",") if tok.strip()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,8 +156,8 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_constants)
 
     p = sub.add_parser("oscillator", help="Ground-state width, variance and sample moments.")
-    p.add_argument("--m", type=float, required=True, help="Oscillator mass.")
-    p.add_argument("--omega", type=float, required=True, help="Angular frequency.")
+    p.add_argument("--m", type=_finite, required=True, help="Oscillator mass.")
+    p.add_argument("--omega", type=_finite, required=True, help="Angular frequency.")
     p.add_argument("--samples", type=int, default=None, help="Optional Monte Carlo draw count.")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
@@ -169,12 +169,14 @@ def build_parser() -> _Parser:
     fs = p.add_subparsers(dest="field_command", required=True, parser_class=_Parser)
     p = fs.add_parser("scaling-run", help="Measure the coarse-grained RMS scaling exponent.")
     p.add_argument("--grid", type=int, default=64, help="Lattice points per axis (even, >= 8).")
-    p.add_argument("--box", type=float, default=1.0, help="Periodic box size.")
+    p.add_argument("--box", type=_finite, default=1.0, help="Periodic box size.")
     p.add_argument("--draws", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scales", default=None, help="Comma list; default box/16,box/8,box/4,box/2.")
-    p.add_argument("--kappa", type=float, default=1.0, help="Spectrum normalization.")
-    p.add_argument("--k-max", type=float, default=None, help="Wavenumber cutoff; default Nyquist.")
+    p.add_argument("--scales", type=_finite_list, default=None,
+                   help="Comma list; default box/16,box/8,box/4,box/2.")
+    p.add_argument("--kappa", type=_finite, default=1.0, help="Spectrum normalization.")
+    p.add_argument("--k-max", type=_finite, default=None,
+                   help="Wavenumber cutoff; default Nyquist.")
     p.add_argument("--window", choices=list(field_mod.WINDOWS), default="hann")
     p.add_argument("--format", choices=["csv", "json"], default=None,
                    help="csv: table only; json: summary only; default: both.")
@@ -182,11 +184,11 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_field_scaling)
 
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
-    p.add_argument("--area", type=float, required=True)
-    p.add_argument("--sep", type=float, required=True)
+    p.add_argument("--area", type=_finite, required=True)
+    p.add_argument("--sep", type=_finite, required=True)
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--modesum", action="store_true")
-    p.add_argument("--epsilons", default="0.4,0.2,0.1,0.05")
+    p.add_argument("--epsilons", type=_finite_list, default="0.4,0.2,0.1,0.05")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--manifest", metavar="PATH", default=None)
@@ -195,18 +197,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lamb", help="Hydrogen level shift from positional jitter.")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--jitter", type=float, default=None, help="Jitter variance in cm^2.")
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
+    p.add_argument("--jitter", type=_finite, default=None, help="Jitter variance in cm^2.")
+    p.add_argument("--omega-min", type=_finite, default=None)
+    p.add_argument("--omega-max", type=_finite, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
     p.set_defaults(run=_cmd_lamb)
 
     p = sub.add_parser("coil", help="Tap-current estimates for a coil in the field.")
     p.add_argument("--turns", type=int, required=True)
-    p.add_argument("--area", type=float, required=True)
-    p.add_argument("--resistance", type=float, required=True)
-    p.add_argument("--scale", type=float, required=True, help="Fluctuation extent l.")
+    p.add_argument("--area", type=_finite, required=True)
+    p.add_argument("--resistance", type=_finite, required=True)
+    p.add_argument("--scale", type=_finite, required=True, help="Fluctuation extent l.")
     p.add_argument("--particle", choices=["electron", "proton"], default="electron")
     p.add_argument("--units", choices=["gaussian", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="json")
@@ -258,7 +260,7 @@ def _cmd_field_scaling(args, out) -> str:
     if args.scales is None:
         args.scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
     else:
-        args.scales = sorted(_parse_scales(args.scales))
+        args.scales = sorted(args.scales)
     if args.k_max is None:
         args.k_max = math.pi * args.grid / args.box
     spec = field_mod.LatticeSpec(
@@ -295,7 +297,6 @@ def _cmd_field_scaling(args, out) -> str:
 
 
 def _cmd_casimir(args, out) -> str:
-    args.epsilons = _parse_epsilons(args.epsilons)
     table = constants_for(args.units)
     payload = {
         "force_closed": casimir_mod.casimir_force_closed(args.area, args.sep, table).value,

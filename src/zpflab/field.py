@@ -2,11 +2,14 @@
 
 A finite periodic lattice stands in for the infinite oscillator
 collection: independent complex Gaussian Fourier coefficients, one per
-Hermitian mode pair, carry the half-quantum spectrum
+Hermitian mode pair {k, -k}, carry the half-quantum spectrum
 sigma_k^2 = kappa * |k| / L^3 (natural units, hbar = c = 1; kappa absorbs
-the overall normalization).  The inverse transform gives a real field
-whose cube-averaged RMS falls as l^-2 with the averaging scale l, which
-is the scaling this module exists to measure.
+the overall normalization).  They are stored in the real-FFT half layout
+(N, N, N/2 + 1), one per pair, so Hermitian symmetry holds by
+construction; only the self-conjugate planes kz = 0 and kz = N/2 hold
+both members of a pair, and the draw ties those.  The inverse real
+transform gives a real field whose cube-averaged RMS falls as l^-2 with
+the averaging scale l, which is the scaling this module exists to measure.
 
 Coarse-graining windows
 -----------------------
@@ -27,6 +30,7 @@ whole-box average is the mean, which is pinned to zero).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +41,6 @@ from .errors import ConfigurationError, DomainError, InvariantError
 from .units import LENGTH, ConstantsTable, Quantity
 
 WINDOWS = ("tophat", "hann")
-_IMAG_RESIDUE_TOL = 1e-10
 _MEAN_TOL = 1e-10
 
 
@@ -54,8 +57,8 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
-        if not self.k_max > 0:
-            raise ConfigurationError(f"k_max must be > 0, got {self.k_max}")
+        if not self.k_max >= self.fundamental:
+            raise ConfigurationError(f"k_max {self.k_max} is below 2*pi/L = {self.fundamental}")
         if self.k_max > self.nyquist * (1.0 + 1e-12):
             raise ConfigurationError(
                 f"k_max {self.k_max} exceeds the Nyquist wavenumber {self.nyquist}"
@@ -66,6 +69,10 @@ class LatticeSpec:
             )
 
     @property
+    def fundamental(self) -> float:
+        return 2.0 * math.pi / self.box_size
+
+    @property
     def nyquist(self) -> float:
         return math.pi * self.points_per_axis / self.box_size
 
@@ -74,32 +81,38 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
+@functools.lru_cache(maxsize=4)
 def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
-    """|k| on the FFT-ordered lattice, shape (N, N, N)."""
-    k1 = 2.0 * math.pi * np.fft.fftfreq(spec.points_per_axis, d=spec.cell_size)
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-    return np.sqrt(kx**2 + ky**2 + kz**2)
+    """|k| on the half lattice, shape (N, N, N/2 + 1); cached per spec, read-only."""
+    n = spec.points_per_axis
+    k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
+    kz = spec.fundamental * np.arange(n // 2 + 1)
+    kmag = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2)
+    kmag.flags.writeable = False
+    return kmag
 
 
+@functools.lru_cache(maxsize=4)
 def mode_std(spec: LatticeSpec) -> np.ndarray:
-    """Per-mode standard deviation sigma_k; zero for DC and beyond k_max."""
+    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max. Read-only."""
     kmag = wavenumber_magnitudes(spec)
-    sigma = np.sqrt(spec.spectrum_normalization * kmag / spec.box_size**3)
+    sigma = np.sqrt(kmag * (spec.spectrum_normalization / spec.box_size**3))
     sigma[kmag > spec.k_max] = 0.0
     sigma[0, 0, 0] = 0.0
+    sigma.flags.writeable = False
     return sigma
 
 
-def _conjugate_reflection(arr: np.ndarray) -> np.ndarray:
-    """conj(arr) sampled at -k for every FFT-ordered wavevector k."""
-    return np.roll(np.conj(arr[::-1, ::-1, ::-1]), 1, axis=(0, 1, 2))
+def _plane_reflection(plane: np.ndarray) -> np.ndarray:
+    """conj(plane) sampled at (-kx, -ky) for every FFT-ordered (kx, ky)."""
+    return np.roll(np.conj(plane[::-1, ::-1]), 1, axis=(0, 1))
 
 
 @dataclass(frozen=True)
 class ModeDraw:
     spec: LatticeSpec
     seed: object  # int or numpy SeedSequence
-    coefficients: np.ndarray  # complex, (N, N, N), Hermitian-symmetric
+    coefficients: np.ndarray  # complex, (N, N, N/2 + 1), real-FFT half layout
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ class FieldGrid:
 
 
 def draw_modes(spec: LatticeSpec, seed) -> ModeDraw:
-    """Draw Hermitian-symmetric Gaussian coefficients for one realization.
+    """Draw Gaussian half-layout coefficients for one realization.
 
     Each Hermitian pair {k, -k} gets an independent complex Gaussian with
     E|xi_k|^2 = sigma_k^2 (real and imaginary parts carrying sigma_k^2/2
@@ -127,51 +140,49 @@ def draw_modes(spec: LatticeSpec, seed) -> ModeDraw:
     """
     n = spec.points_per_axis
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((n, n, n))
-    im = rng.standard_normal((n, n, n))
-    raw = (re + 1j * im) / math.sqrt(2.0)
-    symmetric = (raw + _conjugate_reflection(raw)) / math.sqrt(2.0)
-    coeff = mode_std(spec) * symmetric
+    parts = rng.normal(scale=math.sqrt(0.5), size=(n, n, n // 2 + 1, 2))
+    coeff = parts.view(np.complex128)[..., 0]  # each (re, im) pair read as one complex
+    for z in (0, n // 2):  # the self-conjugate planes
+        plane = coeff[:, :, z]
+        coeff[:, :, z] = (plane + _plane_reflection(plane)) / math.sqrt(2.0)
+    coeff *= mode_std(spec)
     return ModeDraw(spec=spec, seed=seed, coefficients=coeff)
 
 
 def validate_mode_draw(draw: ModeDraw) -> None:
-    """Raise InvariantError if symmetry, DC, or cutoff invariants are broken."""
+    """Raise InvariantError if the DC, cutoff, or edge-plane pairing invariants are broken."""
     coeff = draw.coefficients
     if coeff[0, 0, 0] != 0:
         raise InvariantError("DC mode must be exactly zero")
-    if not np.array_equal(coeff, _conjugate_reflection(coeff)):
-        raise InvariantError("mode coefficients violate Hermitian symmetry")
+    for z in (0, draw.spec.points_per_axis // 2):
+        if not np.array_equal(coeff[:, :, z], _plane_reflection(coeff[:, :, z])):
+            raise InvariantError(f"kz index {z} plane violates Hermitian symmetry")
     kmag = wavenumber_magnitudes(draw.spec)
     if np.any(coeff[kmag > draw.spec.k_max] != 0):
         raise InvariantError("modes beyond k_max must be exactly zero")
 
 
 def synthesize_field(draw: ModeDraw) -> FieldGrid:
-    """Inverse transform of the coefficients: B(x) = sum_k xi_k exp(i k.x).
+    """Inverse real transform: B(x) = sum_k xi_k exp(i k.x) over the full spectrum.
 
-    Validates the draw invariants, checks that the imaginary residue and
-    the spatial mean are both below 1e-10 of the field RMS, then discards
-    the imaginary part.
+    Validates the draw invariants and checks that the spatial mean is
+    below 1e-10 of the field RMS.
     """
     validate_mode_draw(draw)
     n = draw.spec.points_per_axis
-    complex_field = np.fft.ifftn(draw.coefficients) * n**3
-    values = complex_field.real.copy()
-    rms = float(np.sqrt(np.mean(values**2)))
-    floor = max(rms, 1e-300)
-    if float(np.max(np.abs(complex_field.imag))) > _IMAG_RESIDUE_TOL * floor:
-        raise InvariantError("imaginary residue exceeds 1e-10 of the field RMS")
-    if abs(float(np.mean(values))) > _MEAN_TOL * floor:
+    values = np.fft.irfftn(draw.coefficients, s=(n, n, n), axes=(0, 1, 2), norm="forward")
+    grid = FieldGrid(spec=draw.spec, values=values)
+    if abs(float(np.mean(values))) > _MEAN_TOL * max(grid.rms, 1e-300):
         raise InvariantError("spatial mean exceeds 1e-10 of the field RMS")
-    return FieldGrid(spec=draw.spec, values=values)
+    return grid
 
 
 def synthesize_field_reference(draw: ModeDraw) -> FieldGrid:
     """Direct (non-FFT) evaluation of the same transform; oracle for N <= 8.
 
-    Computes B(x) = sum_k xi_k exp(i k.x) with explicit per-axis phase
-    matrices, independent of the FFT code path.
+    Sums B(x) = sum_k w_kz Re(xi_k exp(i k.x)) over the half layout with
+    explicit per-axis phase matrices, independent of the FFT code path;
+    w_kz = 2 counts the unstored partner at -k, 1 on the two edge planes.
     """
     n = draw.spec.points_per_axis
     if n > 8:
@@ -179,9 +190,11 @@ def synthesize_field_reference(draw: ModeDraw) -> FieldGrid:
     validate_mode_draw(draw)
     idx = np.arange(n)
     phase = np.exp(2j * math.pi * np.outer(idx, idx) / n)  # e^{i k_a x_j} per axis
-    out = np.tensordot(phase, draw.coefficients, axes=(1, 0))
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    out = np.tensordot(phase, draw.coefficients * weight, axes=(1, 0))
     out = np.tensordot(phase, out, axes=(1, 1)).transpose(1, 0, 2)
-    out = np.tensordot(out, phase, axes=(2, 1))
+    out = np.tensordot(out, phase[:, : n // 2 + 1], axes=(2, 1))
     return FieldGrid(spec=draw.spec, values=out.real.copy())
 
 
@@ -244,41 +257,6 @@ def cube_averages(grid: FieldGrid, scale: float, window: str = "tophat") -> np.n
     return np.einsum("aibjck,i,j,k->abc", blocks, w, w, w)
 
 
-def coarse_grain_rms(
-    grids: list[FieldGrid], scales: list[float], window: str = "tophat"
-) -> CoarseGrainReport:
-    """Pool cube averages across grids and report their RMS per scale."""
-    if not grids:
-        raise DomainError("need at least one field grid")
-    spec = grids[0].spec
-    if any(g.spec != spec for g in grids):
-        raise DomainError("all grids must share the same lattice spec")
-    ordered = sorted(float(s) for s in scales)
-    if not ordered:
-        raise DomainError("need at least one scale")
-    if any(b <= a for a, b in zip(ordered, ordered[1:])):
-        raise DomainError(f"scales must be distinct, got {scales}")
-    for s in ordered:
-        _cells_for_scale(spec, s)
-
-    rms_out = []
-    var_out = []
-    for s in ordered:
-        per_draw_ms = np.array(
-            [float(np.mean(cube_averages(g, s, window) ** 2)) for g in grids]
-        )
-        rms_out.append(float(np.sqrt(np.mean(per_draw_ms))))
-        per_draw_rms = np.sqrt(per_draw_ms)
-        var_out.append(float(np.var(per_draw_rms, ddof=1)) if len(grids) > 1 else 0.0)
-    return CoarseGrainReport(
-        scales=tuple(ordered),
-        rms=tuple(rms_out),
-        draws=len(grids),
-        estimate_variance=tuple(var_out),
-        window=window,
-    )
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     exponent: float
@@ -296,8 +274,6 @@ def fit_scaling(report: CoarseGrainReport) -> ScalingFit:
     n = len(report.scales)
     if n < 3:
         raise DomainError(f"need at least 3 scales to fit a power law, got {n}")
-    if any(not r > 0 for r in report.rms):
-        raise DomainError("cannot fit a power law through nonpositive rms values")
     x = np.log(np.asarray(report.scales))
     y = np.log(np.asarray(report.rms))
     xbar = x.mean()
@@ -342,20 +318,40 @@ def scaling_run(
 
     Per-draw seeds are spawned from the master seed with a splittable
     SeedSequence, so the result is bit-identical for any thread count.
+    Each worker reduces its grid to per-scale mean squares and drops it,
+    so memory grows with the workers, not the draws.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
+    ordered = sorted(float(s) for s in scales)
+    if not ordered:
+        raise DomainError("need at least one scale")
+    if any(b <= a for a, b in zip(ordered, ordered[1:])):
+        raise DomainError(f"scales must be distinct, got {scales}")
+    for s in ordered:
+        if 2 * _cells_for_scale(spec, s) > spec.points_per_axis:
+            raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
     children = np.random.SeedSequence(seed).spawn(draws)
-    workers = max(1, threads or 1)
+    workers = max(1, min(threads or 1, draws))
 
     def one(child):
-        return synthesize_field(draw_modes(spec, child))
+        grid = synthesize_field(draw_modes(spec, child))
+        return [float(np.mean(cube_averages(grid, s, window) ** 2)) for s in ordered]
 
     if workers == 1:
-        grids = [one(c) for c in children]
+        rows = [one(c) for c in children]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            grids = list(pool.map(one, children))
-    report = coarse_grain_rms(grids, scales, window=window)
+            rows = list(pool.map(one, children))
+    per_scale_ms = np.array(rows).T  # one row of per-draw mean squares per scale
+    report = CoarseGrainReport(
+        scales=tuple(ordered),
+        rms=tuple(float(np.sqrt(np.mean(ms))) for ms in per_scale_ms),
+        draws=draws,
+        estimate_variance=tuple(
+            float(np.var(np.sqrt(ms), ddof=1)) if draws > 1 else 0.0 for ms in per_scale_ms
+        ),
+        window=window,
+    )
     fit = fit_scaling(report) if len(report.scales) >= 3 else None
     return report, fit

@@ -32,6 +32,8 @@ class OscillatorParams:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise DomainError(f"oscillator parameter {name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, float(v))
+        if not 0.0 < self.m * self.omega < math.inf:
+            raise DomainError(f"m*omega must be finite and > 0, got {self.m * self.omega!r}")
 
 
 def ground_state_psi(x, p: OscillatorParams):

@@ -1,5 +1,6 @@
 """CLI dispatch: outputs, exit codes, manifests, and replay."""
 
+import argparse
 import io
 import json
 import math
@@ -59,6 +60,12 @@ class TestCasimirCommand:
         assert code == 2
         assert "residual" in err
 
+    def test_infinite_separation_exits_one(self):
+        code, out, err = run(["casimir", "--area", "1", "--sep", "inf"])
+        assert code == 1
+        assert out == ""
+        assert "--sep" in err and "finite" in err
+
     def test_infinite_epsilon_exits_one(self):
         code, out, err = run(
             ["casimir", "--area", "1", "--sep", "1", "--modesum", "--epsilons", "inf,0.4"]
@@ -115,6 +122,13 @@ class TestCoilCommand:
         electron_tau = 1.2880886681975522e-21
         assert payload["inputs"]["tau"] == pytest.approx(electron_tau / 1836.15267344, rel=1e-8)
 
+    def test_infinite_area_exits_one(self):
+        code, out, err = run(["coil", "--turns", "1", "--area", "inf",
+                              "--resistance", "1", "--scale", "1"])
+        assert code == 1
+        assert out == ""
+        assert "--area" in err and "finite" in err
+
     def test_zero_resistance_exits_one(self):
         code, _, err = run(["coil", "--turns", "1", "--area", "1",
                             "--resistance", "0", "--scale", "1"])
@@ -166,6 +180,14 @@ class TestOscillatorCommand:
         assert code == 1
         assert "m " in err or "m=" in err or "parameter m" in err
 
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    def test_product_out_of_range_exits_one_with_one_line(self, value):
+        code, out, err = run(["oscillator", "--m", value, "--omega", value])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "m*omega" in err
+
 
 class TestFieldCommand:
     ARGS = ["field", "scaling-run", "--grid", "16", "--box", "1", "--draws", "2",
@@ -193,6 +215,32 @@ class TestFieldCommand:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["exponent"] is not None
         assert 0.0 <= summary["r_squared"] <= 1.0
+
+    def test_scale_beyond_half_the_box_exits_one_with_one_line(self):
+        code, out, err = run(
+            ["field", "scaling-run", "--grid", "16", "--draws", "4",
+             "--scales", "0.125,0.25,0.5,1.0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "half the box" in err
+
+    def test_kmax_below_fundamental_exits_one_with_one_line(self):
+        code, out, err = run(["field", "scaling-run", "--grid", "16", "--k-max", "5"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2*pi/L" in err
+
+    @pytest.mark.parametrize("flag", ["--box", "--kappa", "--k-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_exits_one(self, flag, value):
+        code, out, err = run(["field", "scaling-run", "--grid", "16", "--draws", "1",
+                              f"{flag}={value}"])
+        assert code == 1
+        assert out == ""
+        assert flag in err and "finite" in err
 
     def test_bad_scale_exits_one(self):
         code, _, err = run(
@@ -226,6 +274,24 @@ class TestDispatchPlumbing:
     def test_help_exits_zero(self):
         code, _, _ = run(["--help"])
         assert code == 0
+
+    def test_every_float_flag_rejects_non_finite_values(self):
+        parser = cli.build_parser()
+        parsers = [parser]
+        types = set()
+        while parsers:
+            for action in parsers.pop()._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                types.add(action.type)
+        assert float not in types and cli._finite in types
+
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("ZPFLAB_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._threads() == len(os.sched_getaffinity(0))
+        else:
+            assert cli._threads() == (os.cpu_count() or 1)
 
 
 class TestManifest:

@@ -1,17 +1,18 @@
 """Spectral synthesis, coarse-graining, and the scaling-exponent fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zpflab import field
 from zpflab.errors import ConfigurationError, DomainError, InvariantError
 from zpflab.field import (
     CoarseGrainReport,
     FieldGrid,
     LatticeSpec,
     ModeDraw,
-    coarse_grain_rms,
     cube_averages,
     draw_modes,
     fit_scaling,
@@ -28,8 +29,17 @@ SMALL = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=math.pi * 8)
 MEDIUM = LatticeSpec(box_size=1.0, points_per_axis=32, k_max=math.pi * 32)
 
 
-def conj_reflect(arr):
-    return np.roll(np.conj(arr[::-1, ::-1, ::-1]), 1, axis=(0, 1, 2))
+def at_minus_k(plane):
+    """conj(plane) at (-kx, -ky), by explicit index negation mod N."""
+    neg = (-np.arange(plane.shape[0])) % plane.shape[0]
+    return np.conj(plane[np.ix_(neg, neg)])
+
+
+def edge_weights(spec):
+    """Parseval weight per stored kz: 1 on the self-conjugate planes, 2 elsewhere."""
+    w = np.full(spec.points_per_axis // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return w
 
 
 def constant_grid(spec, c0):
@@ -39,7 +49,7 @@ def constant_grid(spec, c0):
 def cosine_draw(spec, axis_index, amplitude):
     """Hand-built draw exciting exactly the +-k0 pair along one axis."""
     n = spec.points_per_axis
-    coeff = np.zeros((n, n, n), dtype=complex)
+    coeff = np.zeros((n, n, n // 2 + 1), dtype=complex)
     idx = [0, 0, 0]
     idx[0] = axis_index
     coeff[tuple(idx)] = amplitude
@@ -67,12 +77,35 @@ class TestLatticeSpec:
         with pytest.raises(ConfigurationError):
             LatticeSpec(box_size=0.0, points_per_axis=8, k_max=1.0)
 
+    def test_kmax_below_fundamental_rejected(self):
+        with pytest.raises(ConfigurationError, match="2\\*pi/L"):
+            LatticeSpec(box_size=1.0, points_per_axis=8, k_max=5.0)
+
+    def test_kmax_at_fundamental_keeps_the_fundamental_modes(self):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=2 * math.pi)
+        assert np.count_nonzero(mode_std(spec)) == 5  # +-kx, +-ky and +kz in the half layout
+
 
 class TestDrawModes:
+    def test_half_layout_shape(self):
+        n = SMALL.points_per_axis
+        assert draw_modes(SMALL, 0).coefficients.shape == (n, n, n // 2 + 1)
+        assert mode_std(SMALL).shape == (n, n, n // 2 + 1)
+
+    def test_wavenumbers_are_the_full_lattice_with_kz_at_most_nyquist(self):
+        n = SMALL.points_per_axis
+        k1 = 2 * math.pi * np.fft.fftfreq(n, d=SMALL.cell_size)
+        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+        full = np.sqrt(kx**2 + ky**2 + kz**2)
+        assert np.allclose(wavenumber_magnitudes(SMALL), full[:, :, : n // 2 + 1], rtol=1e-14)
+
     def test_hermitian_symmetry_exact(self):
+        # only the self-conjugate planes store both k and -k
+        n = SMALL.points_per_axis
         for seed in range(5):
-            draw = draw_modes(SMALL, seed)
-            assert np.array_equal(draw.coefficients, conj_reflect(draw.coefficients))
+            coeff = draw_modes(SMALL, seed).coefficients
+            for z in (0, n // 2):
+                assert np.array_equal(coeff[:, :, z], at_minus_k(coeff[:, :, z]))
 
     def test_dc_mode_zero(self):
         draw = draw_modes(SMALL, 3)
@@ -93,7 +126,8 @@ class TestDrawModes:
         assert not np.array_equal(a, c)
 
     def test_mode_variance_against_spectrum(self):
-        # pooled over 100 draws: Var(Re xi_k) = sigma_k^2 / 2 for paired modes
+        # pooled over 100 draws: Var(Re xi_k) = Var(Im xi_k) = sigma_k^2 / 2 for
+        # paired modes; self-conjugate modes are real with Var(xi_k) = sigma_k^2
         spec = SMALL
         draws = 100
         stack = np.stack([draw_modes(spec, s).coefficients for s in range(draws)])
@@ -101,22 +135,65 @@ class TestDrawModes:
         n = spec.points_per_axis
         half = [0, n // 2]
         rng = np.random.default_rng(0)
-        checked = 0
-        while checked < 8:
-            ijk = tuple(rng.integers(0, n, size=3))
+        checked = {"edge plane": 0, "interior": 0}
+        while min(checked.values()) < 8:
+            ijk = tuple(rng.integers(0, n, size=2)) + (rng.integers(0, n // 2 + 1),)
             if sigma[ijk] == 0 or all(v in half for v in ijk):
                 continue  # skip dead and self-conjugate modes
             target = sigma[ijk] ** 2 / 2.0
-            sample = stack[(slice(None),) + ijk].real.var()
             se = target * math.sqrt(2.0 / draws)
-            assert abs(sample - target) < 5 * se
-            checked += 1
+            for part in (stack[(slice(None),) + ijk].real, stack[(slice(None),) + ijk].imag):
+                assert abs(part.var() - target) < 5 * se
+            checked["edge plane" if ijk[2] in half else "interior"] += 1
+        for ijk in ((n // 2, 0, 0), (0, n // 2, 0), (0, 0, n // 2)):  # real, full variance
+            target = sigma[ijk] ** 2
+            se = target * math.sqrt(2.0 / draws)
+            assert abs(stack[(slice(None),) + ijk].real.var() - target) < 5 * se
+
+    def test_pooled_variance_per_kind_of_mode(self):
+        # each live mode's parts, standardized and pooled over 100 draws, are
+        # chi-square(1) terms: their mean is 1 within 5 standard errors
+        draws = 100
+        stack = np.stack([draw_modes(SMALL, s).coefficients for s in range(draws)])
+        sigma = mode_std(SMALL)
+        n = SMALL.points_per_axis
+        live = sigma > 0
+        edge = np.zeros(sigma.shape, dtype=bool)
+        edge[:, :, [0, -1]] = True
+        self_conjugate = np.zeros(sigma.shape, dtype=bool)
+        self_conjugate[np.ix_([0, n // 2], [0, n // 2], [0, -1])] = True
+        for name, mask, stored_per_pair in (
+            ("interior", live & ~edge, 1),
+            ("edge plane", live & edge & ~self_conjugate, 2),  # k and -k both stored
+            ("self-conjugate", live & self_conjugate, 1),
+        ):
+            xi, var = stack[:, mask], sigma[mask] ** 2
+            if name == "self-conjugate":
+                chi2 = xi.real**2 / var
+            else:
+                chi2 = np.concatenate([xi.real**2, xi.imag**2]) / (var / 2)
+            independent = chi2.size / stored_per_pair
+            assert abs(chi2.mean() - 1.0) < 5 * math.sqrt(2.0 / independent), name
 
     def test_self_conjugate_modes_are_real(self):
-        draw = draw_modes(SMALL, 9)
         n = SMALL.points_per_axis
-        for ijk in ((n // 2, 0, 0), (0, n // 2, 0), (n // 2, n // 2, n // 2)):
-            assert draw.coefficients[ijk].imag == 0.0
+        self_conjugate = [
+            (i, j, k) for i in (0, n // 2) for j in (0, n // 2) for k in (0, n // 2)
+        ][1:]  # all but DC
+        sigma = mode_std(SMALL)
+        for seed in range(5):
+            coeff = draw_modes(SMALL, seed).coefficients
+            for ijk in self_conjugate:
+                assert coeff[ijk].imag == 0.0
+                assert (coeff[ijk].real != 0.0) == (sigma[ijk] > 0)
+
+    def test_cached_spectrum_arrays_are_read_only(self):
+        for arr in (mode_std(SMALL), wavenumber_magnitudes(SMALL)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1, 1, 1] = 0.0
+        same_spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=math.pi * 8)
+        assert mode_std(same_spec) is mode_std(SMALL)
 
 
 class TestSynthesize:
@@ -134,7 +211,7 @@ class TestSynthesize:
         for seed in range(5):
             draw = draw_modes(MEDIUM, seed)
             grid = synthesize_field(draw)
-            lhs = float(np.sum(np.abs(draw.coefficients) ** 2))
+            lhs = float(np.sum(edge_weights(MEDIUM) * np.abs(draw.coefficients) ** 2))
             rhs = float(np.sum(grid.values**2)) / MEDIUM.points_per_axis**3
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -154,10 +231,11 @@ class TestSynthesize:
 
     def test_broken_symmetry_detected(self):
         draw = draw_modes(SMALL, 2)
-        bad = draw.coefficients.copy()
-        bad[1, 2, 3] += 0.1  # breaks Hermitian symmetry
-        with pytest.raises(InvariantError):
-            synthesize_field(ModeDraw(spec=SMALL, seed=2, coefficients=bad))
+        for z in (0, SMALL.points_per_axis // 2):
+            bad = draw.coefficients.copy()
+            bad[1, 2, z] += 0.1  # its partner at (-1, -2, z) is stored in the same plane
+            with pytest.raises(InvariantError, match="Hermitian"):
+                synthesize_field(ModeDraw(spec=SMALL, seed=2, coefficients=bad))
 
     def test_nonzero_dc_detected(self):
         draw = draw_modes(SMALL, 2)
@@ -178,17 +256,21 @@ class TestSynthesize:
             FieldGrid(spec=SMALL, values=values)
 
 
+def cube_rms(grid, scale, window="tophat"):
+    return math.sqrt(float(np.mean(cube_averages(grid, scale, window) ** 2)))
+
+
 class TestCoarseGrain:
     def test_constant_field_rms_at_every_scale(self):
-        report = coarse_grain_rms([constant_grid(MEDIUM, -2.5)], [1 / 32, 1 / 8, 1 / 2])
-        assert report.rms == pytest.approx((2.5, 2.5, 2.5), rel=1e-14)
-        hann = coarse_grain_rms([constant_grid(MEDIUM, -2.5)], [1 / 8], window="hann")
-        assert hann.rms[0] == pytest.approx(2.5, rel=1e-14)
+        grid = constant_grid(MEDIUM, -2.5)
+        for scale in (1 / 32, 1 / 8, 1 / 2):
+            assert cube_rms(grid, scale) == pytest.approx(2.5, rel=1e-14)
+        assert cube_rms(grid, 1 / 8, window="hann") == pytest.approx(2.5, rel=1e-14)
 
     def test_single_cell_scale_is_identity(self):
         grid = synthesize_field(draw_modes(MEDIUM, 8))
-        report = coarse_grain_rms([grid], [MEDIUM.cell_size])
-        assert report.rms[0] == pytest.approx(grid.rms, rel=1e-14)
+        assert np.array_equal(cube_averages(grid, MEDIUM.cell_size), grid.values)
+        assert cube_rms(grid, MEDIUM.cell_size) == pytest.approx(grid.rms, rel=1e-14)
 
     def test_cosine_with_wavelength_equal_to_cube_averages_to_zero(self):
         spec = MEDIUM
@@ -199,19 +281,11 @@ class TestCoarseGrain:
         assert np.max(np.abs(averages)) < 1e-8 * amplitude
 
     def test_non_dividing_scale_rejected(self):
-        grid = constant_grid(MEDIUM, 1.0)
-        with pytest.raises(DomainError):
-            coarse_grain_rms([grid], [0.3])
-        with pytest.raises(DomainError):
-            coarse_grain_rms([grid], [3 * MEDIUM.cell_size])  # 3 does not divide 32
-
-    def test_empty_grid_list_rejected(self):
-        with pytest.raises(DomainError):
-            coarse_grain_rms([], [0.25])
-
-    def test_mismatched_specs_rejected(self):
-        with pytest.raises(DomainError):
-            coarse_grain_rms([constant_grid(MEDIUM, 1.0), constant_grid(SMALL, 1.0)], [0.25])
+        for scale in (0.3, 3 * MEDIUM.cell_size):  # 3 does not divide 32
+            with pytest.raises(DomainError):
+                cube_averages(constant_grid(MEDIUM, 1.0), scale)
+            with pytest.raises(DomainError):
+                scaling_run(MEDIUM, [0.25, scale], draws=1, seed=0)
 
     def test_report_validation(self):
         with pytest.raises(DomainError):
@@ -274,6 +348,62 @@ class TestScalingPipeline:
         r4, f4 = scaling_run(spec, [1 / 4, 1 / 2], draws=6, seed=99, threads=4)
         assert r1.rms == r4.rms
         assert r1.estimate_variance == r4.estimate_variance
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_streamed_report_equals_pooling_the_grids(self, threads):
+        scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
+        grids = [
+            synthesize_field(draw_modes(MEDIUM, child))
+            for child in np.random.SeedSequence(seed).spawn(draws)
+        ]
+        rms, var = [], []
+        for s in scales:
+            per_draw_ms = np.array([float(np.mean(cube_averages(g, s, "hann") ** 2)) for g in grids])
+            rms.append(float(np.sqrt(np.mean(per_draw_ms))))
+            var.append(float(np.var(np.sqrt(per_draw_ms), ddof=1)))
+        report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed, threads=threads)
+        assert report.scales == tuple(scales)
+        assert report.rms == tuple(rms)
+        assert report.estimate_variance == tuple(var)
+        assert report.draws == draws
+
+    def test_scale_beyond_half_the_box_rejected(self):
+        with pytest.raises(DomainError, match="half the box"):
+            scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2, 1.0], draws=1, seed=0)
+
+    def test_scales_checked_before_any_draw(self, monkeypatch):
+        def no_draws(spec, seed):
+            raise AssertionError("drew before checking the scales")
+
+        monkeypatch.setattr(field, "draw_modes", no_draws)
+        for scales in ([0.3], [1.0], [], [0.25, 0.25]):
+            with pytest.raises(DomainError):
+                scaling_run(MEDIUM, scales, draws=4, seed=0)
+
+    def test_workers_capped_by_draws(self, monkeypatch):
+        started = []
+
+        class Recording(field.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(field, "ThreadPoolExecutor", Recording)
+        scaling_run(SMALL, [1 / 4, 1 / 2], draws=3, seed=1, threads=64)
+        assert started == [3]
+
+    def test_memory_does_not_grow_with_draws(self):
+        # One-time costs (lazy imports, the spectrum cached per spec) are paid
+        # first; what the run allocates after that must not scale with draws.
+        scaling_run(MEDIUM, [1 / 2], draws=1, seed=0, threads=1)
+        tracemalloc.start()
+        try:
+            scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2], draws=40, seed=5, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = MEDIUM.points_per_axis**3 * 8
+        assert peak < 4 * grid_bytes
 
 
 class TestPredictedRms:

@@ -39,7 +39,8 @@ GOLDEN = {
     ),
     "field-default-scales": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"],
-        "39940f2683225da1babb539b5692a3b121bb00c76b4dcf94dd556df80fb38aad",
+        # drawn in the real-FFT half layout: one Gaussian per mode pair
+        "8780709ee37c8f2d1fec0e06a0a62f7eb772220d90206ec0e9f9952bc6d72784",
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
