@@ -67,10 +67,6 @@ class CasimirResult:
     zeta_check: float  # extrapolated regulated sum, expect 1/120
     diagnostics: CasimirDiagnostics
 
-    def __post_init__(self):
-        if not self.force_closed.value < 0:
-            raise DomainError("Casimir force must be attractive (negative)")
-
 
 def casimir_force_closed(area: float, separation: float, constants: ConstantsTable) -> Quantity:
     """-(pi^2/240) hbar c A / l^4 as a force-dimensioned Quantity."""
@@ -82,6 +78,8 @@ def casimir_force_closed(area: float, separation: float, constants: ConstantsTab
     l_q = Quantity(separation, LENGTH, constants.system)
     force = -(FORCE_COEFFICIENT_EXACT) * constants.hbar * constants.c * a_q / l_q**4
     assert force.dim == FORCE
+    if not -math.inf < force.value < 0:  # underflowed to -0.0 or overflowed to -inf
+        raise DomainError(f"Casimir force {force.value!r} is not finite and attractive (< 0)")
     return force
 
 

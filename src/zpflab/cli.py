@@ -6,8 +6,9 @@ duration) goes to standard error or to ``--manifest PATH``.  Reissuing
 the argv reconstructed from a manifest reproduces the stdout bytes
 exactly, for any value of ZPFLAB_THREADS.
 
-Exit codes: 0 success, 1 domain/validation error, 2 internal invariant
-or convergence failure.
+Exit codes: 0 success, 1 domain/validation error or a number outside the
+float range, 2 internal invariant or convergence failure.  Stdout is
+written only on exit 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -51,8 +54,10 @@ _NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run"}  # parsed, 
 
 
 def _fmt(value) -> str:
-    """Full round-trip rendering: 17 significant digits for floats."""
+    """Full round-trip rendering: 17 significant digits for floats, which must be finite."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"result {value!r} is not finite")
         return format(value, ".17g")
     return str(value)
 
@@ -131,6 +136,13 @@ def _finite_list(raw: str) -> list[float]:
     return [_finite(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _seed(raw: str) -> int:
+    """argparse type of the --seed flags: a non-negative integer, as numpy seeds are."""
+    if not raw.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors raise instead of exiting(2)."""
 
@@ -159,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_finite, required=True, help="Oscillator mass.")
     p.add_argument("--omega", type=_finite, required=True, help="Angular frequency.")
     p.add_argument("--samples", type=int, default=None, help="Optional Monte Carlo draw count.")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
@@ -171,7 +183,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=64, help="Lattice points per axis (even, >= 8).")
     p.add_argument("--box", type=_finite, default=1.0, help="Periodic box size.")
     p.add_argument("--draws", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--scales", type=_finite_list, default=None,
                    help="Comma list; default box/16,box/8,box/4,box/2.")
     p.add_argument("--kappa", type=_finite, default=1.0, help="Spectrum normalization.")
@@ -219,7 +231,10 @@ def build_parser() -> _Parser:
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite float
+        raise ArithmeticError(str(exc)) from exc
 
 
 def _render_keyed(payload: dict, fmt: str, out) -> None:
@@ -248,6 +263,8 @@ def _cmd_oscillator(args, out) -> str:
         "variance": osc_mod.position_variance(params),
     }
     if args.samples is not None:
+        if args.samples < 2:
+            raise DomainError(f"--samples must be >= 2 for a sample variance, got {args.samples}")
         draws = osc_mod.sample_positions(params, seed=args.seed, n=args.samples)
         payload["sample_count"] = int(args.samples)
         payload["sample_mean"] = float(draws.mean())
@@ -257,18 +274,17 @@ def _cmd_oscillator(args, out) -> str:
 
 
 def _cmd_field_scaling(args, out) -> str:
-    if args.scales is None:
-        args.scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
-    else:
-        args.scales = sorted(args.scales)
-    if args.k_max is None:
-        args.k_max = math.pi * args.grid / args.box
     spec = field_mod.LatticeSpec(
         box_size=args.box,
         points_per_axis=args.grid,
         k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
+    args.k_max = spec.k_max
+    if args.scales is None:
+        args.scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
+    else:
+        args.scales = sorted(args.scales)
     report, fit = field_mod.scaling_run(
         spec, args.scales, draws=args.draws, seed=args.seed, window=args.window,
         threads=_threads(),
@@ -412,6 +428,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     are the parsed arguments after that, so every flag is replayed.
     ``--manifest PATH`` is opened before the run: an unwritable path exits 1
     with nothing on stdout, and a run that then fails leaves the file empty.
+    The result is buffered and reaches stdout only if the whole run succeeds.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -436,15 +453,21 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         return 1
     with manifest_out as sink:
         start = time.perf_counter()
+        result = io.StringIO()
         try:
-            units = args.run(args, out)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                units = args.run(args, result)
         except _VALIDATION_ERRORS as exc:
             _emit(f"error: {exc}", err)
+            return 1
+        except ArithmeticError as exc:
+            _emit(f"error: a number left the float range: {exc}", err)
             return 1
         except _INTERNAL_ERRORS as exc:
             _emit(f"internal error: {exc}", err)
             return 2
         duration = time.perf_counter() - start
+        out.write(result.getvalue())
 
         subcommand = args.subcommand
         if subcommand == "field":

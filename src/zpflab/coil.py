@@ -11,6 +11,7 @@ is surfaced in every result rather than silently absorbed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
@@ -81,14 +82,23 @@ def zpf_tap_estimate(
     if scale.system != constants.system or tau.system != constants.system:
         raise DomainError("scale, tau and constants must share one unit system")
 
-    current_exact = coil_current(predicted_rms(scale, constants), spec, tau)
+    field = predicted_rms(scale, constants)
+    current_exact = coil_current(field, spec, tau)
     area_q = Quantity(spec.area, AREA, constants.system)
     resistance_q = Quantity(
         spec.resistance, resistance_dimension(constants.system), constants.system
     )
-    current_via_charge = (
-        spec.turns * area_q / resistance_q * constants.e / (scale**2 * tau)
+    charge = spec.turns * area_q / resistance_q * constants.e
+    extent_time = scale**2 * tau
+    current_via_charge = charge / extent_time
+    # Every factor of both routes must be a normal float before the ratio guard:
+    # a subnormal one keeps too few digits to compare, an infinite one none.
+    factors = (
+        field, spec.turns * field * area_q, resistance_q * tau, current_exact,
+        charge, extent_time, current_via_charge,
     )
+    if not all(sys.float_info.min <= q.value <= sys.float_info.max for q in factors):
+        raise DomainError("the inputs put a tap-current factor outside the normal float range")
     ratio = current_exact.value / current_via_charge.value
     expected = 1.0 / math.sqrt(constants.alpha)
     if abs(ratio - expected) > RATIO_GUARD_REL * expected:

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import DomainError
 from .units import AREA, ENERGY, VOLUME, ConstantsTable, Quantity
 
-DEFAULT_STEP_FRACTION = 0.01  # stencil step as a fraction of a0, CLI default
-
 
 @dataclass(frozen=True)
 class JitterVariance:

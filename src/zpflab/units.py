@@ -124,12 +124,6 @@ def resistance_dimension(system: str) -> Dimension:
     return TIME / LENGTH  # s/cm
 
 
-def current_dimension(system: str) -> Dimension:
-    if _require_system(system) == "si":
-        return CHARGE_SI / TIME
-    return CHARGE_GAUSSIAN / TIME  # statA: M^1/2 L^3/2 T^-2
-
-
 @dataclass(frozen=True)
 class Quantity:
     """A real value with a Dimension, tagged by the unit system it lives in.

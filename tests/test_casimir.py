@@ -75,6 +75,11 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             casimir_force_closed(1.0, -1.0, NATURAL)
 
+    def test_force_underflowing_to_zero_rejected(self):
+        # the product underflows to -0.0, which is no attractive force
+        with pytest.raises(DomainError, match="attractive"):
+            casimir_force_closed(1e-300, 1e10, NATURAL)
+
 
 class TestRegulatedSum:
     """regulated_cubic_sum evaluates the closed form; the reference adds terms."""

@@ -188,6 +188,26 @@ class TestOscillatorCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "m*omega" in err
 
+    @pytest.mark.parametrize("samples", ["-1", "0", "1"])
+    def test_fewer_than_two_samples_exit_one_with_one_line(self, samples):
+        code, out, err = run(["oscillator", "--m", "1", "--omega", "1", "--samples", samples])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oscillator", "--m", "1", "--omega", "1", "--samples", "8"],
+     ["field", "scaling-run", "--grid", "8", "--draws", "1", "--scales", "0.5"]],
+)
+def test_negative_seed_exits_one(argv):
+    code, out, err = run(argv + ["--seed=-1"])
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err and "non-negative" in err
+
 
 class TestFieldCommand:
     ARGS = ["field", "scaling-run", "--grid", "16", "--box", "1", "--draws", "2",
@@ -242,6 +262,15 @@ class TestFieldCommand:
         assert out == ""
         assert flag in err and "finite" in err
 
+    @pytest.mark.parametrize("box", ["0", "1e-330"])  # 1e-330 parses to 0
+    def test_zero_box_exits_one_with_one_line(self, box):
+        code, out, err = run(["field", "scaling-run", "--grid", "16", "--draws", "1",
+                              "--box", box])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "box_size" in err
+
     def test_bad_scale_exits_one(self):
         code, _, err = run(
             ["field", "scaling-run", "--grid", "16", "--box", "1", "--draws", "1",
@@ -249,6 +278,33 @@ class TestFieldCommand:
         )
         assert code == 1
         assert "scale" in err
+
+
+OUT_OF_FLOAT_RANGE = [
+    "field scaling-run --grid 16 --draws 2 --kappa 1e308",
+    "field scaling-run --grid 16 --draws 2 --kappa 1e300",
+    "field scaling-run --grid 16 --draws 2 --kappa 1e-320",
+    "field scaling-run --grid 16 --draws 2 --box 1e-100",
+    "field scaling-run --grid 16 --draws 2 --box 1e-200",
+    "field scaling-run --grid 16 --draws 2 --box 1e200 --scales 6.25e198,1.25e199,2.5e199,5e199",
+    "casimir --area 1e-300 --sep 1e10",
+    "casimir --area 1e-300 --sep 1e10 --modesum",
+    "casimir --area 1 --sep 1e-300 --units si",
+    "casimir --area 1e300 --sep 1e-100",
+    "coil --turns 1 --area 1e300 --resistance 1e-300 --scale 1e-300",
+    "coil --turns 1 --area 1e-300 --resistance 1e300 --scale 1e300",
+    "coil --turns 1 --area 1e-300 --resistance 1e5 --scale 1e5",
+    "lamb --jitter 1e308",
+    "oscillator --m 2.3e-308 --omega 1 --units natural --samples 64",
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_FLOAT_RANGE)
+def test_out_of_float_range_input_exits_one_with_one_line(argv):
+    code, out, err = run(argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestDispatchPlumbing:
@@ -270,6 +326,22 @@ class TestDispatchPlumbing:
         code, _, err = run(["casimir", "--area", "1", "--sep", "1"])
         assert code == 2
         assert "synthetic failure" in err
+
+    def test_output_of_a_failing_run_stays_off_stdout(self, monkeypatch):
+        def half_printed(args, out):
+            out.write("name,value\n")
+            raise InvariantError("synthetic failure")
+
+        monkeypatch.setattr(cli, "_cmd_casimir", half_printed)
+        code, out, _ = run(["casimir", "--area", "1", "--sep", "1"])
+        assert code == 2
+        assert out == ""
+
+    def test_non_finite_results_are_not_rendered(self):
+        with pytest.raises(ArithmeticError):
+            cli._fmt(math.inf)
+        with pytest.raises(ArithmeticError):
+            cli._json_dump({"force": math.nan})
 
     def test_help_exits_zero(self):
         code, _, _ = run(["--help"])

@@ -186,6 +186,18 @@ class TestTapEstimate:
                 Quantity(-1.0, TIME, "gaussian"), GAUSSIAN,
             )
 
+    @pytest.mark.parametrize(
+        "area, resistance, length",
+        [(1e-300, 1e5, 1e5), (1e-300, 1e5, 1e-10), (1e-300, 1e10, 1e-20), (1.0, 1.0, 1e150)],
+    )
+    def test_subnormal_factor_rejected_before_the_ratio_guard(self, area, resistance, length):
+        # a subnormal factor keeps too few digits for the 1/sqrt(alpha) comparison
+        spec = CoilSpec(turns=1, area=area, resistance=resistance)
+        with pytest.raises(DomainError, match="normal float range"):
+            zpf_tap_estimate(
+                spec, Quantity(length, LENGTH, "gaussian"), GAUSSIAN.tau_C, GAUSSIAN
+            )
+
     def test_estimate_echoes_inputs(self):
         spec = CoilSpec(turns=4, area=1.5, resistance=2.0)
         scale = Quantity(0.3, LENGTH, "gaussian")
