@@ -11,10 +11,9 @@ i.e. a coefficient pi^2/720 whose l-derivative reproduces pi^2/240.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .units import AREA, FORCE, LENGTH, ConstantsTable, Quantity
@@ -23,7 +22,7 @@ DEFAULT_EPSILONS = (0.4, 0.2, 0.1, 0.05)
 ENERGY_COEFFICIENT_EXACT = math.pi**2 / 720.0
 FORCE_COEFFICIENT_EXACT = math.pi**2 / 240.0
 RESIDUAL_TOLERANCE = 1e-3
-_SUM_DPS = 30  # working digits at eps >= 1; regulated_cubic_sum adds 4 per decade below
+_SUM_DPS = 30  # working digits at eps >= 1; regulated_cubic_sum adds 5 per decade below
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,18 @@ def regulated_cubic_sum(epsilon: float) -> float:
     The sum has the closed form x(1 + 4x + x^2)/(1 - x)^4 with x = e^(-eps),
     so the cost does not depend on eps; as eps -> 0 the value approaches
     1/120.  Subtracting 6/eps^4 cancels about 4 log10(1/eps) + 3 leading
-    digits, so the working precision grows by 4 digits per decade of eps
-    below 1, and ``expm1`` computes 1 - x without cancellation.  Only the
-    final difference is rounded back to a float.
+    digits, and 1 - x, formed from x itself, loses log10(1/eps) more, so
+    the decimal working precision grows by 5 digits per decade of eps
+    below 1.  A fresh context keeps the caller's decimal settings out of
+    the result.  Only the final difference is rounded back to a float.
     """
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
-    extra = 4 * max(0, math.ceil(-math.log10(epsilon)))
-    with mpmath.workdps(_SUM_DPS + extra):
-        eps = mpmath.mpf(epsilon)
-        x = mpmath.exp(-eps)
-        return float(x * (1 + 4 * x + x * x) / mpmath.expm1(-eps) ** 4 - 6 / eps**4)
+    extra = 5 * max(0, math.ceil(-math.log10(epsilon)))
+    with decimal.localcontext(decimal.Context(prec=_SUM_DPS + extra)):
+        eps = decimal.Decimal(epsilon)
+        x = (-eps).exp()
+        return float(x * (1 + 4 * x + x * x) / (1 - x) ** 4 - 6 / eps**4)
 
 
 def extrapolate_to_zero(

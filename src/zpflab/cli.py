@@ -6,9 +6,10 @@ duration) goes to standard error or to ``--manifest PATH``.  Reissuing
 the argv reconstructed from a manifest reproduces the stdout bytes
 exactly, for any value of ZPFLAB_THREADS.
 
-Exit codes: 0 success, 1 domain/validation error or a number outside the
-float range, 2 internal invariant or convergence failure.  Stdout is
-written only on exit 0.
+Exit codes: 0 success, 1 usage or domain/validation error, a request too
+large to allocate or a number outside the float range, 2 internal
+invariant or convergence failure.  Every failure is one line on standard
+error.  Stdout is written only on exit 0.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from . import field as field_mod
 from . import lamb as lamb_mod
 from . import oscillator as osc_mod
 
-_VALIDATION_ERRORS = (DomainError, ConfigurationError)
+# bad inputs; a MemoryError is a request for more memory than can be addressed
+_VALIDATION_ERRORS = (DomainError, ConfigurationError, MemoryError)
 _INTERNAL_ERRORS = (InvariantError, ConvergenceError)
 _NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run"}  # parsed, not replayed
 
@@ -200,7 +202,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sep", type=_finite, required=True)
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--modesum", action="store_true")
-    p.add_argument("--epsilons", type=_finite_list, default="0.4,0.2,0.1,0.05")
+    p.add_argument("--epsilons", type=_finite_list, default=list(casimir_mod.DEFAULT_EPSILONS))
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--manifest", metavar="PATH", default=None)
@@ -436,8 +438,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        exc.parser.print_usage(err)
-        _emit(f"error: {exc}", err)
+        _emit(f"error: {exc.parser.prog}: {exc}", err)
         return 1
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1

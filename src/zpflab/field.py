@@ -103,15 +103,12 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
-@functools.lru_cache(maxsize=4)
 def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
-    """|k| on the half lattice, shape (N, N, N/2 + 1); cached per spec, read-only."""
+    """|k| on the half lattice, shape (N, N, N/2 + 1)."""
     n = spec.points_per_axis
     k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
     kz = spec.fundamental * np.arange(n // 2 + 1)
-    kmag = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2)
-    kmag.flags.writeable = False
-    return kmag
+    return np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2)
 
 
 @functools.lru_cache(maxsize=4)

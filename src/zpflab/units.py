@@ -69,10 +69,6 @@ class Dimension:
         p = _frac(exponent)
         return Dimension(self.length * p, self.mass * p, self.time * p, self.charge * p)
 
-    @property
-    def is_dimensionless(self) -> bool:
-        return not any((self.length, self.mass, self.time, self.charge))
-
     def __str__(self) -> str:
         parts = []
         for sym, exp in (("L", self.length), ("M", self.mass), ("T", self.time), ("Q", self.charge)):

@@ -1,6 +1,7 @@
 """Closed-form Casimir force and the regulated mode-sum cross-check."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestRegulatedSum:
     @pytest.mark.parametrize("eps", [float(e) for e in np.geomspace(1e-6, 10.0, 15)])
     def test_correctly_rounded(self, eps):
         assert regulated_cubic_sum(eps) == closed_form_regulated(eps, dps=120)
+
+    @pytest.mark.parametrize("eps", [float(e) for e in np.geomspace(1e-300, 1e-7, 15)])
+    def test_correctly_rounded_at_tiny_epsilon(self, eps):
+        # the oracle's working digits grow by 6 per decade, one past the 5 it needs
+        decades = math.ceil(-math.log10(eps))
+        assert regulated_cubic_sum(eps) == closed_form_regulated(eps, dps=40 + 6 * decades)
+
+    def test_subnormal_value_is_correctly_rounded(self):
+        # here x underflows and the value is -6/eps^4, a subnormal float
+        eps = 1.2998090889640314e77
+        assert regulated_cubic_sum(eps) == float(-6 / Fraction(eps) ** 4)
 
     def test_tiny_epsilon_returns_the_limit(self):
         # a term-by-term sum would need ~1e300 terms here

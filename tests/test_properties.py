@@ -124,7 +124,7 @@ def check_dispatch(argv):
         assert_strict_output(out.getvalue())
     else:
         assert out.getvalue() == "", argv
-        assert err.getvalue().strip(), argv
+        assert err.getvalue().strip() and err.getvalue().count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
