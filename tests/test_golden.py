@@ -44,6 +44,14 @@ GOLDEN = {
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
+    "field-tophat-box2-csv": (
+        # tophat window, csv only, a box other than 1 and scales given out of order
+        ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
+         "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
+        "b3ff06a76ba39eee2ad6538b4e9dac1ebc89dffaf88ca720af02bc75fc4d30a5",
+        {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
+         "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
+    ),
     "casimir-closed-csv": (
         ["casimir", "--area", "2", "--sep", "0.5", "--format", "csv"],
         "0b67601723199a1208663ef4a8ee2d98e07ae42da289ef7cf4bb55fdd9438058",
