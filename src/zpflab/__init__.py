@@ -17,7 +17,6 @@ from .units import (  # noqa: F401
     ConstantsTable,
     Dimension,
     Quantity,
-    check_dimension,
     compton_time,
     constants_for,
     particle_mass,

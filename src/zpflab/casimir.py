@@ -37,18 +37,27 @@ class CasimirConfig:
             raise DomainError(f"plate_area must be > 0, got {self.plate_area}")
         if not self.separation > 0:
             raise DomainError(f"separation must be > 0, got {self.separation}")
-        eps = tuple(float(e) for e in self.regulator_epsilons)
-        if len(eps) < 2:
-            raise ConfigurationError("need at least two regulator epsilons to extrapolate")
-        if any(e <= 0 for e in eps):
-            raise ConfigurationError(f"regulator epsilons must be positive, got {eps}")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ConfigurationError(f"regulator epsilons must be strictly decreasing, got {eps}")
+        object.__setattr__(self, "regulator_epsilons", _checked_ladder(self.regulator_epsilons))
         if self.extrapolation_order < 1:
             raise ConfigurationError(
                 f"extrapolation_order must be >= 1, got {self.extrapolation_order}"
             )
-        object.__setattr__(self, "regulator_epsilons", eps)
+
+
+def _checked_ladder(epsilons) -> tuple[float, ...]:
+    """The regulator ladder as floats: at least two, strictly decreasing, in (0, 2*pi).
+
+    The regulated sum's poles at eps = 2*pi*i*k put the radius of
+    convergence of its eps-series, which the extrapolation assumes, at 2*pi.
+    """
+    eps = tuple(float(e) for e in epsilons)
+    if len(eps) < 2:
+        raise ConfigurationError("need at least two regulator epsilons to extrapolate")
+    if not all(0 < e < 2 * math.pi for e in eps):
+        raise ConfigurationError(f"regulator epsilons must lie in (0, 2*pi), got {eps}")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ConfigurationError(f"regulator epsilons must be strictly decreasing, got {eps}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def modesum_energy_per_area(
     """Vacuum energy per plate area from the regulated mode sum."""
     if not separation > 0:
         raise DomainError(f"separation must be > 0, got {separation}")
-    limit, _, _, _ = _extrapolated_sum(tuple(epsilons), order)
+    limit, _, _, _ = _extrapolated_sum(_checked_ladder(epsilons), order)
     l_q = Quantity(separation, LENGTH, constants.system)
     coefficient = (math.pi**2 / 6.0) * limit
     return -coefficient * constants.hbar * constants.c / l_q**3

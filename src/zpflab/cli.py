@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,21 +78,8 @@ def _threads() -> int:
     return n
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    units: str
-    seed: int | None
-    version: str
-    constants_snapshot: str
-    duration_seconds: float
-
-
-def argv_from_manifest(manifest: dict | RunManifest) -> list[str]:
+def argv_from_manifest(manifest: dict) -> list[str]:
     """Reconstruct the command line that reproduces a manifest's run."""
-    if isinstance(manifest, RunManifest):
-        manifest = asdict(manifest)
     argv = manifest["subcommand"].split()
     params = manifest["parameters"]
     for key, value in params.items():
@@ -282,15 +268,12 @@ def _cmd_field_scaling(args, out) -> str:
         k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
-    args.k_max = spec.k_max
-    if args.scales is None:
-        args.scales = [args.box / 16, args.box / 8, args.box / 4, args.box / 2]
-    else:
-        args.scales = sorted(args.scales)
     report, fit = field_mod.scaling_run(
         spec, args.scales, draws=args.draws, seed=args.seed, window=args.window,
         threads=_threads(),
     )
+    args.k_max = spec.k_max
+    args.scales = list(report.scales)
     csv_rows = [("scale", "rms", "stderr")] + [
         (report.scales[i], report.rms[i], report.stderr(i)) for i in range(len(report.scales))
     ]
@@ -474,16 +457,16 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         if subcommand == "field":
             subcommand += " " + args.field_command
         parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-        manifest = RunManifest(
-            subcommand=subcommand,
-            parameters=parameters,
-            units=units,
-            seed=parameters.get("seed"),
-            version=__version__,
-            constants_snapshot=SNAPSHOT,
-            duration_seconds=duration,
-        )
-        _emit(json.dumps(asdict(manifest), sort_keys=True), sink)
+        manifest = {
+            "subcommand": subcommand,
+            "parameters": parameters,
+            "units": units,
+            "seed": parameters.get("seed"),
+            "version": __version__,
+            "constants_snapshot": SNAPSHOT,
+            "duration_seconds": duration,
+        }
+        _emit(json.dumps(manifest, sort_keys=True), sink)
     return 0
 
 

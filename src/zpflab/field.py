@@ -178,20 +178,9 @@ class CoarseGrainReport:
     rms: tuple[float, ...]
     draws: int
     estimate_variance: tuple[float, ...]  # variance of the per-draw RMS at each scale
-    window: str
-
-    def __post_init__(self):
-        if not (len(self.scales) == len(self.rms) == len(self.estimate_variance)):
-            raise DomainError("scales, rms and estimate_variance lengths must match")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise DomainError(f"scales must be strictly increasing, got {self.scales}")
-        if any(not r > 0 for r in self.rms):
-            raise DomainError(f"rms entries must be positive, got {self.rms}")
 
     def stderr(self, i: int) -> float:
         """Standard error of the pooled RMS at scale index i across draws."""
-        if self.draws < 2:
-            return 0.0
         return math.sqrt(self.estimate_variance[i] / self.draws)
 
 
@@ -279,21 +268,27 @@ def predicted_rms(scale: Quantity, constants: ConstantsTable) -> Quantity:
 
 def scaling_run(
     spec: LatticeSpec,
-    scales: list[float],
+    scales: list[float] | None,
     draws: int,
     seed: int,
     window: str = "hann",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> tuple[CoarseGrainReport, ScalingFit | None]:
     """Draw, synthesize, coarse-grain and (with >= 3 scales) fit the exponent.
 
+    ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
+    recommended above; given scales are reported in increasing order.
     Per-draw seeds are spawned from the master seed with a splittable
     SeedSequence, so the result is bit-identical for any thread count.
-    Each worker reduces its grid to per-scale mean squares and drops it,
-    so memory grows with the workers, not the draws.
+    Every draw runs in a pool of ``min(threads, draws)`` worker threads
+    under the caller's numpy error state.  Each worker reduces its grid to
+    per-scale mean squares and drops it, so memory grows with the workers,
+    not the draws.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
+    if scales is None:
+        scales = [spec.box_size / d for d in (16, 8, 4, 2)]
     ordered = sorted(float(s) for s in scales)
     if not ordered:
         raise DomainError("need at least one scale")
@@ -303,17 +298,15 @@ def scaling_run(
         if 2 * _cells_for_scale(spec, s) > spec.points_per_axis:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
     children = np.random.SeedSequence(seed).spawn(draws)
-    workers = max(1, min(threads or 1, draws))
+    errors = np.geterr()
 
     def one(child):
-        grid = synthesize_field(draw_modes(spec, child))
-        return [float(np.mean(cube_averages(grid, spec, s, window) ** 2)) for s in ordered]
+        with np.errstate(**errors):  # numpy keeps its error state per thread
+            grid = synthesize_field(draw_modes(spec, child))
+            return [float(np.mean(cube_averages(grid, spec, s, window) ** 2)) for s in ordered]
 
-    if workers == 1:
-        rows = [one(c) for c in children]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, children))
+    with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
+        rows = list(pool.map(one, children))
     per_scale_ms = np.array(rows).T  # one row of per-draw mean squares per scale
     report = CoarseGrainReport(
         scales=tuple(ordered),
@@ -322,7 +315,6 @@ def scaling_run(
         estimate_variance=tuple(
             float(np.var(np.sqrt(ms), ddof=1)) if draws > 1 else 0.0 for ms in per_scale_ms
         ),
-        window=window,
     )
     fit = fit_scaling(report) if len(report.scales) >= 3 else None
     return report, fit

@@ -110,10 +110,6 @@ def magnetic_field_dimension(system: str) -> Dimension:
     return CHARGE_GAUSSIAN / AREA  # gauss: M^1/2 L^-1/2 T^-1
 
 
-def magnetic_flux_dimension(system: str) -> Dimension:
-    return magnetic_field_dimension(system) * AREA
-
-
 def resistance_dimension(system: str) -> Dimension:
     if _require_system(system) == "si":
         return ENERGY * TIME / CHARGE_SI**2  # ohm: M L^2 T^-1 Q^-2
@@ -193,11 +189,6 @@ class Quantity:
 
     def sqrt(self) -> "Quantity":
         return self ** Fraction(1, 2)
-
-
-def check_dimension(q: Quantity, expected: Dimension) -> bool:
-    """True iff the quantity carries exactly the expected dimension."""
-    return q.dim == expected
 
 
 @dataclass(frozen=True)

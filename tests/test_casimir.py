@@ -149,20 +149,22 @@ class TestExtrapolation:
 
     def test_coarse_ladder_raises_convergence_error(self):
         config = CasimirConfig(
-            plate_area=1.0, separation=1.0, regulator_epsilons=(10.0, 5.0),
+            plate_area=1.0, separation=1.0, regulator_epsilons=(6.0, 5.0),
             extrapolation_order=1,
         )
         with pytest.raises(ConvergenceError):
             casimir_energy_modesum(config, NATURAL)
 
-    def test_overflowing_ladder_raises_convergence_error(self):
-        # 1e300 squared overflows, so the extrapolant and its residual are NaN
-        config = CasimirConfig(
-            plate_area=1.0, separation=1.0, regulator_epsilons=(1e300, 0.4),
-            extrapolation_order=1,
-        )
-        with pytest.raises(ConvergenceError):
-            casimir_energy_modesum(config, NATURAL)
+    @pytest.mark.parametrize("ladder", [(1e300, 0.4), (20.0, 0.4)])
+    def test_ladder_past_two_pi_rejected(self, ladder):
+        # 2*pi bounds the convergence of the eps-series the extrapolation assumes
+        with pytest.raises(ConfigurationError, match="2\\*pi"):
+            CasimirConfig(
+                plate_area=1.0, separation=1.0, regulator_epsilons=ladder,
+                extrapolation_order=1,
+            )
+        with pytest.raises(ConfigurationError, match="2\\*pi"):
+            modesum_energy_per_area(1.0, NATURAL, epsilons=ladder, order=1)
 
 
 class TestModeSum:
@@ -200,3 +202,7 @@ class TestModeSum:
             CasimirConfig(plate_area=1.0, separation=1.0, extrapolation_order=0)
         with pytest.raises(DomainError):
             CasimirConfig(plate_area=-1.0, separation=1.0)
+
+    def test_modesum_energy_per_area_checks_the_ladder(self):
+        with pytest.raises(ConfigurationError, match="decreasing"):
+            modesum_energy_per_area(1.0, NATURAL, epsilons=(0.05, 0.4, 0.1, 0.2))

@@ -7,11 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zpflab.cli as cli
+from zpflab import field
 from zpflab.cli import argv_from_manifest, dispatch
 from zpflab.errors import InvariantError
 
@@ -55,7 +58,7 @@ class TestCasimirCommand:
     def test_convergence_failure_exits_two(self):
         code, _, err = run(
             ["casimir", "--area", "1", "--sep", "1", "--modesum",
-             "--epsilons", "10,5", "--order", "1"]
+             "--epsilons", "6,5", "--order", "1"]
         )
         assert code == 2
         assert "residual" in err
@@ -65,6 +68,17 @@ class TestCasimirCommand:
         assert code == 1
         assert out == ""
         assert "--sep" in err and "finite" in err
+
+    @pytest.mark.parametrize("ladder", ["1e300,0.4", "20,0.4"])
+    def test_ladder_past_two_pi_exits_one_with_one_line(self, ladder):
+        code, out, err = run(
+            ["casimir", "--area", "1", "--sep", "1", "--units", "natural", "--modesum",
+             "--epsilons", ladder, "--order", "1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2*pi" in err
 
     def test_infinite_epsilon_exits_one(self):
         code, out, err = run(
@@ -217,6 +231,18 @@ class TestFieldCommand:
         _, out1, _ = run(self.ARGS, env_threads=1, monkeypatch=monkeypatch)
         _, out2, _ = run(self.ARGS, env_threads=4, monkeypatch=monkeypatch)
         assert out1 == out2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, threads):
+        # the error state dispatch sets must hold in every worker thread
+        monkeypatch.setattr(field, "synthesize_field", lambda c: np.full((c.shape[0],) * 3, 1e200))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(self.ARGS, env_threads=threads, monkeypatch=monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a number left the float range: overflow encountered in square\n"
+        assert caught == []
 
     def test_csv_and_json_sections(self):
         code, out, _ = run(self.ARGS)

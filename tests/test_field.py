@@ -278,19 +278,12 @@ class TestCoarseGrain:
             with pytest.raises(DomainError):
                 scaling_run(MEDIUM, [0.25, scale], draws=1, seed=0)
 
-    def test_report_validation(self):
-        with pytest.raises(DomainError):
-            CoarseGrainReport(
-                scales=(0.5, 0.25), rms=(1.0, 2.0), draws=1,
-                estimate_variance=(0.0, 0.0), window="tophat",
-            )
-
 
 class TestFitScaling:
     def make_report(self, scales, rms):
         return CoarseGrainReport(
             scales=tuple(scales), rms=tuple(rms), draws=1,
-            estimate_variance=(0.0,) * len(scales), window="tophat",
+            estimate_variance=(0.0,) * len(scales),
         )
 
     def test_exact_inverse_square_power_law(self):
@@ -413,8 +406,8 @@ def test_kappa_and_box_are_rejected_or_leave_the_exponent(kappa, box):
         spec = LatticeSpec(box_size=box, points_per_axis=16, spectrum_normalization=kappa)
     except ConfigurationError:
         return
-    scales = [box / 16, box / 8, box / 4, box / 2]
-    _, fit = scaling_run(spec, scales, draws=2, seed=5)
+    report, fit = scaling_run(spec, None, draws=2, seed=5)
+    assert report.scales == (box / 16, box / 8, box / 4, box / 2)
     assert fit.exponent == pytest.approx(unit_box_exponent(), abs=1e-9)
 
 
