@@ -38,10 +38,6 @@ class CasimirConfig:
         if not self.separation > 0:
             raise DomainError(f"separation must be > 0, got {self.separation}")
         object.__setattr__(self, "regulator_epsilons", _checked_ladder(self.regulator_epsilons))
-        if self.extrapolation_order < 1:
-            raise ConfigurationError(
-                f"extrapolation_order must be >= 1, got {self.extrapolation_order}"
-            )
 
 
 def _checked_ladder(epsilons) -> tuple[float, ...]:
@@ -121,6 +117,8 @@ def extrapolate_to_zero(
     """
     if len(epsilons) != len(values) or len(epsilons) < 2:
         raise ConfigurationError("need matching epsilon/value lists of length >= 2")
+    if order < 1:
+        raise ConfigurationError(f"extrapolation_order must be >= 1, got {order}")
     x = [e * e for e in epsilons]
     depth = min(order, len(x) - 1)
     tableau = [list(values)]
@@ -142,9 +140,9 @@ def extrapolate_to_zero(
 def _extrapolated_sum(epsilons: tuple[float, ...], order: int):
     values = tuple(regulated_cubic_sum(e) for e in epsilons)
     limit, extrapolants, residuals = extrapolate_to_zero(epsilons, values, order)
-    if not residuals or not residuals[-1] <= RESIDUAL_TOLERANCE:  # a NaN residual fails too
+    if not residuals[-1] <= RESIDUAL_TOLERANCE:  # a NaN residual fails too
         raise ConvergenceError(
-            f"regulator extrapolation residual {residuals[-1] if residuals else math.inf:.3e} "
+            f"regulator extrapolation residual {residuals[-1]:.3e} "
             f"exceeds {RESIDUAL_TOLERANCE:.1e}; refine the epsilon ladder"
         )
     return limit, values, extrapolants, residuals

@@ -14,17 +14,24 @@ range, is checked once in ``LatticeSpec``.  The inverse real
 transform gives a real field whose cube-averaged RMS falls as l^-2 with
 the averaging scale l, which is the scaling this module exists to measure.
 
+A cube average is a linear functional of the coefficients, so a scaling
+run never builds the real N^3 grid: ``coarse_mean_squares`` weights the
+coefficients by the window's transform, folds the aliases that a block
+grid cannot tell apart along x and y, and windows the full-length z
+column of each (x, y) block in real space.  ``synthesize_field`` and
+``cube_averages`` are the real-space route to the same numbers, kept as
+its test oracle.
+
 Coarse-graining windows
 -----------------------
 ``tophat``  flat average over each cube: the literal partition estimator.
             Against the |k| spectrum its sinc^2 tails leak ultraviolet
-            power logarithmically, which tilts the fitted exponent to
-            about -1.82..-1.86 at N = 64 (exact-oracle verified), so it
-            is kept for the partition-identity checks, not for slope
-            measurement.
+            power logarithmically, which tilts the exact ensemble
+            exponent to -1.857 at N = 64 (box/16..box/2), so it is kept
+            for the partition-identity checks, not for slope measurement.
 ``hann``    raised-cosine weighted average within each cube: same
-            partition, k^-4 window tails, no leak; fitted exponent lands
-            on -2 to a few parts in 10^3.  Default for scaling runs.
+            partition, k^-4 window tails, no leak; the exact ensemble
+            exponent is -2.0015 at N = 64.  Default for scaling runs.
 
 For exponent fits keep cubes between 4 lattice cells (at 2 cells the
 raised cosine degenerates to the flat average) and half the box (the
@@ -210,6 +217,49 @@ def _window_weights(m: int, window: str) -> np.ndarray:
     return w / w.sum()
 
 
+def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: int) -> np.ndarray:
+    """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
+
+    One slice of the m aliases at a time, so no full-size temporary is made.
+    """
+    values = np.moveaxis(values, axis, 0)
+    weights = weights.reshape((-1, blocks) + (1,) * (values.ndim - 1))
+    folded = values[:blocks] * weights[0]
+    for j in range(1, len(weights)):
+        folded += values[j * blocks : (j + 1) * blocks] * weights[j]
+    return np.moveaxis(folded, 0, axis)
+
+
+def coarse_mean_squares(
+    coefficients: np.ndarray, spec: LatticeSpec, scales, window: str
+) -> list[float]:
+    """Mean square of the cube averages at each scale, from the half-layout coefficients.
+
+    Along one axis the weighted average over block b of m cells is
+    sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and
+    W(k) = sum_i w_i exp(2 pi i k i / N) the window's transform; the phase
+    repeats in k with period nb, so folding the m aliases k = q (mod nb)
+    leaves an nb-point inverse transform.  x and y are folded on the
+    coefficients; z, the real-FFT half axis, is synthesized at full length
+    per block column and windowed in real space.
+    """
+    n = spec.points_per_axis
+    out = []
+    for scale in scales:
+        m = _cells_for_scale(spec, scale)
+        nb = n // m
+        w = _window_weights(m, window)
+        phase = np.outer(np.arange(n), np.arange(m)) % n  # k * i, reduced mod N in integers
+        w_k = np.exp(2j * math.pi / n * phase) @ w  # W(k) at the N FFT-ordered k
+        folded = _fold_aliases(_fold_aliases(coefficients, w_k, nb, 0), w_k, nb, 1)
+        columns = np.fft.irfft(
+            np.fft.ifft2(folded, axes=(0, 1), norm="forward"), n=n, axis=2, norm="forward"
+        )
+        averages = columns.reshape(nb, nb, nb, m) @ w
+        out.append(float(np.mean(averages**2)))
+    return out
+
+
 def cube_averages(
     values: np.ndarray, spec: LatticeSpec, scale: float, window: str = "tophat"
 ) -> np.ndarray:
@@ -274,16 +324,16 @@ def scaling_run(
     window: str = "hann",
     threads: int = 1,
 ) -> tuple[CoarseGrainReport, ScalingFit | None]:
-    """Draw, synthesize, coarse-grain and (with >= 3 scales) fit the exponent.
+    """Draw, coarse-grain and (with >= 3 scales) fit the exponent.
 
     ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
     recommended above; given scales are reported in increasing order.
     Per-draw seeds are spawned from the master seed with a splittable
     SeedSequence, so the result is bit-identical for any thread count.
     Every draw runs in a pool of ``min(threads, draws)`` worker threads
-    under the caller's numpy error state.  Each worker reduces its grid to
-    per-scale mean squares and drops it, so memory grows with the workers,
-    not the draws.
+    under the caller's numpy error state.  Each worker reduces its draw's
+    coefficients to per-scale mean squares and drops them, so memory grows
+    with the workers, not the draws.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -302,8 +352,7 @@ def scaling_run(
 
     def one(child):
         with np.errstate(**errors):  # numpy keeps its error state per thread
-            grid = synthesize_field(draw_modes(spec, child))
-            return [float(np.mean(cube_averages(grid, spec, s, window) ** 2)) for s in ordered]
+            return coarse_mean_squares(draw_modes(spec, child), spec, ordered, window)
 
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
         rows = list(pool.map(one, children))

@@ -198,10 +198,20 @@ class TestModeSum:
             CasimirConfig(plate_area=1.0, separation=1.0, regulator_epsilons=(0.1, 0.2))
         with pytest.raises(ConfigurationError):
             CasimirConfig(plate_area=1.0, separation=1.0, regulator_epsilons=(0.2, -0.1))
-        with pytest.raises(ConfigurationError):
-            CasimirConfig(plate_area=1.0, separation=1.0, extrapolation_order=0)
         with pytest.raises(DomainError):
             CasimirConfig(plate_area=-1.0, separation=1.0)
+
+    def test_order_below_one_is_a_configuration_error(self):
+        # checked where the extrapolation needs it, so every entry point agrees
+        message = "extrapolation_order must be >= 1, got 0"
+        values = tuple(regulated_cubic_sum(e) for e in DEFAULT_EPSILONS)
+        with pytest.raises(ConfigurationError, match=message):
+            extrapolate_to_zero(DEFAULT_EPSILONS, values, order=0)
+        with pytest.raises(ConfigurationError, match=message):
+            modesum_energy_per_area(1.0, NATURAL, order=0)
+        config = CasimirConfig(plate_area=1.0, separation=1.0, extrapolation_order=0)
+        with pytest.raises(ConfigurationError, match=message):
+            casimir_energy_modesum(config, NATURAL)
 
     def test_modesum_energy_per_area_checks_the_ladder(self):
         with pytest.raises(ConfigurationError, match="decreasing"):

@@ -235,7 +235,8 @@ class TestFieldCommand:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, threads):
         # the error state dispatch sets must hold in every worker thread
-        monkeypatch.setattr(field, "synthesize_field", lambda c: np.full((c.shape[0],) * 3, 1e200))
+        huge = lambda spec, seed: np.full(field.mode_std(spec).shape, 1e200, dtype=complex)
+        monkeypatch.setattr(field, "draw_modes", huge)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(self.ARGS, env_threads=threads, monkeypatch=monkeypatch)

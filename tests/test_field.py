@@ -10,8 +10,10 @@ import pytest
 from zpflab import field
 from zpflab.errors import ConfigurationError, DomainError
 from zpflab.field import (
+    WINDOWS,
     CoarseGrainReport,
     LatticeSpec,
+    coarse_mean_squares,
     cube_averages,
     draw_modes,
     fit_scaling,
@@ -279,6 +281,93 @@ class TestCoarseGrain:
                 scaling_run(MEDIUM, [0.25, scale], draws=1, seed=0)
 
 
+def grid_route_mean_squares(draw, spec, scales, window):
+    """The real-space route: synthesize the N^3 grid, then average its cubes."""
+    grid = synthesize_field(draw)
+    return [float(np.mean(cube_averages(grid, spec, s, window) ** 2)) for s in scales]
+
+
+def expected_mean_squares(spec, scales, window):
+    """Exact ensemble mean square of the cube averages at each scale.
+
+    The modes are independent with E|xi_k|^2 = sigma_k^2, so the cross terms
+    of a squared cube average vanish in expectation and
+    E[ms_m] = sum_half w_kz sigma_k^2 |W_m(kx)|^2 |W_m(ky)|^2 |W_m(kz)|^2,
+    where W_m is the 1-D transform of the window.  No aliases are folded,
+    so neither coarse-graining route enters.
+    """
+    n = spec.points_per_axis
+    power = mode_std(spec) ** 2
+    out = []
+    for s in scales:
+        m = round(s / spec.cell_size)
+        cells = np.arange(m)
+        w = np.ones(m) if window == "tophat" else np.sin(math.pi * (cells + 0.5) / m) ** 2
+        w /= w.sum()
+        a = np.abs(np.exp(2j * math.pi * np.outer(np.arange(n), cells) / n) @ w) ** 2
+        out.append(float(a @ ((power @ (edge_weights(spec) * a[: n // 2 + 1])) @ a)))
+    return out
+
+
+def exact_exponent(spec, window):
+    scales = [spec.box_size / d for d in (16, 8, 4, 2)]
+    rms = np.sqrt(expected_mean_squares(spec, scales, window))
+    report = CoarseGrainReport(
+        scales=tuple(scales), rms=tuple(rms), draws=1, estimate_variance=(0.0,) * 4
+    )
+    return fit_scaling(report).exponent
+
+
+class TestCoarseMeanSquares:
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SMALL,  # m = 1, 2, 4
+            LatticeSpec(box_size=1.0, points_per_axis=24),  # odd m = 3
+            LatticeSpec(box_size=2.0, points_per_axis=16, k_max=math.pi * 4),  # below Nyquist
+            MEDIUM,
+        ],
+        ids=["N8", "N24", "box2-kmax", "N32"],
+    )
+    def test_matches_the_grid_route(self, spec, window):
+        n = spec.points_per_axis
+        scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
+        draw = draw_modes(spec, 17)
+        assert coarse_mean_squares(draw, spec, scales, window) == pytest.approx(
+            grid_route_mean_squares(draw, spec, scales, window), rel=1e-12
+        )
+
+    def test_pooled_mean_square_matches_the_exact_ensemble(self):
+        # 64^3, 50 draws spawned from seed 1 as scaling_run spawns them
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+        draws = [draw_modes(spec, c) for c in np.random.SeedSequence(1).spawn(50)]
+        for window in WINDOWS:
+            per_draw = np.array([coarse_mean_squares(d, spec, scales, window) for d in draws])
+            pooled = per_draw.mean(axis=0)
+            se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(draws))
+            z = (pooled - expected_mean_squares(spec, scales, window)) / se
+            assert np.all(np.abs(z) < 4.0), (window, z)
+
+    def test_exact_hann_exponent_is_minus_two(self):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        assert exact_exponent(spec, "hann") == pytest.approx(-2.0, abs=2e-3)
+
+    def test_exact_tophat_exponent_leaks_ultraviolet_power(self):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        assert -1.86 <= exact_exponent(spec, "tophat") <= -1.82
+
+    def test_scaling_run_never_builds_the_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the run built or averaged a real N^3 grid")
+
+        monkeypatch.setattr(field, "synthesize_field", no_grid)
+        monkeypatch.setattr(field, "cube_averages", no_grid)
+        report, fit = scaling_run(MEDIUM, None, draws=2, seed=3, window="tophat", threads=2)
+        assert fit is not None and len(report.rms) == 4
+
+
 class TestFitScaling:
     def make_report(self, scales, rms):
         return CoarseGrainReport(
@@ -336,21 +425,18 @@ class TestScalingPipeline:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_streamed_report_equals_pooling_the_grids(self, threads):
         scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
-        grids = [
-            synthesize_field(draw_modes(MEDIUM, child))
-            for child in np.random.SeedSequence(seed).spawn(draws)
-        ]
-        rms, var = [], []
-        for s in scales:
-            per_draw_ms = np.array(
-                [float(np.mean(cube_averages(g, MEDIUM, s, "hann") ** 2)) for g in grids]
-            )
-            rms.append(float(np.sqrt(np.mean(per_draw_ms))))
-            var.append(float(np.var(np.sqrt(per_draw_ms), ddof=1)))
+        per_draw_ms = np.array(
+            [
+                grid_route_mean_squares(draw_modes(MEDIUM, child), MEDIUM, scales, "hann")
+                for child in np.random.SeedSequence(seed).spawn(draws)
+            ]
+        ).T
+        rms = [float(np.sqrt(np.mean(ms))) for ms in per_draw_ms]
+        var = [float(np.var(np.sqrt(ms), ddof=1)) for ms in per_draw_ms]
         report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed, threads=threads)
         assert report.scales == tuple(scales)
-        assert report.rms == tuple(rms)
-        assert report.estimate_variance == tuple(var)
+        assert report.rms == pytest.approx(rms, rel=1e-12)
+        assert report.estimate_variance == pytest.approx(var, rel=1e-12)
         assert report.draws == draws
 
     def test_scale_beyond_half_the_box_rejected(self):
@@ -389,7 +475,7 @@ class TestScalingPipeline:
         finally:
             tracemalloc.stop()
         grid_bytes = MEDIUM.points_per_axis**3 * 8
-        assert peak < 4 * grid_bytes
+        assert peak < 3 * grid_bytes
 
 
 @functools.cache
