@@ -2,9 +2,10 @@
 
 Results go to standard output; a JSON run manifest (full post-default
 parameter set, seed, unit system, constants snapshot, wall-clock
-duration) goes to standard error or to ``--manifest PATH``.  Reissuing
-the argv reconstructed from a manifest reproduces the stdout bytes
-exactly, for any value of ZPFLAB_THREADS.
+duration, worker threads, peak resident memory) goes to standard error
+or to ``--manifest PATH``.  Reissuing the argv reconstructed from a
+manifest reproduces the stdout bytes exactly, for any value of
+ZPFLAB_THREADS.
 
 Exit codes: 0 success, 1 usage or domain/validation error, a request too
 large to allocate or a number outside the float range, 2 internal
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -51,7 +53,8 @@ from . import oscillator as osc_mod
 # bad inputs; a MemoryError is a request for more memory than can be addressed
 _VALIDATION_ERRORS = (DomainError, ConfigurationError, MemoryError)
 _INTERNAL_ERRORS = (InvariantError, ConvergenceError)
-_NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run"}  # parsed, not replayed
+# parsed or set by a handler, not replayed
+_NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run", "threads"}
 
 
 def _fmt(value) -> str:
@@ -76,6 +79,11 @@ def _threads() -> int:
     if n < 1:
         raise ConfigurationError(f"ZPFLAB_THREADS must be >= 1, got {n}")
     return n
+
+
+def _peak_rss_kb() -> int:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak  # macOS counts bytes
 
 
 def argv_from_manifest(manifest: dict) -> list[str]:
@@ -268,9 +276,10 @@ def _cmd_field_scaling(args, out) -> str:
         k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
+    args.threads = _threads()
     report, fit = field_mod.scaling_run(
         spec, args.scales, draws=args.draws, seed=args.seed, window=args.window,
-        threads=_threads(),
+        threads=args.threads,
     )
     args.k_max = spec.k_max
     args.scales = list(report.scales)
@@ -465,6 +474,8 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             "version": __version__,
             "constants_snapshot": SNAPSHOT,
             "duration_seconds": duration,
+            "threads": vars(args).get("threads", 1),  # only the field run has workers
+            "peak_rss_kb": _peak_rss_kb(),
         }
         _emit(json.dumps(manifest, sort_keys=True), sink)
     return 0

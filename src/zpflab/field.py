@@ -7,8 +7,10 @@ sigma_k^2 = kappa * |k| / L^3 (natural units, hbar = c = 1; kappa absorbs
 the overall normalization).  They are stored in the real-FFT half layout
 (N, N, N/2 + 1), one per pair, so Hermitian symmetry holds by
 construction; only the self-conjugate planes kz = 0 and kz = N/2 hold
-both members of a pair, and the draw ties those.  With sigma_k = 0 at DC
-(|k| = 0) and beyond k_max, a draw is valid by construction and is never
+both members of a pair, and the draw ties those.  sigma_k = 0 at DC
+(|k| = 0) and beyond k_max, so only the live modes, 0 < |k| <= k_max
+(about 52 % of the half layout at k_max = Nyquist), get Gaussians; the
+rest stay zero.  A draw is valid by construction and is never
 re-checked; the one thing the inputs can break, the spectrum's float
 range, is checked once in ``LatticeSpec``.  The inverse real
 transform gives a real field whose cube-averaged RMS falls as l^-2 with
@@ -18,9 +20,12 @@ A cube average is a linear functional of the coefficients, so a scaling
 run never builds the real N^3 grid: ``coarse_mean_squares`` weights the
 coefficients by the window's transform, folds the aliases that a block
 grid cannot tell apart along x and y, and windows the full-length z
-column of each (x, y) block in real space.  ``synthesize_field`` and
-``cube_averages`` are the real-space route to the same numbers, kept as
-its test oracle.
+column of each (x, y) block in real space.  The window transforms are
+computed once per run, and every contraction in a draw is a fixed-order
+sum of slices: no BLAS call runs per draw, so no BLAS worker thread
+competes with the draw workers and the digits do not depend on the BLAS
+build.  ``synthesize_field`` and ``cube_averages`` are the real-space
+route to the same numbers, kept as its test oracle.
 
 Coarse-graining windows
 -----------------------
@@ -133,23 +138,36 @@ def _plane_reflection(plane: np.ndarray) -> np.ndarray:
     return np.roll(np.conj(plane[::-1, ::-1]), 1, axis=(0, 1))
 
 
+# The live normals are drawn a block of x-slabs at a time, so the buffer
+# they pass through stays near 1/_DRAW_BLOCKS of the coefficient array.
+_DRAW_BLOCKS = 8
+
+
 def draw_modes(spec: LatticeSpec, seed) -> np.ndarray:
     """Draw complex coefficients, shape (N, N, N/2 + 1), for one realization.
 
     Each Hermitian pair {k, -k} gets an independent complex Gaussian with
     E|xi_k|^2 = sigma_k^2 (real and imaginary parts carrying sigma_k^2/2
     each); self-conjugate lattice modes come out real with full variance.
-    Deterministic in (spec, seed); seed may be an int or a
+    Only the live modes (sigma_k > 0) are drawn, in C order of the half
+    layout, and scattered into a zeroed array; the x-slab blocks they are
+    drawn in split one stream, so the numbers do not depend on the block
+    count.  Deterministic in (spec, seed); seed may be an int or a
     numpy SeedSequence spawned from a master seed.
     """
     n = spec.points_per_axis
+    sigma = mode_std(spec)
     rng = np.random.default_rng(seed)
-    parts = rng.normal(scale=math.sqrt(0.5), size=(n, n, n // 2 + 1, 2))
-    coeff = parts.view(np.complex128)[..., 0]  # each (re, im) pair read as one complex
+    coeff = np.zeros(sigma.shape, dtype=np.complex128)
+    edges = [n * b // _DRAW_BLOCKS for b in range(_DRAW_BLOCKS + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        live = sigma[lo:hi] > 0
+        parts = rng.normal(scale=math.sqrt(0.5), size=(np.count_nonzero(live), 2))
+        coeff[lo:hi][live] = parts.view(np.complex128)[:, 0]  # each (re, im) read as one
     for z in (0, n // 2):  # the self-conjugate planes
         plane = coeff[:, :, z]
         coeff[:, :, z] = (plane + _plane_reflection(plane)) / math.sqrt(2.0)
-    coeff *= mode_std(spec)
+    coeff *= sigma
     return coeff
 
 
@@ -230,32 +248,53 @@ def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: in
     return np.moveaxis(folded, 0, axis)
 
 
-def coarse_mean_squares(
-    coefficients: np.ndarray, spec: LatticeSpec, scales, window: str
-) -> list[float]:
-    """Mean square of the cube averages at each scale, from the half-layout coefficients.
+@dataclass(frozen=True)
+class ScalePlan:
+    """What coarse-graining at one scale needs, fixed for a run."""
 
-    Along one axis the weighted average over block b of m cells is
-    sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and
-    W(k) = sum_i w_i exp(2 pi i k i / N) the window's transform; the phase
-    repeats in k with period nb, so folding the m aliases k = q (mod nb)
-    leaves an nb-point inverse transform.  x and y are folded on the
-    coefficients; z, the real-FFT half axis, is synthesized at full length
-    per block column and windowed in real space.
-    """
+    cells: int  # m, cells per cube edge
+    blocks: int  # nb = N / m, cubes per axis
+    weights: np.ndarray  # w_i, the window over the m cells, summing to 1
+    transform: np.ndarray  # W(k) = sum_i w_i exp(2 pi i k i / N) at the N FFT-ordered k
+
+
+def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]:
+    """One ``ScalePlan`` per scale, by elementwise numpy only."""
     n = spec.points_per_axis
-    out = []
+    plans = []
     for scale in scales:
         m = _cells_for_scale(spec, scale)
-        nb = n // m
         w = _window_weights(m, window)
         phase = np.outer(np.arange(n), np.arange(m)) % n  # k * i, reduced mod N in integers
-        w_k = np.exp(2j * math.pi / n * phase) @ w  # W(k) at the N FFT-ordered k
-        folded = _fold_aliases(_fold_aliases(coefficients, w_k, nb, 0), w_k, nb, 1)
+        w_k = (np.exp(2j * math.pi / n * phase) * w).sum(axis=1)
+        plans.append(ScalePlan(cells=m, blocks=n // m, weights=w, transform=w_k))
+    return tuple(plans)
+
+
+def coarse_mean_squares(coefficients: np.ndarray, plans) -> list[float]:
+    """Mean square of the cube averages at each planned scale, from the half-layout coefficients.
+
+    Along one axis the weighted average over block b of m cells is
+    sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and W(k) the
+    window's transform; the phase repeats in k with period nb, so folding
+    the m aliases k = q (mod nb) leaves an nb-point inverse transform.  x
+    and y are folded on the coefficients; z, the real-FFT half axis, is
+    synthesized at full length per block column and windowed in real
+    space.  Every contraction is a fixed-order sum of slices, so no BLAS
+    call is made and the result does not depend on its kernels or threads.
+    """
+    n = coefficients.shape[0]
+    out = []
+    for plan in plans:
+        nb = plan.blocks
+        folded = _fold_aliases(
+            _fold_aliases(coefficients, plan.transform, nb, 0), plan.transform, nb, 1
+        )
         columns = np.fft.irfft(
             np.fft.ifft2(folded, axes=(0, 1), norm="forward"), n=n, axis=2, norm="forward"
         )
-        averages = columns.reshape(nb, nb, nb, m) @ w
+        # the window over the m cells of each z block is a fold with one block
+        averages = _fold_aliases(columns.reshape(nb, nb, nb, plan.cells), plan.weights, 1, 3)
         out.append(float(np.mean(averages**2)))
     return out
 
@@ -330,10 +369,11 @@ def scaling_run(
     recommended above; given scales are reported in increasing order.
     Per-draw seeds are spawned from the master seed with a splittable
     SeedSequence, so the result is bit-identical for any thread count.
-    Every draw runs in a pool of ``min(threads, draws)`` worker threads
-    under the caller's numpy error state.  Each worker reduces its draw's
-    coefficients to per-scale mean squares and drops them, so memory grows
-    with the workers, not the draws.
+    The spectrum and the per-scale plans are computed once, before the
+    pool starts; every draw then runs in a pool of ``min(threads, draws)``
+    worker threads under the caller's numpy error state.  Each worker
+    reduces its draw's coefficients to per-scale mean squares and drops
+    them, so memory grows with the workers, not the draws.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -344,15 +384,17 @@ def scaling_run(
         raise DomainError("need at least one scale")
     if any(b <= a for a, b in zip(ordered, ordered[1:])):
         raise DomainError(f"scales must be distinct, got {scales}")
-    for s in ordered:
-        if 2 * _cells_for_scale(spec, s) > spec.points_per_axis:
+    plans = scale_plans(spec, ordered, window)
+    for s, plan in zip(ordered, plans):
+        if 2 * plan.cells > spec.points_per_axis:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
+    mode_std(spec)  # fill the cache here, or each worker's first draw computes the spectrum
     children = np.random.SeedSequence(seed).spawn(draws)
     errors = np.geterr()
 
     def one(child):
         with np.errstate(**errors):  # numpy keeps its error state per thread
-            return coarse_mean_squares(draw_modes(spec, child), spec, ordered, window)
+            return coarse_mean_squares(draw_modes(spec, child), plans)
 
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
         rows = list(pool.map(one, children))

@@ -457,6 +457,27 @@ class TestManifest:
         assert code2 == 0
         assert out2 == out1
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_threads_and_peak_rss_leave_stdout_and_replay_alone(self, threads, monkeypatch):
+        argv = ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"]
+        code, out, err = run(argv, env_threads=threads, monkeypatch=monkeypatch)
+        assert code == 0
+        manifest = manifest_of(err)
+        assert manifest["threads"] == threads
+        assert manifest["peak_rss_kb"] > 1000  # the interpreter and numpy alone take more
+        assert set(manifest["parameters"]) == {
+            "box", "draws", "format", "grid", "k_max", "kappa", "scales", "seed", "window"
+        }
+        replay_argv = argv_from_manifest(manifest)
+        assert "--threads" not in replay_argv and "--peak-rss-kb" not in replay_argv
+        assert run(replay_argv)[1] == out
+
+    def test_runs_without_workers_record_one_thread(self):
+        _, _, err = run(["lamb"])
+        manifest = manifest_of(err)
+        assert manifest["threads"] == 1
+        assert manifest["peak_rss_kb"] > 1000
+
 
 def test_cli_import_needs_only_numpy():
     probe = (

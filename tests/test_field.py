@@ -1,7 +1,11 @@
 """Spectral synthesis, coarse-graining, and the scaling-exponent fit."""
 
+import cmath
 import functools
+import inspect
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,6 +23,7 @@ from zpflab.field import (
     fit_scaling,
     mode_std,
     predicted_rms,
+    scale_plans,
     scaling_run,
     synthesize_field,
     synthesize_field_reference,
@@ -57,6 +62,23 @@ def cosine_draw(spec, axis_index, amplitude):
     idx[0] = (n - axis_index) % n
     coeff[tuple(idx)] = amplitude  # real pair: conjugate symmetric
     return coeff
+
+
+def one_call_draw(spec, seed):
+    """The draw's stream: every live mode in one normal call, scattered in C order."""
+    n = spec.points_per_axis
+    sigma = mode_std(spec)
+    live = sigma > 0
+    parts = np.random.default_rng(seed).normal(
+        scale=math.sqrt(0.5), size=(np.count_nonzero(live), 2)
+    )
+    coeff = np.zeros(sigma.shape, dtype=complex)
+    coeff.real[live] = parts[:, 0]
+    coeff.imag[live] = parts[:, 1]
+    for z in (0, n // 2):  # tie each self-conjugate pair
+        plane = coeff[:, :, z]
+        coeff[:, :, z] = (plane + at_minus_k(plane)) / math.sqrt(2.0)
+    return coeff * sigma
 
 
 class TestLatticeSpec:
@@ -207,6 +229,33 @@ class TestDrawModes:
         same_spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=math.pi * 8)
         assert mode_std(same_spec) is mode_std(SMALL)
 
+    @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL, MEDIUM, LatticeSpec(box_size=2.0, points_per_axis=32, k_max=math.pi * 6)],
+        ids=["N8", "N32", "box2-kmax"],
+    )
+    def test_stream_is_one_call_over_the_live_modes(self, spec, blocks, monkeypatch):
+        # the x-slab blocks split one stream: any block count, even more
+        # blocks than slabs, gives the numbers of a single call
+        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        for seed in (5, np.random.SeedSequence(9).spawn(2)[1]):
+            assert np.array_equal(draw_modes(spec, seed), one_call_draw(spec, seed))
+
+    def test_spectrum_computed_once_per_run(self, monkeypatch):
+        calls = []
+        real = field.wavenumber_magnitudes
+
+        def slow_and_counted(spec):
+            calls.append(spec)
+            time.sleep(0.05)  # long enough for a second worker to race the first
+            return real(spec)
+
+        monkeypatch.setattr(field, "wavenumber_magnitudes", slow_and_counted)
+        mode_std.cache_clear()
+        scaling_run(MEDIUM, None, draws=4, seed=1, threads=2)
+        assert calls == [MEDIUM]
+
 
 class TestSynthesize:
     def test_single_pair_gives_pure_cosine(self):
@@ -334,9 +383,34 @@ class TestCoarseMeanSquares:
         n = spec.points_per_axis
         scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
         draw = draw_modes(spec, 17)
-        assert coarse_mean_squares(draw, spec, scales, window) == pytest.approx(
+        assert coarse_mean_squares(draw, scale_plans(spec, scales, window)) == pytest.approx(
             grid_route_mean_squares(draw, spec, scales, window), rel=1e-12
         )
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_window_transform_is_the_direct_sum(self, window):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=48)
+        n = spec.points_per_axis
+        cells = [m for m in range(1, n // 2 + 1) if n % m == 0]
+        plans = scale_plans(spec, [m * spec.cell_size for m in cells], window)
+        for m, plan in zip(cells, plans):
+            assert (plan.cells, plan.blocks) == (m, n // m)
+            if window == "tophat":
+                w = [1.0 / m] * m
+            else:
+                raw = [math.sin(math.pi * (i + 0.5) / m) ** 2 for i in range(m)]
+                w = [r / sum(raw) for r in raw]
+            direct = [
+                sum(w[i] * cmath.exp(2j * math.pi * (k * i % n) / n) for i in range(m))
+                for k in range(n)
+            ]
+            np.testing.assert_allclose(plan.transform, direct, rtol=1e-14, atol=1e-14)
+
+    def test_no_blas_call_per_draw(self):
+        # a BLAS product wakes its worker threads, which spin on the cores the
+        # draw workers use, and ties the digits to the BLAS kernel
+        for fn in (draw_modes, coarse_mean_squares, field._fold_aliases):
+            assert not re.search(r"@|\bdot\b|matmul|tensordot", inspect.getsource(fn)), fn
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws spawned from seed 1 as scaling_run spawns them
@@ -344,7 +418,8 @@ class TestCoarseMeanSquares:
         scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         draws = [draw_modes(spec, c) for c in np.random.SeedSequence(1).spawn(50)]
         for window in WINDOWS:
-            per_draw = np.array([coarse_mean_squares(d, spec, scales, window) for d in draws])
+            plans = scale_plans(spec, scales, window)
+            per_draw = np.array([coarse_mean_squares(d, plans) for d in draws])
             pooled = per_draw.mean(axis=0)
             se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(draws))
             z = (pooled - expected_mean_squares(spec, scales, window)) / se
@@ -476,6 +551,21 @@ class TestScalingPipeline:
             tracemalloc.stop()
         grid_bytes = MEDIUM.points_per_axis**3 * 8
         assert peak < 3 * grid_bytes
+
+    def test_draw_buffer_is_a_fraction_of_the_array(self):
+        # At 128^3 the coefficients are 1.02 grids; a block of live normals adds
+        # about 0.07 of one, the fold at box/16 0.25, for 1.27.  Drawing every
+        # live mode in one call would add 0.53 grids of normals, for 1.6.
+        spec = LatticeSpec(box_size=1.0, points_per_axis=128)
+        scaling_run(spec, [1 / 2], draws=1, seed=0, threads=1)  # cache the spectrum first
+        tracemalloc.start()
+        try:
+            scaling_run(spec, None, draws=3, seed=5, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = spec.points_per_axis**3 * 8
+        assert peak < 1.4 * grid_bytes
 
 
 @functools.cache
