@@ -2,15 +2,23 @@
 
 Results go to standard output; a JSON run manifest (full post-default
 parameter set, seed, unit system, constants snapshot, wall-clock
-duration, worker threads, peak resident memory) goes to standard error
-or to ``--manifest PATH``.  Reissuing the argv reconstructed from a
-manifest reproduces the stdout bytes exactly, for any value of
-ZPFLAB_THREADS.
+duration, worker threads, peak resident memory, Python and numpy
+versions) goes to standard error or to ``--manifest PATH``.  Reissuing
+the argv reconstructed from a manifest reproduces the stdout bytes
+exactly, for any value of ZPFLAB_THREADS.
 
 Exit codes: 0 success, 1 usage or domain/validation error, a request too
 large to allocate or a number outside the float range, 2 internal
 invariant or convergence failure.  Every failure is one line on standard
 error.  Stdout is written only on exit 0.
+
+Only ``oscillator`` and ``field scaling-run`` compute with arrays; they
+import numpy, and their modules, inside their handlers and run under
+numpy's raising float-error state.  ``constants``, ``casimir``, ``lamb``
+and ``coil`` are pure ``math``/``decimal`` and never load numpy, whose
+import would be most of their run time.  Their float errors need no such
+state: Python raises ``OverflowError`` or ``ZeroDivisionError``, and a
+result that overflowed to inf is refused when it is rendered.
 """
 
 from __future__ import annotations
@@ -25,8 +33,6 @@ import os
 import resource
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -46,9 +52,7 @@ from .units import (
 )
 from . import casimir as casimir_mod
 from . import coil as coil_mod
-from . import field as field_mod
 from . import lamb as lamb_mod
-from . import oscillator as osc_mod
 
 # bad inputs; a MemoryError is a request for more memory than can be addressed
 _VALIDATION_ERRORS = (DomainError, ConfigurationError, MemoryError)
@@ -79,6 +83,15 @@ def _threads() -> int:
     if n < 1:
         raise ConfigurationError(f"ZPFLAB_THREADS must be >= 1, got {n}")
     return n
+
+
+def _versions() -> dict:
+    """The Python and numpy that ran: numpy's only if this process has loaded it."""
+    numpy = sys.modules.get("numpy")
+    return {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": numpy.__version__ if numpy is not None else None,
+    }
 
 
 def _peak_rss_kb() -> int:
@@ -139,6 +152,22 @@ def _seed(raw: str) -> int:
     return int(raw)
 
 
+def _raising_float_errors(handler):
+    """The handler, run with numpy's overflow, division and invalid-value errors raised.
+
+    numpy raises them as FloatingPointError, an ArithmeticError, which
+    ``dispatch`` reports as a number that left the float range.
+    """
+
+    def run(args, out):
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args, out)
+
+    return run
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors raise instead of exiting(2)."""
 
@@ -171,7 +200,7 @@ def build_parser() -> _Parser:
     p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_oscillator)
+    p.set_defaults(run=_raising_float_errors(_cmd_oscillator))
 
     p = sub.add_parser("field", help="Spectral field simulation.")
     fs = p.add_subparsers(dest="field_command", required=True, parser_class=_Parser)
@@ -185,11 +214,12 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=_finite, default=1.0, help="Spectrum normalization.")
     p.add_argument("--k-max", type=_finite, default=None,
                    help="Wavenumber cutoff; default Nyquist.")
-    p.add_argument("--window", choices=list(field_mod.WINDOWS), default="hann")
+    # no choices here: scaling_run checks it against field.WINDOWS before any draw
+    p.add_argument("--window", default="hann", help="Coarse-graining window in field.WINDOWS.")
     p.add_argument("--format", choices=["csv", "json"], default=None,
                    help="csv: table only; json: summary only; default: both.")
     p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_field_scaling)
+    p.set_defaults(run=_raising_float_errors(_cmd_field_scaling))
 
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
     p.add_argument("--area", type=_finite, required=True)
@@ -252,6 +282,8 @@ def _cmd_constants(args, out) -> str:
 
 
 def _cmd_oscillator(args, out) -> str:
+    from . import oscillator as osc_mod
+
     table = constants_for(args.units)
     params = osc_mod.OscillatorParams(m=args.m, omega=args.omega, hbar=table.hbar.value)
     payload = {
@@ -270,6 +302,8 @@ def _cmd_oscillator(args, out) -> str:
 
 
 def _cmd_field_scaling(args, out) -> str:
+    from . import field as field_mod
+
     spec = field_mod.LatticeSpec(
         box_size=args.box,
         points_per_axis=args.grid,
@@ -448,8 +482,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         start = time.perf_counter()
         result = io.StringIO()
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                units = args.run(args, result)
+            units = args.run(args, result)
         except _VALIDATION_ERRORS as exc:
             _emit(f"error: {exc}", err)
             return 1
@@ -476,6 +509,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             "duration_seconds": duration,
             "threads": vars(args).get("threads", 1),  # only the field run has workers
             "peak_rss_kb": _peak_rss_kb(),
+            "versions": _versions(),
         }
         _emit(json.dumps(manifest, sort_keys=True), sink)
     return 0

@@ -1,5 +1,7 @@
 """Induced coil current in the fluctuating field: the proposed tap.
 
+The field magnitude at fluctuation extent l is the headline estimate
+B = sqrt(hbar c) / l^2 (``predicted_rms``), plain ``Quantity`` arithmetic.
 Two estimates are always computed side by side: the shortcut that
 substitutes the elementary charge, i = (N A / R) e / (l^2 tau), and the
 exact composition of i = N B A/(R dt) with B = sqrt(hbar c)/l^2 and
@@ -15,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from .field import predicted_rms
 from .units import (
     AREA,
     LENGTH,
@@ -51,6 +52,19 @@ class TapEstimate:
     scale: Quantity
     fluctuation_time: Quantity
     coil: CoilSpec
+
+
+def predicted_rms(scale: Quantity, constants: ConstantsTable) -> Quantity:
+    """The headline fluctuation estimate sqrt(hbar c) / l^2 at extent l."""
+    if scale.dim != LENGTH:
+        raise DomainError(f"scale must carry length dimension, got [{scale.dim}]")
+    if not scale.value > 0:
+        raise DomainError(f"scale must be > 0, got {scale.value}")
+    if scale.system != constants.system:
+        raise DomainError(
+            f"scale system {scale.system!r} does not match constants {constants.system!r}"
+        )
+    return (constants.hbar * constants.c).sqrt() / scale**2
 
 
 def coil_current(B: Quantity, spec: CoilSpec, dt: Quantity) -> Quantity:

@@ -15,6 +15,9 @@ re-checked; the one thing the inputs can break, the spectrum's float
 range, is checked once in ``LatticeSpec``.  The inverse real
 transform gives a real field whose cube-averaged RMS falls as l^-2 with
 the averaging scale l, which is the scaling this module exists to measure.
+The dimensioned form of that law, sqrt(hbar c) / l^2, is
+``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
+lives there and only ``field scaling-run`` imports this module.
 
 A cube average is a linear functional of the coefficients, so a scaling
 run never builds the real N^3 grid: ``coarse_mean_squares`` weights the
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .units import LENGTH, ConstantsTable, Quantity
 
 WINDOWS = ("tophat", "hann")
 
@@ -340,19 +342,6 @@ def fit_scaling(report: CoarseGrainReport) -> ScalingFit:
         r_squared=r_squared,
         stderr_exponent=stderr,
     )
-
-
-def predicted_rms(scale: Quantity, constants: ConstantsTable) -> Quantity:
-    """The headline fluctuation estimate sqrt(hbar c) / l^2 at extent l."""
-    if scale.dim != LENGTH:
-        raise DomainError(f"scale must carry length dimension, got [{scale.dim}]")
-    if not scale.value > 0:
-        raise DomainError(f"scale must be > 0, got {scale.value}")
-    if scale.system != constants.system:
-        raise DomainError(
-            f"scale system {scale.system!r} does not match constants {constants.system!r}"
-        )
-    return (constants.hbar * constants.c).sqrt() / scale**2
 
 
 def scaling_run(

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 from .units import AREA, ENERGY, VOLUME, ConstantsTable, Quantity
@@ -61,35 +58,6 @@ class HydrogenState:
         if self.ell > 0:
             return 0.0
         return 1.0 / (math.pi * self.n**3 * a0**3)
-
-
-def delta_V_numeric(
-    V: Callable[[np.ndarray], float],
-    point: Sequence[float],
-    jitter: JitterVariance,
-    step: float,
-) -> float:
-    """(1/2) * jitter * (7-point central-difference Laplacian of V at point).
-
-    Exact for quadratic potentials; the point must not sit on a
-    singularity of V.
-    """
-    if not step > 0:
-        raise DomainError(f"stencil step must be > 0, got {step}")
-    r = np.asarray(point, dtype=float)
-    if r.shape != (3,):
-        raise DomainError(f"point must have 3 components, got shape {r.shape}")
-    center = float(V(r))
-    lap_terms = []
-    for axis in range(3):
-        offset = np.zeros(3)
-        offset[axis] = step
-        lap_terms.append(float(V(r + offset)))
-        lap_terms.append(float(V(r - offset)))
-    if not all(math.isfinite(v) for v in lap_terms + [center]):
-        raise DomainError("potential is not finite on the stencil")
-    laplacian = (math.fsum(lap_terms) - 6.0 * center) / step**2
-    return 0.5 * jitter.value * laplacian
 
 
 def hydrogen_s_shift(

@@ -20,8 +20,8 @@ from zpflab.casimir import (
     regulated_cubic_sum,
 )
 from zpflab.cli import dispatch
-from zpflab.coil import CoilSpec, coil_current, zpf_tap_estimate
-from zpflab.field import LatticeSpec, predicted_rms, scaling_run
+from zpflab.coil import CoilSpec, coil_current, predicted_rms, zpf_tap_estimate
+from zpflab.field import LatticeSpec, scaling_run
 from zpflab.lamb import (
     HydrogenState,
     default_cutoffs,

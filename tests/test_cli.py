@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import zpflab.cli as cli
-from zpflab import field
+from zpflab import field, oscillator
 from zpflab.cli import argv_from_manifest, dispatch
 from zpflab.errors import InvariantError
 
@@ -202,6 +202,18 @@ class TestOscillatorCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "m*omega" in err
 
+    def test_overflow_in_the_samples_exits_one_with_one_line(self, monkeypatch):
+        # the twin of the field draw test: the float-error policy reaches this handler too
+        huge = lambda params, seed, n: np.resize([1e200, -1e200], n)
+        monkeypatch.setattr(oscillator, "sample_positions", huge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["oscillator", "--m", "1", "--omega", "1", "--samples", "8"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: a number left the float range: overflow encountered in square\n"
+        assert caught == []
+
     @pytest.mark.parametrize("samples", ["-1", "0", "1"])
     def test_fewer_than_two_samples_exit_one_with_one_line(self, samples):
         code, out, err = run(["oscillator", "--m", "1", "--omega", "1", "--samples", samples])
@@ -297,6 +309,13 @@ class TestFieldCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "box_size" in err
+
+    def test_unknown_window_exits_one_with_one_line(self):
+        code, out, err = run(["field", "scaling-run", "--grid", "16", "--draws", "1",
+                              "--window", "bogus"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: unknown window 'bogus'; expected one of {field.WINDOWS}\n"
 
     def test_bad_scale_exits_one(self):
         code, _, err = run(
@@ -452,7 +471,13 @@ class TestManifest:
     def test_replay_from_manifest_is_byte_identical(self, argv):
         code, out1, err = run(argv)
         assert code == 0
-        replay_argv = argv_from_manifest(manifest_of(err))
+        manifest = manifest_of(err)
+        # numpy is loaded in this process; a fresh one is checked by the import guard below
+        assert manifest["versions"] == {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__
+        }
+        assert "versions" not in manifest["parameters"]
+        replay_argv = argv_from_manifest(manifest)
         code2, out2, _ = run(replay_argv)
         assert code2 == 0
         assert out2 == out1
@@ -479,16 +504,58 @@ class TestManifest:
         assert manifest["peak_rss_kb"] > 1000
 
 
-def test_cli_import_needs_only_numpy():
-    probe = (
-        "import sys, numpy\n"
-        "before = set(sys.modules)\n"
-        "import zpflab.cli\n"
-        "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(sorted(added - set(sys.stdlib_module_names) - {'zpflab'}))\n"
-    )
+# Runs argv lists in one fresh interpreter and reports, as one JSON line,
+# the non-stdlib top-level packages that importing zpflab.cli loaded and,
+# after each run, its exit code and whether numpy or platform is loaded.
+IMPORT_PROBE = """
+import io, json, sys
+before = set(sys.modules)
+import zpflab, zpflab.cli
+added = {m.split('.')[0] for m in set(sys.modules) - before}
+loaded = added - set(sys.stdlib_module_names) - {'zpflab'}
+runs = []
+for argv in json.loads(sys.argv[1]):
+    code = zpflab.cli.dispatch(argv, io.StringIO(), io.StringIO())
+    runs.append([code, 'numpy' in sys.modules, 'platform' in sys.modules])
+print(json.dumps({'loaded': sorted(loaded), 'runs': runs}))
+"""
+
+
+def probe_fresh_interpreter(argvs):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_numpy_free_subcommands_never_load_numpy(tmp_path):
+    argvs = [
+        ["constants"],
+        ["constants", "--format", "json"],
+        ["casimir", "--area", "1", "--sep", "1", "--modesum"],
+        ["lamb"],
+        ["coil", "--turns", "100", "--area", "10", "--resistance", "1e-12", "--scale", "1"],
+    ]
+    paths = [tmp_path / f"m{i}.json" for i in range(len(argvs))]
+    report = probe_fresh_interpreter(
+        [argv + ["--manifest", str(path)] for argv, path in zip(argvs, paths)]
+    )
+    assert report["loaded"] == []  # importing zpflab and zpflab.cli loads only the stdlib
+    assert report["runs"] == [[0, False, False]] * len(argvs)
+    python = "{}.{}.{}".format(*sys.version_info[:3])
+    for path in paths:
+        assert json.loads(path.read_text())["versions"] == {"python": python, "numpy": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oscillator", "--m", "1", "--omega", "1", "--samples", "8"],
+     ["field", "scaling-run", "--grid", "8", "--draws", "1", "--scales", "0.25,0.5"]],
+)
+def test_array_subcommands_load_numpy(argv, tmp_path):
+    path = tmp_path / "m.json"
+    report = probe_fresh_interpreter([argv + ["--manifest", str(path)]])
+    assert report["runs"][0][:2] == [0, True]
+    assert json.loads(path.read_text())["versions"]["numpy"] == np.__version__

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from zpflab.coil import CoilSpec, TapEstimate, coil_current, zpf_tap_estimate
+from zpflab.coil import (
+    CoilSpec,
+    TapEstimate,
+    coil_current,
+    predicted_rms,
+    zpf_tap_estimate,
+)
 from zpflab.errors import DomainError
-from zpflab.field import predicted_rms
 from zpflab.units import (
     LENGTH,
     TIME,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zpflab import field
+from zpflab.coil import predicted_rms
 from zpflab.errors import ConfigurationError, DomainError
 from zpflab.field import (
     WINDOWS,
@@ -22,7 +23,6 @@ from zpflab.field import (
     draw_modes,
     fit_scaling,
     mode_std,
-    predicted_rms,
     scale_plans,
     scaling_run,
     synthesize_field,

