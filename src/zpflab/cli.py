@@ -207,15 +207,18 @@ def build_parser() -> _Parser:
     p = fs.add_parser("scaling-run", help="Measure the coarse-grained RMS scaling exponent.")
     p.add_argument("--grid", type=int, default=64, help="Lattice points per axis (even, >= 8).")
     p.add_argument("--box", type=_finite, default=1.0, help="Periodic box size.")
-    p.add_argument("--draws", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--draws", type=int, default=50,
+                   help="Independent field realizations pooled at each scale (>= 1).")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="Non-negative master seed; each draw's stream is spawned from it.")
     p.add_argument("--scales", type=_finite_list, default=None,
                    help="Comma list; default box/16,box/8,box/4,box/2.")
     p.add_argument("--kappa", type=_finite, default=1.0, help="Spectrum normalization.")
     p.add_argument("--k-max", type=_finite, default=None,
                    help="Wavenumber cutoff; default Nyquist.")
     # no choices here: scaling_run checks it against field.WINDOWS before any draw
-    p.add_argument("--window", default="hann", help="Coarse-graining window in field.WINDOWS.")
+    p.add_argument("--window", default="hann",
+                   help="Coarse-graining window: hann (default) or tophat.")
     p.add_argument("--format", choices=["csv", "json"], default=None,
                    help="csv: table only; json: summary only; default: both.")
     p.add_argument("--manifest", metavar="PATH", default=None)

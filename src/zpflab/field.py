@@ -12,23 +12,24 @@ both members of a pair, and the draw ties those.  sigma_k = 0 at DC
 (about 52 % of the half layout at k_max = Nyquist), get Gaussians; the
 rest stay zero.  A draw is valid by construction and is never
 re-checked; the one thing the inputs can break, the spectrum's float
-range, is checked once in ``LatticeSpec``.  The inverse real
-transform gives a real field whose cube-averaged RMS falls as l^-2 with
-the averaging scale l, which is the scaling this module exists to measure.
+range, is checked once in ``LatticeSpec``.  The coefficients describe a
+real field, their inverse real transform, whose cube-averaged RMS falls
+as l^-2 with the averaging scale l, which is the scaling this module
+exists to measure.
 The dimensioned form of that law, sqrt(hbar c) / l^2, is
 ``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
 lives there and only ``field scaling-run`` imports this module.
 
 A cube average is a linear functional of the coefficients, so a scaling
-run never builds the real N^3 grid: ``coarse_mean_squares`` weights the
-coefficients by the window's transform, folds the aliases that a block
-grid cannot tell apart along x and y, and windows the full-length z
-column of each (x, y) block in real space.  The window transforms are
-computed once per run, and every contraction in a draw is a fixed-order
-sum of slices: no BLAS call runs per draw, so no BLAS worker thread
-competes with the draw workers and the digits do not depend on the BLAS
-build.  ``synthesize_field`` and ``cube_averages`` are the real-space
-route to the same numbers, kept as its test oracle.
+run never builds the real N^3 grid, nor even the whole half layout of
+coefficients: ``draw_modes`` folds each block of x-slabs, as it is drawn,
+into the aliases that a block grid cannot tell apart along x, weighted by
+the window's transform, and ``coarse_mean_squares`` folds y and windows
+the full-length z column of each (x, y) block in real space.  The window
+transforms are computed once per run, and every contraction in a draw is
+a fixed-order sum of slices: no BLAS call runs per draw, so no BLAS
+worker thread competes with the draw workers and the digits do not
+depend on the BLAS build.
 
 Coarse-graining windows
 -----------------------
@@ -53,6 +54,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,81 +124,106 @@ def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
     n = spec.points_per_axis
     k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
     kz = spec.fundamental * np.arange(n // 2 + 1)
-    return np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2)
+    kmag = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2
+    return np.sqrt(kmag, out=kmag)
 
 
 @functools.lru_cache(maxsize=4)
 def mode_std(spec: LatticeSpec) -> np.ndarray:
-    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max. Read-only."""
-    kmag = wavenumber_magnitudes(spec)
-    sigma = np.sqrt(kmag * spec.variance_per_wavenumber)
-    sigma[kmag > spec.k_max] = 0.0
+    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max. Read-only.
+
+    sqrt(|k| * kappa / L^3) is built in the array of |k| itself, so the
+    build holds one array and the cutoff mask, not three arrays.
+    """
+    sigma = wavenumber_magnitudes(spec)
+    beyond = sigma > spec.k_max
+    np.multiply(sigma, spec.variance_per_wavenumber, out=sigma)
+    np.sqrt(sigma, out=sigma)
+    sigma[beyond] = 0.0
     sigma.flags.writeable = False
     return sigma
 
 
-def _plane_reflection(plane: np.ndarray) -> np.ndarray:
-    """conj(plane) sampled at (-kx, -ky) for every FFT-ordered (kx, ky)."""
-    return np.roll(np.conj(plane[::-1, ::-1]), 1, axis=(0, 1))
+def _plane_reflection(planes: np.ndarray) -> np.ndarray:
+    """conj(planes) sampled at (-kx, -ky) for every FFT-ordered (kx, ky) of the first two axes."""
+    return np.roll(np.conj(planes[::-1, ::-1]), 1, axis=(0, 1))
 
 
-# The live normals are drawn a block of x-slabs at a time, so the buffer
-# they pass through stays near 1/_DRAW_BLOCKS of the coefficient array.
+# The live normals are drawn a block of x-slabs at a time, so the workspace
+# they pass through stays near 1/_DRAW_BLOCKS of the half layout.
 _DRAW_BLOCKS = 8
 
 
-def draw_modes(spec: LatticeSpec, seed) -> np.ndarray:
-    """Draw complex coefficients, shape (N, N, N/2 + 1), for one realization.
+def draw_modes(spec: LatticeSpec, seed, plans) -> list[np.ndarray]:
+    """Draw one realization's coefficients and return their x-fold for each plan.
 
-    Each Hermitian pair {k, -k} gets an independent complex Gaussian with
-    E|xi_k|^2 = sigma_k^2 (real and imaginary parts carrying sigma_k^2/2
-    each); self-conjugate lattice modes come out real with full variance.
-    Only the live modes (sigma_k > 0) are drawn, in C order of the half
-    layout, and scattered into a zeroed array; the x-slab blocks they are
-    drawn in split one stream, so the numbers do not depend on the block
-    count.  Deterministic in (spec, seed); seed may be an int or a
-    numpy SeedSequence spawned from a master seed.
+    Each Hermitian pair {k, -k} of the half layout (N, N, N/2 + 1) gets an
+    independent complex Gaussian xi_k with E|xi_k|^2 = sigma_k^2 (real and
+    imaginary parts carrying sigma_k^2/2 each); self-conjugate lattice
+    modes come out real with full variance.  Only the live modes
+    (sigma_k > 0) are drawn, in C order of the half layout; the x-slab
+    blocks they are drawn in split one stream, so the numbers do not
+    depend on the block count.  Deterministic in (spec, seed); seed may be
+    an int or a numpy SeedSequence spawned from a master seed.
+
+    The coefficients are never held whole: each block, scaled by sigma,
+    goes into one (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into
+    class x mod nb, in increasing x as ``_fold_aliases`` would add them.
+    The self-conjugate planes kz = 0 and N/2 pair x with -x across
+    blocks, so they are held back raw, tied at the end, and folded over
+    the columns the blocks left.
     """
     n = spec.points_per_axis
     sigma = mode_std(spec)
     rng = np.random.default_rng(seed)
-    coeff = np.zeros(sigma.shape, dtype=np.complex128)
     edges = [n * b // _DRAW_BLOCKS for b in range(_DRAW_BLOCKS + 1)]
+    rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    # One workspace per draw: the block, its weighted copy, then the folds.
+    # glibc returns the top of its heap once more than twice its largest
+    # recent allocation is free there; allocated apart, these arrays pass
+    # that at the end of every draw and are faulted back in on the next.
+    sizes = [rows, rows] + [p.blocks for p in plans]
+    work = np.empty((sum(sizes), *sigma.shape[1:]), dtype=np.complex128)
+    block, weighted, *folded = (work[e - s : e] for s, e in zip(sizes, accumulate(sizes)))
+    live = np.empty(block.shape, dtype=bool)
+    planes = slice(None, None, n // 2)  # kz = 0 and N/2, the self-conjugate planes
+    raw_planes = np.empty((n, n, 2), dtype=np.complex128)
     for lo, hi in zip(edges, edges[1:]):
-        live = sigma[lo:hi] > 0
-        parts = rng.normal(scale=math.sqrt(0.5), size=(np.count_nonzero(live), 2))
-        coeff[lo:hi][live] = parts.view(np.complex128)[:, 0]  # each (re, im) read as one
-    for z in (0, n // 2):  # the self-conjugate planes
-        plane = coeff[:, :, z]
-        coeff[:, :, z] = (plane + _plane_reflection(plane)) / math.sqrt(2.0)
-    coeff *= sigma
-    return coeff
+        coeff, mask = block[: hi - lo], live[: hi - lo]
+        np.greater(sigma[lo:hi], 0.0, out=mask)
+        coeff.fill(0.0)
+        parts = rng.normal(scale=math.sqrt(0.5), size=(np.count_nonzero(mask), 2))
+        coeff[mask] = parts.view(np.complex128)[:, 0]  # each (re, im) read as one
+        del parts  # before the next block draws its own
+        raw_planes[lo:hi] = coeff[:, :, planes]
+        coeff *= sigma[lo:hi]
+        for plan, out in zip(plans, folded):
+            np.multiply(coeff, plan.transform[lo:hi, None, None], out=weighted[: hi - lo])
+            _add_aliases(out, weighted[: hi - lo], lo)
+    tied = (raw_planes + _plane_reflection(raw_planes)) / math.sqrt(2.0)
+    tied *= sigma[:, :, planes]
+    for plan, out in zip(plans, folded):
+        aliases = (tied * plan.transform[:, None, None]).reshape(-1, plan.blocks, n, 2)
+        out[:, :, planes] = np.add.reduce(aliases, axis=0)  # adds them in increasing x
+    return folded
 
 
-def synthesize_field(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse real transform: the real N^3 grid B(x) = sum_k xi_k exp(i k.x)."""
-    n = coefficients.shape[0]
-    return np.fft.irfftn(coefficients, s=(n, n, n), axes=(0, 1, 2), norm="forward")
+def _add_aliases(out: np.ndarray, weighted: np.ndarray, x0: int) -> None:
+    """Add the weighted slabs x0, x0 + 1, ... into class x mod nb of ``out``.
 
-
-def synthesize_field_reference(coefficients: np.ndarray) -> np.ndarray:
-    """Direct (non-FFT) evaluation of the same transform; oracle for N <= 8.
-
-    Sums B(x) = sum_k w_kz Re(xi_k exp(i k.x)) over the half layout with
-    explicit per-axis phase matrices, independent of the FFT code path;
-    w_kz = 2 counts the unstored partner at -k, 1 on the two edge planes.
+    A class's first alias (x < nb) writes it and later ones add to it in
+    increasing x, the order in which ``_fold_aliases`` sums them.
     """
-    n = coefficients.shape[0]
-    if n > 8:
-        raise DomainError(f"direct transform oracle is restricted to N <= 8, got N = {n}")
-    idx = np.arange(n)
-    phase = np.exp(2j * math.pi * np.outer(idx, idx) / n)  # e^{i k_a x_j} per axis
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
-    out = np.tensordot(phase, coefficients * weight, axes=(1, 0))
-    out = np.tensordot(phase, out, axes=(1, 1)).transpose(1, 0, 2)
-    out = np.tensordot(out, phase[:, : n // 2 + 1], axes=(2, 1))
-    return out.real
+    nb = len(out)
+    x, end = x0, x0 + len(weighted)
+    while x < end:
+        q = x % nb
+        run = weighted[x - x0 : min(end, x - q + nb) - x0]  # up to the next class 0
+        if x < nb:
+            out[q : q + len(run)] = run
+        else:
+            out[q : q + len(run)] += run
+        x += len(run)
 
 
 @dataclass(frozen=True)
@@ -273,43 +300,30 @@ def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]
     return tuple(plans)
 
 
-def coarse_mean_squares(coefficients: np.ndarray, plans) -> list[float]:
-    """Mean square of the cube averages at each planned scale, from the half-layout coefficients.
+def coarse_mean_squares(folded, plans) -> list[float]:
+    """Mean square of the cube averages at each planned scale, from ``draw_modes``'s x-folds.
 
     Along one axis the weighted average over block b of m cells is
     sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and W(k) the
     window's transform; the phase repeats in k with period nb, so folding
     the m aliases k = q (mod nb) leaves an nb-point inverse transform.  x
-    and y are folded on the coefficients; z, the real-FFT half axis, is
-    synthesized at full length per block column and windowed in real
-    space.  Every contraction is a fixed-order sum of slices, so no BLAS
-    call is made and the result does not depend on its kernels or threads.
+    is folded as the coefficients are drawn and y here; z, the real-FFT
+    half axis, is synthesized at full length per block column and windowed
+    in real space.  Every contraction is a fixed-order sum of slices, so
+    no BLAS call is made and the result does not depend on its kernels or
+    threads.
     """
-    n = coefficients.shape[0]
     out = []
-    for plan in plans:
-        nb = plan.blocks
-        folded = _fold_aliases(
-            _fold_aliases(coefficients, plan.transform, nb, 0), plan.transform, nb, 1
-        )
+    for plan, x_folded in zip(plans, folded):
+        nb, n = plan.blocks, x_folded.shape[1]
+        y_folded = _fold_aliases(x_folded, plan.transform, nb, 1)
         columns = np.fft.irfft(
-            np.fft.ifft2(folded, axes=(0, 1), norm="forward"), n=n, axis=2, norm="forward"
+            np.fft.ifft2(y_folded, axes=(0, 1), norm="forward"), n=n, axis=2, norm="forward"
         )
         # the window over the m cells of each z block is a fold with one block
         averages = _fold_aliases(columns.reshape(nb, nb, nb, plan.cells), plan.weights, 1, 3)
         out.append(float(np.mean(averages**2)))
     return out
-
-
-def cube_averages(
-    values: np.ndarray, spec: LatticeSpec, scale: float, window: str = "tophat"
-) -> np.ndarray:
-    """Weighted average of the N^3 grid ``values`` over each cube of side ``scale``."""
-    m = _cells_for_scale(spec, scale)
-    w = _window_weights(m, window)
-    nb = spec.points_per_axis // m
-    blocks = values.reshape(nb, m, nb, m, nb, m)
-    return np.einsum("aibjck,i,j,k->abc", blocks, w, w, w)
 
 
 @dataclass(frozen=True)
@@ -361,8 +375,9 @@ def scaling_run(
     The spectrum and the per-scale plans are computed once, before the
     pool starts; every draw then runs in a pool of ``min(threads, draws)``
     worker threads under the caller's numpy error state.  Each worker
-    reduces its draw's coefficients to per-scale mean squares and drops
-    them, so memory grows with the workers, not the draws.
+    streams its draw into the per-scale x-folds and reduces those to mean
+    squares, so memory grows with the workers, not the draws, and no
+    worker holds a whole coefficient array.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -383,7 +398,7 @@ def scaling_run(
 
     def one(child):
         with np.errstate(**errors):  # numpy keeps its error state per thread
-            return coarse_mean_squares(draw_modes(spec, child), plans)
+            return coarse_mean_squares(draw_modes(spec, child, plans), plans)
 
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
         rows = list(pool.map(one, children))

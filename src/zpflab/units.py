@@ -104,12 +104,6 @@ def charge_dimension(system: str) -> Dimension:
     return CHARGE_SI if _require_system(system) == "si" else CHARGE_GAUSSIAN
 
 
-def magnetic_field_dimension(system: str) -> Dimension:
-    if _require_system(system) == "si":
-        return MASS / (TIME * CHARGE_SI)
-    return CHARGE_GAUSSIAN / AREA  # gauss: M^1/2 L^-1/2 T^-1
-
-
 def resistance_dimension(system: str) -> Dimension:
     if _require_system(system) == "si":
         return ENERGY * TIME / CHARGE_SI**2  # ohm: M L^2 T^-1 Q^-2

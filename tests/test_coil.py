@@ -14,12 +14,13 @@ from zpflab.coil import (
 )
 from zpflab.errors import DomainError
 from zpflab.units import (
+    AREA,
+    CHARGE_GAUSSIAN,
     LENGTH,
     TIME,
     Quantity,
     compton_time,
     constants_for,
-    magnetic_field_dimension,
     particle_mass,
 )
 
@@ -34,8 +35,9 @@ TAU_C = 1.2880886681975522e-21
 OHM_IN_GAUSSIAN = 1.0 / (C**2 * 1e-9)  # 1 ohm expressed in s/cm
 
 
-def bfield(value, system="gaussian"):
-    return Quantity(value, magnetic_field_dimension(system), system)
+def bfield(value):
+    """A magnetic field of ``value`` gauss, dimension M^1/2 L^-1/2 T^-1."""
+    return Quantity(value, CHARGE_GAUSSIAN / AREA, "gaussian")
 
 
 class TestCoilCurrent:

@@ -19,20 +19,20 @@ from zpflab.field import (
     CoarseGrainReport,
     LatticeSpec,
     coarse_mean_squares,
-    cube_averages,
     draw_modes,
     fit_scaling,
     mode_std,
     scale_plans,
     scaling_run,
-    synthesize_field,
-    synthesize_field_reference,
     wavenumber_magnitudes,
 )
 from zpflab.units import LENGTH, MASS, Quantity, constants_for
 
 SMALL = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=math.pi * 8)
 MEDIUM = LatticeSpec(box_size=1.0, points_per_axis=32, k_max=math.pi * 32)
+N96 = LatticeSpec(box_size=1.0, points_per_axis=96)
+STREAM_SPECS = [SMALL, MEDIUM, LatticeSpec(box_size=2.0, points_per_axis=32, k_max=math.pi * 6)]
+STREAM_IDS = ["N8", "N32", "box2-kmax"]
 
 
 def at_minus_k(plane):
@@ -64,8 +64,12 @@ def cosine_draw(spec, axis_index, amplitude):
     return coeff
 
 
-def one_call_draw(spec, seed):
-    """The draw's stream: every live mode in one normal call, scattered in C order."""
+def full_layout_draw(spec, seed):
+    """The draw's stream as a whole half-layout coefficient array: the oracle for ``draw_modes``.
+
+    Every live mode in one normal call, scattered in C order; the
+    self-conjugate pairs tied, then everything scaled by sigma.
+    """
     n = spec.points_per_axis
     sigma = mode_std(spec)
     live = sigma > 0
@@ -79,6 +83,51 @@ def one_call_draw(spec, seed):
         plane = coeff[:, :, z]
         coeff[:, :, z] = (plane + at_minus_k(plane)) / math.sqrt(2.0)
     return coeff * sigma
+
+
+def coefficient_x_folds(coefficients, plans):
+    """Each plan's x-fold of a whole coefficient array: the oracle for the streamed fold."""
+    return [field._fold_aliases(coefficients, p.transform, p.blocks, 0) for p in plans]
+
+
+def drawn_coefficients(spec, seed):
+    """The run's draw, whole: at one cell per cube, W(k) = 1 and nb = N, so the x-fold is it."""
+    return draw_modes(spec, seed, scale_plans(spec, [spec.cell_size], "tophat"))[0]
+
+
+def synthesize_field(coefficients):
+    """Inverse real transform: the real N^3 grid B(x) = sum_k xi_k exp(i k.x)."""
+    n = coefficients.shape[0]
+    return np.fft.irfftn(coefficients, s=(n, n, n), axes=(0, 1, 2), norm="forward")
+
+
+def synthesize_field_reference(coefficients):
+    """Direct (non-FFT) evaluation of the same transform; oracle for N <= 8.
+
+    Sums B(x) = sum_k w_kz Re(xi_k exp(i k.x)) over the half layout with
+    explicit per-axis phase matrices, independent of the FFT code path;
+    w_kz = 2 counts the unstored partner at -k, 1 on the two edge planes.
+    """
+    n = coefficients.shape[0]
+    if n > 8:
+        raise DomainError(f"direct transform oracle is restricted to N <= 8, got N = {n}")
+    idx = np.arange(n)
+    phase = np.exp(2j * math.pi * np.outer(idx, idx) / n)  # e^{i k_a x_j} per axis
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    out = np.tensordot(phase, coefficients * weight, axes=(1, 0))
+    out = np.tensordot(phase, out, axes=(1, 1)).transpose(1, 0, 2)
+    out = np.tensordot(out, phase[:, : n // 2 + 1], axes=(2, 1))
+    return out.real
+
+
+def cube_averages(values, spec, scale, window="tophat"):
+    """Weighted average of the N^3 grid ``values`` over each cube of side ``scale``."""
+    m = field._cells_for_scale(spec, scale)
+    w = field._window_weights(m, window)
+    nb = spec.points_per_axis // m
+    blocks = values.reshape(nb, m, nb, m, nb, m)
+    return np.einsum("aibjck,i,j,k->abc", blocks, w, w, w)
 
 
 class TestLatticeSpec:
@@ -124,8 +173,14 @@ class TestLatticeSpec:
 class TestDrawModes:
     def test_half_layout_shape(self):
         n = SMALL.points_per_axis
-        assert draw_modes(SMALL, 0).shape == (n, n, n // 2 + 1)
+        assert drawn_coefficients(SMALL, 0).shape == (n, n, n // 2 + 1)
         assert mode_std(SMALL).shape == (n, n, n // 2 + 1)
+
+    def test_one_x_fold_per_plan(self):
+        n = MEDIUM.points_per_axis
+        plans = scale_plans(MEDIUM, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
+        shapes = [f.shape for f in draw_modes(MEDIUM, 0, plans)]
+        assert shapes == [(nb, n, n // 2 + 1) for nb in (16, 8, 4, 2)]
 
     def test_wavenumbers_are_the_full_lattice_with_kz_at_most_nyquist(self):
         n = SMALL.points_per_axis
@@ -138,24 +193,24 @@ class TestDrawModes:
         # only the self-conjugate planes store both k and -k
         n = SMALL.points_per_axis
         for seed in range(5):
-            coeff = draw_modes(SMALL, seed)
+            coeff = drawn_coefficients(SMALL, seed)
             for z in (0, n // 2):
                 assert np.array_equal(coeff[:, :, z], at_minus_k(coeff[:, :, z]))
 
     def test_dc_mode_zero(self):
-        assert draw_modes(SMALL, 3)[0, 0, 0] == 0
+        assert drawn_coefficients(SMALL, 3)[0, 0, 0] == 0
 
     def test_modes_beyond_cutoff_zero(self):
         spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=0.5 * math.pi * 8)
-        draw = draw_modes(spec, 4)
+        draw = drawn_coefficients(spec, 4)
         kmag = wavenumber_magnitudes(spec)
         assert np.all(draw[kmag > spec.k_max] == 0)
         assert np.any(draw[(kmag > 0) & (kmag <= spec.k_max)] != 0)
 
     def test_determinism_and_seed_sensitivity(self):
-        a = draw_modes(SMALL, 11)
-        b = draw_modes(SMALL, 11)
-        c = draw_modes(SMALL, 12)
+        a = drawn_coefficients(SMALL, 11)
+        b = drawn_coefficients(SMALL, 11)
+        c = drawn_coefficients(SMALL, 12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -164,7 +219,7 @@ class TestDrawModes:
         # paired modes; self-conjugate modes are real with Var(xi_k) = sigma_k^2
         spec = SMALL
         draws = 100
-        stack = np.stack([draw_modes(spec, s) for s in range(draws)])
+        stack = np.stack([drawn_coefficients(spec, s) for s in range(draws)])
         sigma = mode_std(spec)
         n = spec.points_per_axis
         half = [0, n // 2]
@@ -188,7 +243,7 @@ class TestDrawModes:
         # each live mode's parts, standardized and pooled over 100 draws, are
         # chi-square(1) terms: their mean is 1 within 5 standard errors
         draws = 100
-        stack = np.stack([draw_modes(SMALL, s) for s in range(draws)])
+        stack = np.stack([drawn_coefficients(SMALL, s) for s in range(draws)])
         sigma = mode_std(SMALL)
         n = SMALL.points_per_axis
         live = sigma > 0
@@ -216,7 +271,7 @@ class TestDrawModes:
         ][1:]  # all but DC
         sigma = mode_std(SMALL)
         for seed in range(5):
-            coeff = draw_modes(SMALL, seed)
+            coeff = drawn_coefficients(SMALL, seed)
             for ijk in self_conjugate:
                 assert coeff[ijk].imag == 0.0
                 assert (coeff[ijk].real != 0.0) == (sigma[ijk] > 0)
@@ -230,17 +285,20 @@ class TestDrawModes:
         assert mode_std(same_spec) is mode_std(SMALL)
 
     @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
-    @pytest.mark.parametrize(
-        "spec",
-        [SMALL, MEDIUM, LatticeSpec(box_size=2.0, points_per_axis=32, k_max=math.pi * 6)],
-        ids=["N8", "N32", "box2-kmax"],
-    )
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
     def test_stream_is_one_call_over_the_live_modes(self, spec, blocks, monkeypatch):
         # the x-slab blocks split one stream: any block count, even more
         # blocks than slabs, gives the numbers of a single call
         monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
         for seed in (5, np.random.SeedSequence(9).spawn(2)[1]):
-            assert np.array_equal(draw_modes(spec, seed), one_call_draw(spec, seed))
+            assert np.array_equal(drawn_coefficients(spec, seed), full_layout_draw(spec, seed))
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS + [N96], ids=STREAM_IDS + ["N96"])
+    def test_spectrum_built_in_place_is_the_out_of_place_one(self, spec):
+        kmag = wavenumber_magnitudes(spec)
+        sigma = np.sqrt(kmag * spec.variance_per_wavenumber)
+        sigma[kmag > spec.k_max] = 0.0
+        assert np.array_equal(mode_std(spec), sigma)
 
     def test_spectrum_computed_once_per_run(self, monkeypatch):
         calls = []
@@ -270,29 +328,29 @@ class TestSynthesize:
 
     def test_parseval_identity(self):
         for seed in range(5):
-            draw = draw_modes(MEDIUM, seed)
+            draw = drawn_coefficients(MEDIUM, seed)
             grid = synthesize_field(draw)
             lhs = float(np.sum(edge_weights(MEDIUM) * np.abs(draw) ** 2))
             rhs = float(np.sum(grid**2)) / MEDIUM.points_per_axis**3
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_matches_direct_transform_oracle(self):
-        draw = draw_modes(SMALL, 21)
+        draw = drawn_coefficients(SMALL, 21)
         fast = synthesize_field(draw)
         direct = synthesize_field_reference(draw)
         assert np.allclose(fast, direct, rtol=1e-12, atol=1e-12 * np.abs(fast).max())
 
     def test_direct_oracle_restricted_to_small_grids(self):
         with pytest.raises(DomainError):
-            synthesize_field_reference(draw_modes(MEDIUM, 0))
+            synthesize_field_reference(drawn_coefficients(MEDIUM, 0))
 
     def test_spatial_mean_near_zero(self):
-        grid = synthesize_field(draw_modes(MEDIUM, 5))
+        grid = synthesize_field(drawn_coefficients(MEDIUM, 5))
         assert abs(float(grid.mean())) <= 1e-10 * math.sqrt(float(np.mean(grid**2)))
 
     def test_determinism_bit_identical(self):
-        a = synthesize_field(draw_modes(MEDIUM, 77))
-        b = synthesize_field(draw_modes(MEDIUM, 77))
+        a = synthesize_field(drawn_coefficients(MEDIUM, 77))
+        b = synthesize_field(drawn_coefficients(MEDIUM, 77))
         assert np.array_equal(a, b)
 
 
@@ -308,7 +366,7 @@ class TestCoarseGrain:
         assert cube_rms(grid, 1 / 8, window="hann") == pytest.approx(2.5, rel=1e-14)
 
     def test_single_cell_scale_is_identity(self):
-        grid = synthesize_field(draw_modes(MEDIUM, 8))
+        grid = synthesize_field(drawn_coefficients(MEDIUM, 8))
         assert np.array_equal(cube_averages(grid, MEDIUM, MEDIUM.cell_size), grid)
         assert cube_rms(grid, MEDIUM.cell_size) == pytest.approx(
             math.sqrt(float(np.mean(grid**2))), rel=1e-14
@@ -382,9 +440,9 @@ class TestCoarseMeanSquares:
     def test_matches_the_grid_route(self, spec, window):
         n = spec.points_per_axis
         scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
-        draw = draw_modes(spec, 17)
-        assert coarse_mean_squares(draw, scale_plans(spec, scales, window)) == pytest.approx(
-            grid_route_mean_squares(draw, spec, scales, window), rel=1e-12
+        plans = scale_plans(spec, scales, window)
+        assert coarse_mean_squares(draw_modes(spec, 17, plans), plans) == pytest.approx(
+            grid_route_mean_squares(drawn_coefficients(spec, 17), spec, scales, window), rel=1e-12
         )
 
     @pytest.mark.parametrize("window", WINDOWS)
@@ -409,19 +467,21 @@ class TestCoarseMeanSquares:
     def test_no_blas_call_per_draw(self):
         # a BLAS product wakes its worker threads, which spin on the cores the
         # draw workers use, and ties the digits to the BLAS kernel
-        for fn in (draw_modes, coarse_mean_squares, field._fold_aliases):
+        for fn in (draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases):
             assert not re.search(r"@|\bdot\b|matmul|tensordot", inspect.getsource(fn)), fn
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws spawned from seed 1 as scaling_run spawns them
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
         scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
-        draws = [draw_modes(spec, c) for c in np.random.SeedSequence(1).spawn(50)]
+        children = np.random.SeedSequence(1).spawn(50)
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
-            per_draw = np.array([coarse_mean_squares(d, plans) for d in draws])
+            per_draw = np.array(
+                [coarse_mean_squares(draw_modes(spec, c, plans), plans) for c in children]
+            )
             pooled = per_draw.mean(axis=0)
-            se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(draws))
+            se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(children))
             z = (pooled - expected_mean_squares(spec, scales, window)) / se
             assert np.all(np.abs(z) < 4.0), (window, z)
 
@@ -433,14 +493,49 @@ class TestCoarseMeanSquares:
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
         assert -1.86 <= exact_exponent(spec, "tophat") <= -1.82
 
-    def test_scaling_run_never_builds_the_grid(self, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the run built or averaged a real N^3 grid")
+    def test_scaling_run_never_builds_the_grid(self):
+        # Everything the run allocates after the spectrum, at its peak, fits in
+        # less than one real N^3 grid, so no grid, and no whole half-layout
+        # coefficient array (1.03 grids), can ever have existed.
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        scaling_run(spec, [1 / 2], draws=1, seed=0, threads=1)  # cache the spectrum first
+        tracemalloc.start()
+        try:
+            report, _ = scaling_run(spec, [1 / 4, 1 / 2], draws=2, seed=3, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rms) == 2
+        assert peak < spec.points_per_axis**3 * 8
 
-        monkeypatch.setattr(field, "synthesize_field", no_grid)
-        monkeypatch.setattr(field, "cube_averages", no_grid)
-        report, fit = scaling_run(MEDIUM, None, draws=2, seed=3, window="tophat", threads=2)
-        assert fit is not None and len(report.rms) == 4
+
+class TestStreamedFold:
+    """The streamed route against the oracle route, which folds the full-layout draw."""
+
+    def assert_routes_agree(self, spec, scales, seeds):
+        for window in WINDOWS:
+            plans = scale_plans(spec, scales, window)
+            for seed in seeds:
+                streamed = draw_modes(spec, seed, plans)
+                oracle = coefficient_x_folds(full_layout_draw(spec, seed), plans)
+                for plan, a, b in zip(plans, streamed, oracle):
+                    assert np.array_equal(a, b), (window, plan.cells)
+                assert coarse_mean_squares(streamed, plans) == coarse_mean_squares(oracle, plans)
+
+    @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+    def test_every_scale_bit_identical(self, spec, blocks, monkeypatch):
+        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        n = spec.points_per_axis
+        scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
+        self.assert_routes_agree(spec, scales, (5, np.random.SeedSequence(9).spawn(2)[1]))
+
+    @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
+    def test_block_edges_off_the_alias_periods(self, blocks, monkeypatch):
+        # 96 slabs in blocks of 12 (at 8 blocks) against alias periods of
+        # 32, 16, 4 and 2 slabs
+        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        self.assert_routes_agree(N96, [1 / 32, 1 / 16, 1 / 4, 1 / 2], (11,))
 
 
 class TestFitScaling:
@@ -502,7 +597,7 @@ class TestScalingPipeline:
         scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
         per_draw_ms = np.array(
             [
-                grid_route_mean_squares(draw_modes(MEDIUM, child), MEDIUM, scales, "hann")
+                grid_route_mean_squares(drawn_coefficients(MEDIUM, child), MEDIUM, scales, "hann")
                 for child in np.random.SeedSequence(seed).spawn(draws)
             ]
         ).T
@@ -519,7 +614,7 @@ class TestScalingPipeline:
             scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2, 1.0], draws=1, seed=0)
 
     def test_scales_checked_before_any_draw(self, monkeypatch):
-        def no_draws(spec, seed):
+        def no_draws(spec, seed, plans):
             raise AssertionError("drew before checking the scales")
 
         monkeypatch.setattr(field, "draw_modes", no_draws)
@@ -553,9 +648,12 @@ class TestScalingPipeline:
         assert peak < 3 * grid_bytes
 
     def test_draw_buffer_is_a_fraction_of_the_array(self):
-        # At 128^3 the coefficients are 1.02 grids; a block of live normals adds
-        # about 0.07 of one, the fold at box/16 0.25, for 1.27.  Drawing every
-        # live mode in one call would add 0.53 grids of normals, for 1.6.
+        # At 128^3 a draw holds one workspace of x-slabs, each 0.008 grids: the
+        # x-folds of box/16..box/2 (30 slabs), a block of 16 slabs and its
+        # weighted copy, for 0.49; the block's live normals add 0.07 and the
+        # held-back kz = 0 and N/2 planes 0.03, for about 0.6.  Holding the
+        # whole coefficient array, as folding it after the draw would, is
+        # 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         scaling_run(spec, [1 / 2], draws=1, seed=0, threads=1)  # cache the spectrum first
         tracemalloc.start()
@@ -565,7 +663,21 @@ class TestScalingPipeline:
         finally:
             tracemalloc.stop()
         grid_bytes = spec.points_per_axis**3 * 8
-        assert peak < 1.4 * grid_bytes
+        assert peak < 0.8 * grid_bytes
+
+    def test_spectrum_build_peak_is_about_one_spectrum(self):
+        # sigma is built in the array of |k|, beside a boolean cutoff mask of
+        # 1/8 its size; an out-of-place build holds |k|, |k| * kappa / L^3 and
+        # sigma at once, 3x.
+        spec = LatticeSpec(box_size=1.0, points_per_axis=128)
+        mode_std.cache_clear()
+        tracemalloc.start()
+        try:
+            sigma = mode_std(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sigma.nbytes
 
 
 @functools.cache
