@@ -46,6 +46,7 @@ from .units import (
     LENGTH,
     Quantity,
     SNAPSHOT,
+    SYSTEMS,
     compton_time,
     constants_for,
     particle_mass,
@@ -187,7 +188,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("constants", help="Print the pinned constants table.")
-    p.add_argument("--system", choices=["gaussian", "si", "natural"], default="gaussian")
+    p.add_argument("--system", choices=SYSTEMS, default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
     p.set_defaults(run=_cmd_constants)
@@ -197,7 +198,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=_finite, required=True, help="Angular frequency.")
     p.add_argument("--samples", type=int, default=None, help="Optional Monte Carlo draw count.")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
+    p.add_argument("--units", choices=SYSTEMS, default="gaussian")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--manifest", metavar="PATH", default=None)
     p.set_defaults(run=_raising_float_errors(_cmd_oscillator))
@@ -227,7 +228,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
     p.add_argument("--area", type=_finite, required=True)
     p.add_argument("--sep", type=_finite, required=True)
-    p.add_argument("--units", choices=["gaussian", "si", "natural"], default="gaussian")
+    p.add_argument("--units", choices=SYSTEMS, default="gaussian")
     p.add_argument("--modesum", action="store_true")
     p.add_argument("--epsilons", type=_finite_list, default=list(casimir_mod.DEFAULT_EPSILONS))
     p.add_argument("--order", type=int, default=3)

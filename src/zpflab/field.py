@@ -24,12 +24,12 @@ A cube average is a linear functional of the coefficients, so a scaling
 run never builds the real N^3 grid, nor even the whole half layout of
 coefficients: ``draw_modes`` folds each block of x-slabs, as it is drawn,
 into the aliases that a block grid cannot tell apart along x, weighted by
-the window's transform, and ``coarse_mean_squares`` folds y and windows
-the full-length z column of each (x, y) block in real space.  The window
-transforms are computed once per run, and every contraction in a draw is
-a fixed-order sum of slices: no BLAS call runs per draw, so no BLAS
-worker thread competes with the draw workers and the digits do not
-depend on the BLAS build.
+the window's transform; ``coarse_mean_squares`` folds y and z, and by
+Parseval the mean square of the cube averages is the energy of that
+folded spectrum.  The window transforms are computed once per run, and
+every contraction in a draw is a fixed-order sum: no FFT or BLAS call
+runs per draw, so no BLAS worker thread competes with the draw workers
+and the digits do not depend on either library's build.
 
 Coarse-graining windows
 -----------------------
@@ -49,7 +49,6 @@ whole-box average is the mean, which is pinned to zero).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -128,9 +127,8 @@ def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
     return np.sqrt(kmag, out=kmag)
 
 
-@functools.lru_cache(maxsize=4)
 def mode_std(spec: LatticeSpec) -> np.ndarray:
-    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max. Read-only.
+    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max.
 
     sqrt(|k| * kappa / L^3) is built in the array of |k| itself, so the
     build holds one array and the cutoff mask, not three arrays.
@@ -140,7 +138,6 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
     np.multiply(sigma, spec.variance_per_wavenumber, out=sigma)
     np.sqrt(sigma, out=sigma)
     sigma[beyond] = 0.0
-    sigma.flags.writeable = False
     return sigma
 
 
@@ -154,27 +151,27 @@ def _plane_reflection(planes: np.ndarray) -> np.ndarray:
 _DRAW_BLOCKS = 8
 
 
-def draw_modes(spec: LatticeSpec, seed, plans) -> list[np.ndarray]:
+def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     """Draw one realization's coefficients and return their x-fold for each plan.
 
-    Each Hermitian pair {k, -k} of the half layout (N, N, N/2 + 1) gets an
-    independent complex Gaussian xi_k with E|xi_k|^2 = sigma_k^2 (real and
-    imaginary parts carrying sigma_k^2/2 each); self-conjugate lattice
-    modes come out real with full variance.  Only the live modes
+    ``sigma`` is ``mode_std(spec)``.  Each Hermitian pair {k, -k} of the
+    half layout (N, N, N/2 + 1) gets an independent complex Gaussian xi_k
+    with E|xi_k|^2 = sigma_k^2 (real and imaginary parts carrying
+    sigma_k^2/2 each); self-conjugate lattice modes come out real with
+    full variance.  Only the live modes
     (sigma_k > 0) are drawn, in C order of the half layout; the x-slab
     blocks they are drawn in split one stream, so the numbers do not
-    depend on the block count.  Deterministic in (spec, seed); seed may be
+    depend on the block count.  Deterministic in (sigma, seed); seed may be
     an int or a numpy SeedSequence spawned from a master seed.
 
     The coefficients are never held whole: each block, scaled by sigma,
     goes into one (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into
     class x mod nb, in increasing x as ``_fold_aliases`` would add them.
     The self-conjugate planes kz = 0 and N/2 pair x with -x across
-    blocks, so they are held back raw, tied at the end, and folded over
-    the columns the blocks left.
+    blocks, so they are held back raw, tied at the end, and folded by
+    ``_fold_aliases`` over the columns the blocks left.
     """
-    n = spec.points_per_axis
-    sigma = mode_std(spec)
+    n = len(sigma)
     rng = np.random.default_rng(seed)
     edges = [n * b // _DRAW_BLOCKS for b in range(_DRAW_BLOCKS + 1)]
     rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
@@ -203,8 +200,7 @@ def draw_modes(spec: LatticeSpec, seed, plans) -> list[np.ndarray]:
     tied = (raw_planes + _plane_reflection(raw_planes)) / math.sqrt(2.0)
     tied *= sigma[:, :, planes]
     for plan, out in zip(plans, folded):
-        aliases = (tied * plan.transform[:, None, None]).reshape(-1, plan.blocks, n, 2)
-        out[:, :, planes] = np.add.reduce(aliases, axis=0)  # adds them in increasing x
+        out[:, :, planes] = _fold_aliases(tied, plan.transform, plan.blocks, 0)
     return folded
 
 
@@ -267,7 +263,8 @@ def _window_weights(m: int, window: str) -> np.ndarray:
 def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: int) -> np.ndarray:
     """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
 
-    One slice of the m aliases at a time, so no full-size temporary is made.
+    One slice of the m aliases at a time, in increasing j, so no full-size
+    temporary is made.
     """
     values = np.moveaxis(values, axis, 0)
     weights = weights.reshape((-1, blocks) + (1,) * (values.ndim - 1))
@@ -283,7 +280,6 @@ class ScalePlan:
 
     cells: int  # m, cells per cube edge
     blocks: int  # nb = N / m, cubes per axis
-    weights: np.ndarray  # w_i, the window over the m cells, summing to 1
     transform: np.ndarray  # W(k) = sum_i w_i exp(2 pi i k i / N) at the N FFT-ordered k
 
 
@@ -296,7 +292,7 @@ def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]
         w = _window_weights(m, window)
         phase = np.outer(np.arange(n), np.arange(m)) % n  # k * i, reduced mod N in integers
         w_k = (np.exp(2j * math.pi / n * phase) * w).sum(axis=1)
-        plans.append(ScalePlan(cells=m, blocks=n // m, weights=w, transform=w_k))
+        plans.append(ScalePlan(cells=m, blocks=n // m, transform=w_k))
     return tuple(plans)
 
 
@@ -306,23 +302,21 @@ def coarse_mean_squares(folded, plans) -> list[float]:
     Along one axis the weighted average over block b of m cells is
     sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and W(k) the
     window's transform; the phase repeats in k with period nb, so folding
-    the m aliases k = q (mod nb) leaves an nb-point inverse transform.  x
-    is folded as the coefficients are drawn and y here; z, the real-FFT
-    half axis, is synthesized at full length per block column and windowed
-    in real space.  Every contraction is a fixed-order sum of slices, so
-    no BLAS call is made and the result does not depend on its kernels or
-    threads.
+    the m aliases k = q (mod nb) on each axis leaves G(q), whose nb-point
+    inverse transform is the cube averages, so by Parseval their mean
+    square is sum_q |G(q)|^2.  x is folded as the coefficients are drawn;
+    here y is, then z once G(qx, qy, -kz) = conj(G(-qx, -qy, kz)) completes
+    the half axis.  Every contraction is a fixed-order sum, so no FFT or
+    BLAS call is made.
     """
     out = []
     for plan, x_folded in zip(plans, folded):
-        nb, n = plan.blocks, x_folded.shape[1]
-        y_folded = _fold_aliases(x_folded, plan.transform, nb, 1)
-        columns = np.fft.irfft(
-            np.fft.ifft2(y_folded, axes=(0, 1), norm="forward"), n=n, axis=2, norm="forward"
-        )
-        # the window over the m cells of each z block is a fold with one block
-        averages = _fold_aliases(columns.reshape(nb, nb, nb, plan.cells), plan.weights, 1, 3)
-        out.append(float(np.mean(averages**2)))
+        n = x_folded.shape[1]
+        y_folded = _fold_aliases(x_folded, plan.transform, plan.blocks, 1)
+        negative_kz = _plane_reflection(y_folded[:, :, n // 2 - 1 : 0 : -1])
+        full_z = np.concatenate([y_folded, negative_kz], axis=2)  # kz in FFT order
+        g = _fold_aliases(full_z, plan.transform, plan.blocks, 2)
+        out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
 
 
@@ -372,12 +366,12 @@ def scaling_run(
     recommended above; given scales are reported in increasing order.
     Per-draw seeds are spawned from the master seed with a splittable
     SeedSequence, so the result is bit-identical for any thread count.
-    The spectrum and the per-scale plans are computed once, before the
-    pool starts; every draw then runs in a pool of ``min(threads, draws)``
-    worker threads under the caller's numpy error state.  Each worker
-    streams its draw into the per-scale x-folds and reduces those to mean
-    squares, so memory grows with the workers, not the draws, and no
-    worker holds a whole coefficient array.
+    sigma and the per-scale plans are computed once, before the pool
+    starts, and every draw reads that one sigma; the draws run in a pool of
+    ``min(threads, draws)`` worker threads under the caller's numpy error
+    state.  Each worker streams its draw into the per-scale x-folds and
+    reduces those to mean squares, so memory grows with the workers, not
+    the draws, and no worker holds a whole coefficient array.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -392,13 +386,13 @@ def scaling_run(
     for s, plan in zip(ordered, plans):
         if 2 * plan.cells > spec.points_per_axis:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
-    mode_std(spec)  # fill the cache here, or each worker's first draw computes the spectrum
+    sigma = mode_std(spec)
     children = np.random.SeedSequence(seed).spawn(draws)
     errors = np.geterr()
 
     def one(child):
         with np.errstate(**errors):  # numpy keeps its error state per thread
-            return coarse_mean_squares(draw_modes(spec, child, plans), plans)
+            return coarse_mean_squares(draw_modes(sigma, child, plans), plans)
 
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
         rows = list(pool.map(one, children))

@@ -247,8 +247,8 @@ class TestFieldCommand:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, threads):
         # the error state dispatch sets must hold in every worker thread
-        def huge(spec, seed, plans):  # x-folds at 1e200: their cube averages square to inf
-            n = spec.points_per_axis
+        def huge(sigma, seed, plans):  # x-folds at 1e200: their cube averages square to inf
+            n = len(sigma)
             return [np.full((p.blocks, n, n // 2 + 1), 1e200, dtype=complex) for p in plans]
 
         monkeypatch.setattr(field, "draw_modes", huge)

@@ -85,14 +85,31 @@ def full_layout_draw(spec, seed):
     return coeff * sigma
 
 
+def fold_aliases_by_class(values, weights, blocks, axis):
+    """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
+
+    Class by class, one alias at a time in increasing j: the oracle for
+    ``field._fold_aliases``, whose order of addition is the one
+    ``draw_modes`` streams its x-folds in.
+    """
+    n = values.shape[axis]
+    classes = []
+    for q in range(blocks):
+        total = 0.0
+        for x in range(q, n, blocks):
+            total = total + np.take(values, x, axis=axis) * weights[x]
+        classes.append(total)
+    return np.stack(classes, axis=axis)
+
+
 def coefficient_x_folds(coefficients, plans):
     """Each plan's x-fold of a whole coefficient array: the oracle for the streamed fold."""
-    return [field._fold_aliases(coefficients, p.transform, p.blocks, 0) for p in plans]
+    return [fold_aliases_by_class(coefficients, p.transform, p.blocks, 0) for p in plans]
 
 
 def drawn_coefficients(spec, seed):
     """The run's draw, whole: at one cell per cube, W(k) = 1 and nb = N, so the x-fold is it."""
-    return draw_modes(spec, seed, scale_plans(spec, [spec.cell_size], "tophat"))[0]
+    return draw_modes(mode_std(spec), seed, scale_plans(spec, [spec.cell_size], "tophat"))[0]
 
 
 def synthesize_field(coefficients):
@@ -179,7 +196,7 @@ class TestDrawModes:
     def test_one_x_fold_per_plan(self):
         n = MEDIUM.points_per_axis
         plans = scale_plans(MEDIUM, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
-        shapes = [f.shape for f in draw_modes(MEDIUM, 0, plans)]
+        shapes = [f.shape for f in draw_modes(mode_std(MEDIUM), 0, plans)]
         assert shapes == [(nb, n, n // 2 + 1) for nb in (16, 8, 4, 2)]
 
     def test_wavenumbers_are_the_full_lattice_with_kz_at_most_nyquist(self):
@@ -276,14 +293,6 @@ class TestDrawModes:
                 assert coeff[ijk].imag == 0.0
                 assert (coeff[ijk].real != 0.0) == (sigma[ijk] > 0)
 
-    def test_cached_spectrum_arrays_are_read_only(self):
-        arr = mode_std(SMALL)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[1, 1, 1] = 0.0
-        same_spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=math.pi * 8)
-        assert mode_std(same_spec) is mode_std(SMALL)
-
     @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
     @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
     def test_stream_is_one_call_over_the_live_modes(self, spec, blocks, monkeypatch):
@@ -310,7 +319,6 @@ class TestDrawModes:
             return real(spec)
 
         monkeypatch.setattr(field, "wavenumber_magnitudes", slow_and_counted)
-        mode_std.cache_clear()
         scaling_run(MEDIUM, None, draws=4, seed=1, threads=2)
         assert calls == [MEDIUM]
 
@@ -441,7 +449,7 @@ class TestCoarseMeanSquares:
         n = spec.points_per_axis
         scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
         plans = scale_plans(spec, scales, window)
-        assert coarse_mean_squares(draw_modes(spec, 17, plans), plans) == pytest.approx(
+        assert coarse_mean_squares(draw_modes(mode_std(spec), 17, plans), plans) == pytest.approx(
             grid_route_mean_squares(drawn_coefficients(spec, 17), spec, scales, window), rel=1e-12
         )
 
@@ -464,21 +472,39 @@ class TestCoarseMeanSquares:
             ]
             np.testing.assert_allclose(plan.transform, direct, rtol=1e-14, atol=1e-14)
 
-    def test_no_blas_call_per_draw(self):
+    def test_no_fft_or_blas_call_per_draw(self):
         # a BLAS product wakes its worker threads, which spin on the cores the
-        # draw workers use, and ties the digits to the BLAS kernel
+        # draw workers use, and ties the digits to the BLAS kernel; by Parseval
+        # the mean square needs no transform back to real space
         for fn in (draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases):
-            assert not re.search(r"@|\bdot\b|matmul|tensordot", inspect.getsource(fn)), fn
+            assert not re.search(r"@|\bdot\b|matmul|tensordot|fft", inspect.getsource(fn)), fn
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n", [8, 24, 32, 96])
+    def test_fold_is_the_class_by_class_sum(self, n, axis, window):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=n)
+        shape = [7, 12]
+        shape.insert(axis, n)
+        rng = np.random.default_rng(n + axis)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        cells = [m for m in range(1, n + 1) if n % m == 0]
+        for plan in scale_plans(spec, [m * spec.cell_size for m in cells], window):
+            assert np.array_equal(
+                field._fold_aliases(values, plan.transform, plan.blocks, axis),
+                fold_aliases_by_class(values, plan.transform, plan.blocks, axis),
+            ), plan.cells
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws spawned from seed 1 as scaling_run spawns them
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
         scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         children = np.random.SeedSequence(1).spawn(50)
+        sigma = mode_std(spec)
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
             per_draw = np.array(
-                [coarse_mean_squares(draw_modes(spec, c, plans), plans) for c in children]
+                [coarse_mean_squares(draw_modes(sigma, c, plans), plans) for c in children]
             )
             pooled = per_draw.mean(axis=0)
             se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(children))
@@ -494,18 +520,20 @@ class TestCoarseMeanSquares:
         assert -1.86 <= exact_exponent(spec, "tophat") <= -1.82
 
     def test_scaling_run_never_builds_the_grid(self):
-        # Everything the run allocates after the spectrum, at its peak, fits in
-        # less than one real N^3 grid, so no grid, and no whole half-layout
-        # coefficient array (1.03 grids), can ever have existed.
+        # Everything a draw and its coarse-grain allocate beside the spectrum,
+        # at their peak, fits in less than one real N^3 grid, so no grid, and
+        # no whole half-layout coefficient array (1.03 grids), can ever have
+        # existed.
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
-        scaling_run(spec, [1 / 2], draws=1, seed=0, threads=1)  # cache the spectrum first
+        sigma, plans = mode_std(spec), scale_plans(spec, [1 / 4, 1 / 2], "hann")
+        draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost
         tracemalloc.start()
         try:
-            report, _ = scaling_run(spec, [1 / 4, 1 / 2], draws=2, seed=3, threads=1)
+            rows = [coarse_mean_squares(draw_modes(sigma, s, plans), plans) for s in (3, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.rms) == 2
+        assert all(len(row) == 2 for row in rows)
         assert peak < spec.points_per_axis**3 * 8
 
 
@@ -516,7 +544,7 @@ class TestStreamedFold:
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
             for seed in seeds:
-                streamed = draw_modes(spec, seed, plans)
+                streamed = draw_modes(mode_std(spec), seed, plans)
                 oracle = coefficient_x_folds(full_layout_draw(spec, seed), plans)
                 for plan, a, b in zip(plans, streamed, oracle):
                     assert np.array_equal(a, b), (window, plan.cells)
@@ -614,7 +642,7 @@ class TestScalingPipeline:
             scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2, 1.0], draws=1, seed=0)
 
     def test_scales_checked_before_any_draw(self, monkeypatch):
-        def no_draws(spec, seed, plans):
+        def no_draws(sigma, seed, plans):
             raise AssertionError("drew before checking the scales")
 
         monkeypatch.setattr(field, "draw_modes", no_draws)
@@ -635,8 +663,8 @@ class TestScalingPipeline:
         assert started == [3]
 
     def test_memory_does_not_grow_with_draws(self):
-        # One-time costs (lazy imports, the spectrum cached per spec) are paid
-        # first; what the run allocates after that must not scale with draws.
+        # One-time costs (lazy imports) are paid first; what the run allocates
+        # after that, its spectrum included, must not scale with draws.
         scaling_run(MEDIUM, [1 / 2], draws=1, seed=0, threads=1)
         tracemalloc.start()
         try:
@@ -655,10 +683,12 @@ class TestScalingPipeline:
         # whole coefficient array, as folding it after the draw would, is
         # 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
-        scaling_run(spec, [1 / 2], draws=1, seed=0, threads=1)  # cache the spectrum first
+        sigma, plans = mode_std(spec), scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
+        draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost
         tracemalloc.start()
         try:
-            scaling_run(spec, None, draws=3, seed=5, threads=1)
+            for seed in (5, 6, 7):
+                coarse_mean_squares(draw_modes(sigma, seed, plans), plans)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,7 +700,6 @@ class TestScalingPipeline:
         # 1/8 its size; an out-of-place build holds |k|, |k| * kappa / L^3 and
         # sigma at once, 3x.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
-        mode_std.cache_clear()
         tracemalloc.start()
         try:
             sigma = mode_std(spec)

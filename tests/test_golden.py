@@ -40,8 +40,8 @@ GOLDEN = {
     "field-default-scales": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"],
         # drawn in the real-FFT half layout, one Gaussian per live mode pair,
-        # and coarse-grained on the coefficients
-        "99352cd32b79953a0b177a32ebce317be84ef167d79a952a788ea8b2b0b557ce",
+        # and coarse-grained by Parseval on the folded coefficients
+        "2889a1601db5220b60d57837cdb620d057baa1b2ded0e8a1eba62aabd8f777e8",
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -49,7 +49,7 @@ GOLDEN = {
         # tophat window, csv only, a box other than 1 and scales given out of order
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "4a187468ec04ac053aee16fef2747ee2d6a068a904c75b00a0097558540778f5",
+        "529d815310f3f1c5db1d0a6d1c4b709310375b3e0cd830e7c29fbae2879488e7",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
