@@ -141,14 +141,26 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
     return sigma
 
 
-def _plane_reflection(planes: np.ndarray) -> np.ndarray:
-    """conj(planes) sampled at (-kx, -ky) for every FFT-ordered (kx, ky) of the first two axes."""
-    return np.roll(np.conj(planes[::-1, ::-1]), 1, axis=(0, 1))
+def _reflect(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(planes) at (-kx, -ky) for every FFT-ordered (kx, ky) of the first two axes."""
+    neg = -np.arange(len(planes))  # -k, wrapped into FFT order
+    rows = np.take(planes, neg, axis=0, mode="wrap")
+    reflected = np.take(rows, neg, axis=1, mode="wrap", out=out)
+    return np.conjugate(reflected, out=reflected)
 
 
 # The live normals are drawn a block of x-slabs at a time, so the workspace
-# they pass through stays near 1/_DRAW_BLOCKS of the half layout.
+# they pass through is a fraction of the half layout: 1/_DRAW_BLOCKS of it up
+# to 128^3, and beyond that blocks of at most _BLOCK_SLABS slabs, so that the
+# block and its weighted copy grow as N^2, not N^3.
 _DRAW_BLOCKS = 8
+_BLOCK_SLABS = 16
+
+
+def _block_edges(n: int) -> list[int]:
+    """The x-slab edges of the draw's blocks; the stream does not depend on them."""
+    blocks = max(_DRAW_BLOCKS, -(-n // _BLOCK_SLABS))
+    return [n * b // blocks for b in range(blocks + 1)]
 
 
 def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
@@ -167,13 +179,15 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     The coefficients are never held whole: each block, scaled by sigma,
     goes into one (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into
     class x mod nb, in increasing x as ``_fold_aliases`` would add them.
+    A block's normals are drawn straight into the rows of its weighted
+    copy, which are free until the folds, so a block allocates no array.
     The self-conjugate planes kz = 0 and N/2 pair x with -x across
     blocks, so they are held back raw, tied at the end, and folded by
     ``_fold_aliases`` over the columns the blocks left.
     """
     n = len(sigma)
     rng = np.random.default_rng(seed)
-    edges = [n * b // _DRAW_BLOCKS for b in range(_DRAW_BLOCKS + 1)]
+    edges = _block_edges(n)
     rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     # One workspace per draw: the block, its weighted copy, then the folds.
     # glibc returns the top of its heap once more than twice its largest
@@ -188,16 +202,20 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     for lo, hi in zip(edges, edges[1:]):
         coeff, mask = block[: hi - lo], live[: hi - lo]
         np.greater(sigma[lo:hi], 0.0, out=mask)
+        normals = weighted.reshape(-1)[: np.count_nonzero(mask)]
+        parts = normals.view(np.float64)  # each (re, im) pair read as one normal
+        rng.standard_normal(out=parts)
+        parts *= math.sqrt(0.5)  # the floats of normal(scale=sqrt(1/2)), 0 + scale * z
         coeff.fill(0.0)
-        parts = rng.normal(scale=math.sqrt(0.5), size=(np.count_nonzero(mask), 2))
-        coeff[mask] = parts.view(np.complex128)[:, 0]  # each (re, im) read as one
-        del parts  # before the next block draws its own
+        coeff[mask] = normals
         raw_planes[lo:hi] = coeff[:, :, planes]
         coeff *= sigma[lo:hi]
         for plan, out in zip(plans, folded):
             np.multiply(coeff, plan.transform[lo:hi, None, None], out=weighted[: hi - lo])
             _add_aliases(out, weighted[: hi - lo], lo)
-    tied = (raw_planes + _plane_reflection(raw_planes)) / math.sqrt(2.0)
+    tied = _reflect(raw_planes)
+    tied += raw_planes
+    tied /= math.sqrt(2.0)
     tied *= sigma[:, :, planes]
     for plan, out in zip(plans, folded):
         out[:, :, planes] = _fold_aliases(tied, plan.transform, plan.blocks, 0)
@@ -260,18 +278,31 @@ def _window_weights(m: int, window: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: int) -> np.ndarray:
+def _fold_aliases(
+    values: np.ndarray, weights: np.ndarray, blocks: int, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
 
-    One slice of the m aliases at a time, in increasing j, so no full-size
-    temporary is made.
+    One multiply weights the m aliases into a C-ordered, alias-major
+    (m, ..., blocks, ...) product and one reduce over its first axis sums
+    them, so the number of calls does not grow with m.  The result, ``out``
+    or a new array, is C-ordered in the caller's axis order, the order in
+    which ``np.sum`` in ``coarse_mean_squares`` adds it up.  The reduce runs
+    on the product's float view, whose last axis holds at least one
+    (re, im) pair, so numpy adds whole rows in increasing j, as a loop over
+    the aliases would, and never takes the pairwise sum it uses where the
+    reduced axis is the only one longer than 1.
     """
-    values = np.moveaxis(values, axis, 0)
-    weights = weights.reshape((-1, blocks) + (1,) * (values.ndim - 1))
-    folded = values[:blocks] * weights[0]
-    for j in range(1, len(weights)):
-        folded += values[j * blocks : (j + 1) * blocks] * weights[j]
-    return np.moveaxis(folded, 0, axis)
+    shape = values.shape
+    m = shape[axis] // blocks
+    folded_shape = shape[:axis] + (blocks,) + shape[axis + 1 :]
+    aliases = np.moveaxis(values.reshape(shape[:axis] + (m, blocks) + shape[axis + 1 :]), axis, 0)
+    weights = weights.reshape((m,) + (1,) * axis + (blocks,) + (1,) * (len(shape) - axis - 1))
+    product = np.multiply(aliases, weights, out=np.empty((m, *folded_shape), dtype=np.complex128))
+    if out is None:
+        out = np.empty(folded_shape, dtype=np.complex128)
+    np.add.reduce(product.view(np.float64), axis=0, out=out.view(np.float64))
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,9 +343,10 @@ def coarse_mean_squares(folded, plans) -> list[float]:
     out = []
     for plan, x_folded in zip(plans, folded):
         n = x_folded.shape[1]
-        y_folded = _fold_aliases(x_folded, plan.transform, plan.blocks, 1)
-        negative_kz = _plane_reflection(y_folded[:, :, n // 2 - 1 : 0 : -1])
-        full_z = np.concatenate([y_folded, negative_kz], axis=2)  # kz in FFT order
+        full_z = np.empty((plan.blocks, plan.blocks, n), dtype=np.complex128)  # kz in FFT order
+        y_folded = full_z[:, :, : n // 2 + 1]
+        _fold_aliases(x_folded, plan.transform, plan.blocks, 1, out=y_folded)
+        _reflect(y_folded[:, :, n // 2 - 1 : 0 : -1], out=full_z[:, :, n // 2 + 1 :])
         g = _fold_aliases(full_z, plan.transform, plan.blocks, 2)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out

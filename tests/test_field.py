@@ -1,10 +1,12 @@
 """Spectral synthesis, coarse-graining, and the scaling-exponent fit."""
 
+import ast
 import cmath
 import functools
 import inspect
 import math
 import re
+import textwrap
 import time
 import tracemalloc
 
@@ -302,6 +304,27 @@ class TestDrawModes:
         for seed in (5, np.random.SeedSequence(9).spawn(2)[1]):
             assert np.array_equal(drawn_coefficients(spec, seed), full_layout_draw(spec, seed))
 
+    def test_blocks_are_at_most_16_slabs_past_128(self, monkeypatch):
+        # At a fixed 8 blocks the block and its weighted copy would grow as
+        # N^3, to 128 slabs (270 MB per worker) at 512^3.  64^3 and 128^3 keep
+        # their 8 blocks.
+        block_edges = field._block_edges
+        used = []
+
+        def recording(n):
+            used.append(block_edges(n))
+            return used[-1]
+
+        monkeypatch.setattr(field, "_block_edges", recording)
+        drawn_coefficients(MEDIUM, 0)
+        assert used == [block_edges(32)]
+        for n in (32, 64, 128):
+            assert block_edges(n) == [n * b // 8 for b in range(9)]
+        for n in (130, 200, 256, 258, 512):
+            edges = block_edges(n)
+            assert edges[0] == 0 and edges[-1] == n
+            assert max(hi - lo for lo, hi in zip(edges, edges[1:])) <= 16, n
+
     @pytest.mark.parametrize("spec", STREAM_SPECS + [N96], ids=STREAM_IDS + ["N96"])
     def test_spectrum_built_in_place_is_the_out_of_place_one(self, spec):
         kmag = wavenumber_magnitudes(spec)
@@ -479,6 +502,13 @@ class TestCoarseMeanSquares:
         for fn in (draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases):
             assert not re.search(r"@|\bdot\b|matmul|tensordot|fft", inspect.getsource(fn)), fn
 
+    def test_fold_calls_do_not_grow_with_the_aliases(self):
+        # each numpy call holds the GIL for its set-up, so a Python loop over
+        # the m aliases (m = 32 at box/2 of 64^3) serializes the draw workers
+        tree = ast.parse(textwrap.dedent(inspect.getsource(field._fold_aliases)))
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("n", [8, 24, 32, 96])
@@ -487,13 +517,27 @@ class TestCoarseMeanSquares:
         shape = [7, 12]
         shape.insert(axis, n)
         rng = np.random.default_rng(n + axis)
-        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def normals(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        line = [1, 1]  # the folded axis the only one longer than 1: at nb = 1
+        line.insert(axis, n)  # one class, whose sum numpy's reduce would take pairwise
+        inputs = {
+            "C-ordered": normals(shape),
+            "transposed": normals(shape[::-1]).T,
+            "line": normals(line),
+        }
+        assert not inputs["transposed"].flags.c_contiguous
         cells = [m for m in range(1, n + 1) if n % m == 0]
         for plan in scale_plans(spec, [m * spec.cell_size for m in cells], window):
-            assert np.array_equal(
-                field._fold_aliases(values, plan.transform, plan.blocks, axis),
-                fold_aliases_by_class(values, plan.transform, plan.blocks, axis),
-            ), plan.cells
+            for name, values in inputs.items():
+                folded = field._fold_aliases(values, plan.transform, plan.blocks, axis)
+                assert np.array_equal(
+                    folded, fold_aliases_by_class(values, plan.transform, plan.blocks, axis)
+                ), (name, plan.cells)
+                # np.sum in coarse_mean_squares adds in memory order
+                assert folded.flags.c_contiguous, (name, plan.cells)
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws spawned from seed 1 as scaling_run spawns them
@@ -678,9 +722,11 @@ class TestScalingPipeline:
     def test_draw_buffer_is_a_fraction_of_the_array(self):
         # At 128^3 a draw holds one workspace of x-slabs, each 0.008 grids: the
         # x-folds of box/16..box/2 (30 slabs), a block of 16 slabs and its
-        # weighted copy, for 0.49; the block's live normals add 0.07 and the
-        # held-back kz = 0 and N/2 planes 0.03, for about 0.6.  Holding the
-        # whole coefficient array, as folding it after the draw would, is
+        # weighted copy, whose rows the block's normals are drawn into, for
+        # 0.49.  The draw's held-back and tied kz = 0 and N/2 planes add 0.11,
+        # and the coarse-grain's alias product for the y-fold at box/16 (16
+        # slabs) and its completed z axis add 0.17, for about 0.66.  Holding
+        # the whole coefficient array, as folding it after the draw would, is
         # 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         sigma, plans = mode_std(spec), scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
