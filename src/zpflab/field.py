@@ -141,11 +141,11 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
     return sigma
 
 
-def _reflect(planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _reflect(planes: np.ndarray) -> np.ndarray:
     """conj(planes) at (-kx, -ky) for every FFT-ordered (kx, ky) of the first two axes."""
     neg = -np.arange(len(planes))  # -k, wrapped into FFT order
     rows = np.take(planes, neg, axis=0, mode="wrap")
-    reflected = np.take(rows, neg, axis=1, mode="wrap", out=out)
+    reflected = np.take(rows, neg, axis=1, mode="wrap")
     return np.conjugate(reflected, out=reflected)
 
 
@@ -278,16 +278,14 @@ def _window_weights(m: int, window: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _fold_aliases(
-    values: np.ndarray, weights: np.ndarray, blocks: int, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: int) -> np.ndarray:
     """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
 
     One multiply weights the m aliases into a C-ordered, alias-major
     (m, ..., blocks, ...) product and one reduce over its first axis sums
-    them, so the number of calls does not grow with m.  The result, ``out``
-    or a new array, is C-ordered in the caller's axis order, the order in
-    which ``np.sum`` in ``coarse_mean_squares`` adds it up.  The reduce runs
+    them, so the number of calls does not grow with m.  The result is
+    C-ordered in the caller's axis order, the order in which ``np.sum`` in
+    ``coarse_mean_squares`` adds it up.  The reduce runs
     on the product's float view, whose last axis holds at least one
     (re, im) pair, so numpy adds whole rows in increasing j, as a loop over
     the aliases would, and never takes the pairwise sum it uses where the
@@ -299,10 +297,9 @@ def _fold_aliases(
     aliases = np.moveaxis(values.reshape(shape[:axis] + (m, blocks) + shape[axis + 1 :]), axis, 0)
     weights = weights.reshape((m,) + (1,) * axis + (blocks,) + (1,) * (len(shape) - axis - 1))
     product = np.multiply(aliases, weights, out=np.empty((m, *folded_shape), dtype=np.complex128))
-    if out is None:
-        out = np.empty(folded_shape, dtype=np.complex128)
-    np.add.reduce(product.view(np.float64), axis=0, out=out.view(np.float64))
-    return out
+    folded = np.empty(folded_shape, dtype=np.complex128)
+    np.add.reduce(product.view(np.float64), axis=0, out=folded.view(np.float64))
+    return folded
 
 
 @dataclass(frozen=True)
@@ -343,10 +340,9 @@ def coarse_mean_squares(folded, plans) -> list[float]:
     out = []
     for plan, x_folded in zip(plans, folded):
         n = x_folded.shape[1]
-        full_z = np.empty((plan.blocks, plan.blocks, n), dtype=np.complex128)  # kz in FFT order
-        y_folded = full_z[:, :, : n // 2 + 1]
-        _fold_aliases(x_folded, plan.transform, plan.blocks, 1, out=y_folded)
-        _reflect(y_folded[:, :, n // 2 - 1 : 0 : -1], out=full_z[:, :, n // 2 + 1 :])
+        y_folded = _fold_aliases(x_folded, plan.transform, plan.blocks, 1)
+        negative_kz = _reflect(y_folded[:, :, n // 2 - 1 : 0 : -1])
+        full_z = np.concatenate([y_folded, negative_kz], axis=2)  # kz in FFT order
         g = _fold_aliases(full_z, plan.transform, plan.blocks, 2)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out

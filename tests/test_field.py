@@ -114,6 +114,13 @@ def drawn_coefficients(spec, seed):
     return draw_modes(mode_std(spec), seed, scale_plans(spec, [spec.cell_size], "tophat"))[0]
 
 
+def use_draw_blocks(monkeypatch, blocks, n):
+    """Make the draw of n slabs run in exactly ``blocks`` x-slab blocks."""
+    monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+    monkeypatch.setattr(field, "_BLOCK_SLABS", 10**9)  # no cap on the block size
+    assert len(field._block_edges(n)) - 1 == blocks
+
+
 def synthesize_field(coefficients):
     """Inverse real transform: the real N^3 grid B(x) = sum_k xi_k exp(i k.x)."""
     n = coefficients.shape[0]
@@ -300,7 +307,7 @@ class TestDrawModes:
     def test_stream_is_one_call_over_the_live_modes(self, spec, blocks, monkeypatch):
         # the x-slab blocks split one stream: any block count, even more
         # blocks than slabs, gives the numbers of a single call
-        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        use_draw_blocks(monkeypatch, blocks, spec.points_per_axis)
         for seed in (5, np.random.SeedSequence(9).spawn(2)[1]):
             assert np.array_equal(drawn_coefficients(spec, seed), full_layout_draw(spec, seed))
 
@@ -597,7 +604,7 @@ class TestStreamedFold:
     @pytest.mark.parametrize("blocks", [1, 3, 8, 40])
     @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
     def test_every_scale_bit_identical(self, spec, blocks, monkeypatch):
-        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        use_draw_blocks(monkeypatch, blocks, spec.points_per_axis)
         n = spec.points_per_axis
         scales = [m * spec.cell_size for m in range(1, n // 2 + 1) if n % m == 0]
         self.assert_routes_agree(spec, scales, (5, np.random.SeedSequence(9).spawn(2)[1]))
@@ -606,7 +613,7 @@ class TestStreamedFold:
     def test_block_edges_off_the_alias_periods(self, blocks, monkeypatch):
         # 96 slabs in blocks of 12 (at 8 blocks) against alias periods of
         # 32, 16, 4 and 2 slabs
-        monkeypatch.setattr(field, "_DRAW_BLOCKS", blocks)
+        use_draw_blocks(monkeypatch, blocks, N96.points_per_axis)
         self.assert_routes_agree(N96, [1 / 32, 1 / 16, 1 / 4, 1 / 2], (11,))
 
 
@@ -725,9 +732,9 @@ class TestScalingPipeline:
         # weighted copy, whose rows the block's normals are drawn into, for
         # 0.49.  The draw's held-back and tied kz = 0 and N/2 planes add 0.11,
         # and the coarse-grain's alias product for the y-fold at box/16 (16
-        # slabs) and its completed z axis add 0.17, for about 0.66.  Holding
-        # the whole coefficient array, as folding it after the draw would, is
-        # 1.02 grids on its own.
+        # slabs) and the y-fold add 0.14, for about 0.63.  Holding the whole
+        # coefficient array, as folding it after the draw would, is 1.02 grids
+        # on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         sigma, plans = mode_std(spec), scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost
