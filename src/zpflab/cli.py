@@ -397,29 +397,17 @@ def _cmd_lamb(args, out) -> str:
     state = lamb_mod.HydrogenState(n=args.n, ell=args.ell)
     shift = lamb_mod.hydrogen_s_shift(state, jitter, table)
     freq = lamb_mod.shift_to_frequency(shift, table)
-    rows = [
-        ("quantity", "value", "unit"),
-        ("delta_e", shift.value, "erg"),
-        ("delta_e", shift.value / ERG_PER_EV, "eV"),
-        ("shift_frequency", freq.value / 1e6, "MHz"),
-        ("jitter", jitter.value, "cm^2"),
-        ("jitter_provenance", jitter.provenance(), ""),
+    quantities = [  # (JSON key, CSV quantity, value, unit)
+        ("delta_e_erg", "delta_e", shift.value, "erg"),
+        ("delta_e_ev", "delta_e", shift.value / ERG_PER_EV, "eV"),
+        ("shift_frequency_mhz", "shift_frequency", freq.value / 1e6, "MHz"),
+        ("jitter_cm2", "jitter", jitter.value, "cm^2"),
+        ("jitter_provenance", "jitter_provenance", jitter.provenance(), ""),
     ]
     if args.format == "json":
-        _emit(
-            _json_dump(
-                {
-                    "delta_e_erg": shift.value,
-                    "delta_e_ev": shift.value / ERG_PER_EV,
-                    "shift_frequency_mhz": freq.value / 1e6,
-                    "jitter_cm2": jitter.value,
-                    "jitter_provenance": jitter.provenance(),
-                }
-            ),
-            out,
-        )
+        _emit(_json_dump({key: value for key, _, value, _ in quantities}), out)
     else:
-        _emit(_csv(rows), out)
+        _emit(_csv([("quantity", "value", "unit")] + [row[1:] for row in quantities]), out)
     return table.system
 
 

@@ -4,10 +4,11 @@ A finite periodic lattice stands in for the infinite oscillator
 collection: independent complex Gaussian Fourier coefficients, one per
 Hermitian mode pair {k, -k}, carry the half-quantum spectrum
 sigma_k^2 = kappa * |k| / L^3 (natural units, hbar = c = 1; kappa absorbs
-the overall normalization).  They are stored in the real-FFT half layout
-(N, N, N/2 + 1), one per pair, so Hermitian symmetry holds by
-construction; only the self-conjugate planes kz = 0 and kz = N/2 hold
-both members of a pair, and the draw ties those.  sigma_k = 0 at DC
+the overall normalization).  They are stored one-sidedly in the real-FFT
+half layout (N, N, N/2 + 1): the coefficient at k is B(k) + conj B(-k),
+with B zero for kz < 0, so Hermitian symmetry holds by construction.
+The self-conjugate planes kz = 0 and kz = N/2 store both members of a
+pair, so their B are scaled by sqrt(1/2).  sigma_k = 0 at DC
 (|k| = 0) and beyond k_max, so only the live modes, 0 < |k| <= k_max
 (about 52 % of the half layout at k_max = Nyquist), get Gaussians; the
 rest stay zero.  A draw is valid by construction and is never
@@ -141,12 +142,12 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
     return sigma
 
 
-def _reflect(planes: np.ndarray) -> np.ndarray:
-    """conj(planes) at (-kx, -ky) for every FFT-ordered (kx, ky) of the first two axes."""
-    neg = -np.arange(len(planes))  # -k, wrapped into FFT order
-    rows = np.take(planes, neg, axis=0, mode="wrap")
-    reflected = np.take(rows, neg, axis=1, mode="wrap")
-    return np.conjugate(reflected, out=reflected)
+def _reflect(folded: np.ndarray) -> np.ndarray:
+    """conj(folded) at -q for every FFT-ordered q of an (nb, nb, nb) fold."""
+    neg = -np.arange(len(folded))  # -q, wrapped into FFT order
+    for axis in range(3):
+        folded = np.take(folded, neg, axis=axis, mode="wrap")  # a new array each time
+    return np.conjugate(folded, out=folded)
 
 
 # The live normals are drawn a block of x-slabs at a time, so the workspace
@@ -164,26 +165,25 @@ def _block_edges(n: int) -> list[int]:
 
 
 def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
-    """Draw one realization's coefficients and return their x-fold for each plan.
+    """Draw one realization's one-sided amplitudes and return their x-fold for each plan.
 
-    ``sigma`` is ``mode_std(spec)``.  Each Hermitian pair {k, -k} of the
-    half layout (N, N, N/2 + 1) gets an independent complex Gaussian xi_k
-    with E|xi_k|^2 = sigma_k^2 (real and imaginary parts carrying
-    sigma_k^2/2 each); self-conjugate lattice modes come out real with
-    full variance.  Only the live modes
-    (sigma_k > 0) are drawn, in C order of the half layout; the x-slab
-    blocks they are drawn in split one stream, so the numbers do not
-    depend on the block count.  Deterministic in (sigma, seed); seed may be
-    an int or a numpy SeedSequence spawned from a master seed.
+    ``sigma`` is ``mode_std(spec)``.  Each mode k of the half layout
+    (N, N, N/2 + 1) gets B(k) = sigma_k xi_k, xi_k an independent complex
+    Gaussian with E|xi_k|^2 = 1, times sqrt(1/2) on the planes kz = 0 and
+    N/2, which store both members of a pair; the coefficients
+    B(k) + conj B(-k), which ``coarse_mean_squares`` completes after the
+    folds, then have E|c_k|^2 = sigma_k^2, real with full variance on the
+    self-conjugate modes.  Only the live modes (sigma_k > 0) are drawn, in
+    C order of the half layout; the x-slab blocks they are drawn in split
+    one stream, so the numbers do not depend on the block count.
+    Deterministic in (sigma, seed); seed may be an int or a numpy
+    SeedSequence spawned from a master seed.
 
-    The coefficients are never held whole: each block, scaled by sigma,
-    goes into one (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into
-    class x mod nb, in increasing x as ``_fold_aliases`` would add them.
-    A block's normals are drawn straight into the rows of its weighted
-    copy, which are free until the folds, so a block allocates no array.
-    The self-conjugate planes kz = 0 and N/2 pair x with -x across
-    blocks, so they are held back raw, tied at the end, and folded by
-    ``_fold_aliases`` over the columns the blocks left.
+    The amplitudes are never held whole: each block, scaled, goes into one
+    (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into class x mod
+    nb, in increasing x as ``_fold_aliases`` would add them.  A block's
+    normals are drawn straight into the rows of its weighted copy, which
+    are free until the folds, so a block allocates no array.
     """
     n = len(sigma)
     rng = np.random.default_rng(seed)
@@ -198,7 +198,6 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     block, weighted, *folded = (work[e - s : e] for s, e in zip(sizes, accumulate(sizes)))
     live = np.empty(block.shape, dtype=bool)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2, the self-conjugate planes
-    raw_planes = np.empty((n, n, 2), dtype=np.complex128)
     for lo, hi in zip(edges, edges[1:]):
         coeff, mask = block[: hi - lo], live[: hi - lo]
         np.greater(sigma[lo:hi], 0.0, out=mask)
@@ -208,17 +207,11 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
         parts *= math.sqrt(0.5)  # the floats of normal(scale=sqrt(1/2)), 0 + scale * z
         coeff.fill(0.0)
         coeff[mask] = normals
-        raw_planes[lo:hi] = coeff[:, :, planes]
         coeff *= sigma[lo:hi]
+        coeff[:, :, planes] *= math.sqrt(0.5)  # these planes store both members of a pair
         for plan, out in zip(plans, folded):
             np.multiply(coeff, plan.transform[lo:hi, None, None], out=weighted[: hi - lo])
             _add_aliases(out, weighted[: hi - lo], lo)
-    tied = _reflect(raw_planes)
-    tied += raw_planes
-    tied /= math.sqrt(2.0)
-    tied *= sigma[:, :, planes]
-    for plan, out in zip(plans, folded):
-        out[:, :, planes] = _fold_aliases(tied, plan.transform, plan.blocks, 0)
     return folded
 
 
@@ -332,18 +325,22 @@ def coarse_mean_squares(folded, plans) -> list[float]:
     window's transform; the phase repeats in k with period nb, so folding
     the m aliases k = q (mod nb) on each axis leaves G(q), whose nb-point
     inverse transform is the cube averages, so by Parseval their mean
-    square is sum_q |G(q)|^2.  x is folded as the coefficients are drawn;
-    here y is, then z once G(qx, qy, -kz) = conj(G(-qx, -qy, kz)) completes
-    the half axis.  Every contraction is a fixed-order sum, so no FFT or
-    BLAS call is made.
+    square is sum_q |G(q)|^2.  x is folded as the one-sided amplitudes B
+    are drawn; here y is, then the stored kz, zero-padded to whole
+    nb-periods, which leaves the fold F of B.  The coefficients are
+    B(k) + conj B(-k), and a real window has W(-k) = conj W(k), so the
+    completion commutes with every fold: G(q) = F(q) + conj F(-q).  Every
+    contraction is a fixed-order sum, so no FFT or BLAS call is made.
     """
     out = []
     for plan, x_folded in zip(plans, folded):
-        n = x_folded.shape[1]
-        y_folded = _fold_aliases(x_folded, plan.transform, plan.blocks, 1)
-        negative_kz = _reflect(y_folded[:, :, n // 2 - 1 : 0 : -1])
-        full_z = np.concatenate([y_folded, negative_kz], axis=2)  # kz in FFT order
-        g = _fold_aliases(full_z, plan.transform, plan.blocks, 2)
+        nb = plan.blocks
+        y_folded = _fold_aliases(x_folded, plan.transform, nb, 1)
+        kz = -(-y_folded.shape[2] // nb) * nb  # the stored kz, padded to whole nb-periods
+        padded = np.zeros((nb, nb, kz), dtype=np.complex128)
+        padded[:, :, : y_folded.shape[2]] = y_folded
+        f = _fold_aliases(padded, plan.transform[:kz], nb, 2)
+        g = f + _reflect(f)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
 

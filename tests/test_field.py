@@ -67,10 +67,11 @@ def cosine_draw(spec, axis_index, amplitude):
 
 
 def full_layout_draw(spec, seed):
-    """The draw's stream as a whole half-layout coefficient array: the oracle for ``draw_modes``.
+    """The draw's stream as a whole one-sided half-layout array: the oracle for ``draw_modes``.
 
-    Every live mode in one normal call, scattered in C order; the
-    self-conjugate pairs tied, then everything scaled by sigma.
+    Every live mode in one normal call, scattered in C order and scaled
+    by sigma; then the self-conjugate planes, which store both members of
+    each pair, by sqrt(1/2).
     """
     n = spec.points_per_axis
     sigma = mode_std(spec)
@@ -81,10 +82,21 @@ def full_layout_draw(spec, seed):
     coeff = np.zeros(sigma.shape, dtype=complex)
     coeff.real[live] = parts[:, 0]
     coeff.imag[live] = parts[:, 1]
-    for z in (0, n // 2):  # tie each self-conjugate pair
-        plane = coeff[:, :, z]
-        coeff[:, :, z] = (plane + at_minus_k(plane)) / math.sqrt(2.0)
-    return coeff * sigma
+    coeff *= sigma
+    coeff[:, :, [0, n // 2]] *= math.sqrt(0.5)
+    return coeff
+
+
+def hermitian(one_sided):
+    """The field's coefficients B(k) + conj B(-k) from one-sided amplitudes B on the half layout.
+
+    Only the self-conjugate planes store both k and -k; elsewhere -k is
+    not stored and the coefficient is B(k).
+    """
+    coeff = one_sided.copy()
+    for z in (0, one_sided.shape[0] // 2):
+        coeff[:, :, z] += at_minus_k(one_sided[:, :, z])
+    return coeff
 
 
 def fold_aliases_by_class(values, weights, blocks, axis):
@@ -111,7 +123,8 @@ def coefficient_x_folds(coefficients, plans):
 
 def drawn_coefficients(spec, seed):
     """The run's draw, whole: at one cell per cube, W(k) = 1 and nb = N, so the x-fold is it."""
-    return draw_modes(mode_std(spec), seed, scale_plans(spec, [spec.cell_size], "tophat"))[0]
+    plans = scale_plans(spec, [spec.cell_size], "tophat")
+    return hermitian(draw_modes(mode_std(spec), seed, plans)[0])
 
 
 def use_draw_blocks(monkeypatch, blocks, n):
@@ -309,7 +322,9 @@ class TestDrawModes:
         # blocks than slabs, gives the numbers of a single call
         use_draw_blocks(monkeypatch, blocks, spec.points_per_axis)
         for seed in (5, np.random.SeedSequence(9).spawn(2)[1]):
-            assert np.array_equal(drawn_coefficients(spec, seed), full_layout_draw(spec, seed))
+            assert np.array_equal(
+                drawn_coefficients(spec, seed), hermitian(full_layout_draw(spec, seed))
+            )
 
     def test_blocks_are_at_most_16_slabs_past_128(self, monkeypatch):
         # At a fixed 8 blocks the block and its weighted copy would grow as
@@ -506,7 +521,11 @@ class TestCoarseMeanSquares:
         # a BLAS product wakes its worker threads, which spin on the cores the
         # draw workers use, and ties the digits to the BLAS kernel; by Parseval
         # the mean square needs no transform back to real space
-        for fn in (draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases):
+        functions = (
+            draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases,
+            field._reflect,
+        )
+        for fn in functions:
             assert not re.search(r"@|\bdot\b|matmul|tensordot|fft", inspect.getsource(fn)), fn
 
     def test_fold_calls_do_not_grow_with_the_aliases(self):
@@ -730,11 +749,10 @@ class TestScalingPipeline:
         # At 128^3 a draw holds one workspace of x-slabs, each 0.008 grids: the
         # x-folds of box/16..box/2 (30 slabs), a block of 16 slabs and its
         # weighted copy, whose rows the block's normals are drawn into, for
-        # 0.49.  The draw's held-back and tied kz = 0 and N/2 planes add 0.11,
-        # and the coarse-grain's alias product for the y-fold at box/16 (16
-        # slabs) and the y-fold add 0.14, for about 0.63.  Holding the whole
-        # coefficient array, as folding it after the draw would, is 1.02 grids
-        # on its own.
+        # 0.49; the draw holds no other array.  The coarse-grain's alias product
+        # for the y-fold at box/16 (16 slabs) and the y-fold add 0.14, for
+        # about 0.63.  Holding the whole coefficient array, as folding
+        # it after the draw would, is 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         sigma, plans = mode_std(spec), scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost

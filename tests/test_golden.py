@@ -39,9 +39,10 @@ GOLDEN = {
     ),
     "field-default-scales": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"],
-        # drawn in the real-FFT half layout, one Gaussian per live mode pair,
-        # and coarse-grained by Parseval on the folded coefficients
-        "2889a1601db5220b60d57837cdb620d057baa1b2ded0e8a1eba62aabd8f777e8",
+        # drawn one-sidedly in the real-FFT half layout, one Gaussian per live
+        # mode, and coarse-grained by Parseval on the folded spectrum, whose
+        # Hermitian symmetry is completed after the folds
+        "994728a7def7ad98b04e3821ab79db09cae884522fceb1b3dfbfa09a290b57c8",
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -49,7 +50,7 @@ GOLDEN = {
         # tophat window, csv only, a box other than 1 and scales given out of order
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "529d815310f3f1c5db1d0a6d1c4b709310375b3e0cd830e7c29fbae2879488e7",
+        "5789a39af54982a37cf320225a7f2f0ae35d071243a081b69fe3e051572069b0",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
@@ -70,6 +71,12 @@ GOLDEN = {
         # the provenance cell holds a comma and is quoted, so the row keeps 3 cells
         "fd21587b6f07e0041574368db9e2052b9a7d75999d11d966e82c7b9719808d2f",
         {"ell": 0, "format": "csv", "jitter": None, "n": 2, "omega_max": 7.7634407062933e20,
+         "omega_min": 4.134137333510199e16},
+    ),
+    "lamb-welton-json": (
+        ["lamb", "--n", "2", "--format", "json"],
+        "a344d284ae5a3d878bcb00dabd8d1004b5ae72a95d703c6b9104a93cd7d071df",
+        {"ell": 0, "format": "json", "jitter": None, "n": 2, "omega_max": 7.7634407062933e20,
          "omega_min": 4.134137333510199e16},
     ),
     "lamb-explicit-jitter": (
