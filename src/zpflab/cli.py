@@ -12,13 +12,25 @@ large to allocate or a number outside the float range, 2 internal
 invariant or convergence failure.  Every failure is one line on standard
 error.  Stdout is written only on exit 0.
 
-Only ``oscillator`` and ``field scaling-run`` compute with arrays; they
-import numpy, and their modules, inside their handlers and run under
-numpy's raising float-error state.  ``constants``, ``casimir``, ``lamb``
-and ``coil`` are pure ``math``/``decimal`` and never load numpy, whose
-import would be most of their run time.  Their float errors need no such
-state: Python raises ``OverflowError`` or ``ZeroDivisionError``, and a
-result that overflowed to inf is refused when it is rendered.
+Each handler imports the module it runs, so a process loads no other
+subcommand's code: ``_cmd_oscillator`` imports ``oscillator``,
+``_cmd_field_scaling`` ``field``, ``_cmd_casimir`` ``casimir`` and
+``_cmd_coil`` ``coil``.  ``constants`` needs only ``units``.  ``lamb`` is
+the exception, imported with this module: it imports nothing that
+``units`` has not, and ``perfbench/tracer.py`` traces only the modules
+that importing this one loads.  Only ``oscillator`` and ``field`` compute
+with arrays; they load numpy and run under numpy's raising float-error
+state.  The other four are pure ``math``/``decimal`` and never load
+numpy, whose import would be most of their run time.  Their float errors
+need no such state: Python raises ``OverflowError`` or
+``ZeroDivisionError``, and a result that overflowed to inf is refused
+when it is rendered.
+
+No zpflab code calls BLAS, so ``main`` sets ``OPENBLAS_NUM_THREADS=1``
+unless the caller has set it, before any handler loads numpy: OpenBLAS
+then starts no worker threads, which would otherwise each spin for a
+tenth of a second at load and never be used.  ``dispatch`` leaves the
+environment alone, so library callers keep their own BLAS settings.
 """
 
 from __future__ import annotations
@@ -51,8 +63,6 @@ from .units import (
     constants_for,
     particle_mass,
 )
-from . import casimir as casimir_mod
-from . import coil as coil_mod
 from . import lamb as lamb_mod
 
 # bad inputs; a MemoryError is a request for more memory than can be addressed
@@ -230,7 +240,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sep", type=_finite, required=True)
     p.add_argument("--units", choices=SYSTEMS, default="gaussian")
     p.add_argument("--modesum", action="store_true")
-    p.add_argument("--epsilons", type=_finite_list, default=list(casimir_mod.DEFAULT_EPSILONS))
+    p.add_argument("--epsilons", type=_finite_list, default=None)  # None: the default ladder
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--manifest", metavar="PATH", default=None)
@@ -345,6 +355,10 @@ def _cmd_field_scaling(args, out) -> str:
 
 
 def _cmd_casimir(args, out) -> str:
+    from . import casimir as casimir_mod
+
+    if args.epsilons is None:  # resolved on every run, so the manifest lists the ladder
+        args.epsilons = list(casimir_mod.DEFAULT_EPSILONS)
     table = constants_for(args.units)
     payload = {
         "force_closed": casimir_mod.casimir_force_closed(args.area, args.sep, table).value,
@@ -412,6 +426,8 @@ def _cmd_lamb(args, out) -> str:
 
 
 def _cmd_coil(args, out) -> str:
+    from . import coil as coil_mod
+
     table = constants_for(args.units)
     spec = coil_mod.CoilSpec(turns=args.turns, area=args.area, resistance=args.resistance)
     scale = Quantity(args.scale, LENGTH, args.units)
@@ -508,6 +524,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler loads numpy
     sys.exit(dispatch(sys.argv[1:]))
 
 

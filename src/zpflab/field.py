@@ -12,11 +12,11 @@ pair, so their B are scaled by sqrt(1/2).  sigma_k = 0 at DC
 (|k| = 0) and beyond k_max, so only the live modes, 0 < |k| <= k_max
 (about 52 % of the half layout at k_max = Nyquist), get Gaussians; the
 rest stay zero.  A draw is valid by construction and is never
-re-checked; the one thing the inputs can break, the spectrum's float
-range, is checked once in ``LatticeSpec``.  The coefficients describe a
-real field, their inverse real transform, whose cube-averaged RMS falls
-as l^-2 with the averaging scale l, which is the scaling this module
-exists to measure.
+re-checked; the two things the inputs can break, the spectrum's float
+range and the memory that sigma needs, are checked once in
+``LatticeSpec``.  The coefficients describe a real field, their inverse
+real transform, whose cube-averaged RMS falls as l^-2 with the averaging
+scale l, which is the scaling this module exists to measure.
 The dimensioned form of that law, sqrt(hbar c) / l^2, is
 ``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
 lives there and only ``field scaling-run`` imports this module.
@@ -29,8 +29,10 @@ the window's transform; ``coarse_mean_squares`` folds y and z, and by
 Parseval the mean square of the cube averages is the energy of that
 folded spectrum.  The window transforms are computed once per run, and
 every contraction in a draw is a fixed-order sum: no FFT or BLAS call
-runs per draw, so no BLAS worker thread competes with the draw workers
-and the digits do not depend on either library's build.
+runs per draw, so the digits do not depend on either library's build.
+No BLAS worker thread competes with the draw workers, from process start
+on: the ``zpflab`` command caps OpenBLAS at one thread before numpy
+loads, so OpenBLAS starts no idle pool either.
 
 Coarse-graining windows
 -----------------------
@@ -51,6 +53,7 @@ whole-box average is the mean, which is pinned to zero).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -76,6 +79,13 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
+        sigma_bytes = 8 * n * n * (n // 2 + 1)  # the run's one spectrum, float64
+        memory = _physical_memory_bytes()
+        if sigma_bytes > memory:
+            raise ConfigurationError(
+                f"points_per_axis {n} needs {sigma_bytes:.3g} bytes for the spectrum alone, "
+                f"more than the {memory:.3g} bytes of physical memory"
+            )
         if self.k_max is None:
             object.__setattr__(self, "k_max", self.nyquist)
         if not self.k_max >= self.fundamental:
@@ -117,6 +127,14 @@ class LatticeSpec:
     @property
     def cell_size(self) -> float:
         return self.box_size / self.points_per_axis
+
+
+def _physical_memory_bytes() -> float:
+    """Physical memory of this machine, or inf where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return math.inf
 
 
 def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:

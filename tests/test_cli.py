@@ -344,6 +344,7 @@ OUT_OF_FLOAT_RANGE = [
     "coil --turns 1 --area 1e-300 --resistance 1e300 --scale 1e300",
     "coil --turns 1 --area 1e-300 --resistance 1e5 --scale 1e5",
     "lamb --jitter 1e308",
+    "lamb --n 2 --jitter 1e-320",
     "oscillator --m 2.3e-308 --omega 1 --units natural --samples 64",
 ]
 
@@ -356,8 +357,9 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# Each asks for more bytes than any address space holds (6.94 EiB and 711 PiB),
-# so numpy refuses at once and nothing is allocated.
+# Each asks for more bytes than any address space holds, so nothing is
+# allocated: LatticeSpec refuses the grid, whose spectrum alone is 3.47 EiB,
+# and numpy refuses the 711 PiB of samples at once.
 OVERSIZED = [
     "field scaling-run --grid 1000000 --draws 1 --scales 0.25,0.5",
     "oscillator --m 1 --omega 1 --samples 100000000000000000",
@@ -507,28 +509,41 @@ class TestManifest:
         assert manifest["peak_rss_kb"] > 1000
 
 
-# Runs argv lists in one fresh interpreter and reports, as one JSON line,
-# the non-stdlib top-level packages that importing zpflab.cli loaded and,
-# after each run, its exit code and whether numpy or platform is loaded.
+# Runs argv lists through dispatch in one fresh interpreter and reports, as one
+# JSON line: the non-stdlib top-level packages and the zpflab modules that
+# importing zpflab.cli and building its parser loaded; after each run, its exit
+# code, whether numpy or platform is loaded and the zpflab modules it added; and
+# the OPENBLAS_NUM_THREADS the process ends with.
 IMPORT_PROBE = """
-import io, json, sys
+import io, json, os, sys
 before = set(sys.modules)
 import zpflab, zpflab.cli
+zpflab.cli.build_parser()
 added = {m.split('.')[0] for m in set(sys.modules) - before}
-loaded = added - set(sys.stdlib_module_names) - {'zpflab'}
-runs = []
+own = lambda: {m for m in sys.modules if m.startswith('zpflab.')}
+report = {'loaded': sorted(added - set(sys.stdlib_module_names) - {'zpflab'}),
+          'modules': sorted(own()), 'runs': [], 'run_modules': []}
 for argv in json.loads(sys.argv[1]):
+    modules = own()
     code = zpflab.cli.dispatch(argv, io.StringIO(), io.StringIO())
-    runs.append([code, 'numpy' in sys.modules, 'platform' in sys.modules])
-print(json.dumps({'loaded': sorted(loaded), 'runs': runs}))
+    report['runs'].append([code, 'numpy' in sys.modules, 'platform' in sys.modules])
+    report['run_modules'].append(sorted(own() - modules))
+report['openblas'] = os.environ.get('OPENBLAS_NUM_THREADS')
+print(json.dumps(report))
 """
+# BLAS thread settings, dropped from a probe's environment unless a test sets one
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def probe_env(**preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **preset}
 
 
 def probe_fresh_interpreter(argvs):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True,
+        env=probe_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(result.stdout)
 
@@ -562,3 +577,83 @@ def test_array_subcommands_load_numpy(argv, tmp_path):
     report = probe_fresh_interpreter([argv + ["--manifest", str(path)]])
     assert report["runs"][0][:2] == [0, True]
     assert json.loads(path.read_text())["versions"]["numpy"] == np.__version__
+
+
+SUBCOMMAND_RUNS = {
+    "constants": ["constants"],
+    "casimir": ["casimir", "--area", "1", "--sep", "1"],
+    "lamb": ["lamb"],
+    "coil": ["coil", "--turns", "100", "--area", "10", "--resistance", "1e-12", "--scale", "1"],
+    "oscillator": ["oscillator", "--m", "1", "--omega", "1", "--samples", "8"],
+    "field": ["field", "scaling-run", "--grid", "8", "--draws", "2", "--scales", "0.25,0.5"],
+}
+
+
+def test_each_subcommand_module_loads_only_with_its_run():
+    report = probe_fresh_interpreter(list(SUBCOMMAND_RUNS.values()))
+    # lamb adds no import of its own and is loaded with the cli, so that
+    # perfbench/tracer.py, which wraps the modules loaded before a run, traces it
+    assert report["modules"] == ["zpflab.cli", "zpflab.errors", "zpflab.lamb", "zpflab.units"]
+    assert [code for code, _, _ in report["runs"]] == [0] * len(SUBCOMMAND_RUNS)
+    assert dict(zip(SUBCOMMAND_RUNS, report["run_modules"])) == {
+        "constants": [],
+        "casimir": ["zpflab.casimir"],
+        "lamb": [],
+        "coil": ["zpflab.coil"],
+        "oscillator": ["zpflab.oscillator"],
+        "field": ["zpflab.field"],
+    }
+    assert report["openblas"] is None  # dispatch leaves a library caller's environment alone
+
+
+# Runs zpflab.cli.main() on an argv in a fresh interpreter, waits up to 2 s for
+# the threads in /proc/self/task to fall to the expected count (a joined worker
+# leaves the list at once, an idle BLAS pool never does) and reports, as the
+# last stdout line, the exit code, that count and OPENBLAS_NUM_THREADS.
+THREAD_PROBE = """
+import json, os, sys, time
+import zpflab.cli
+argv, expected = json.loads(sys.argv[1]), int(sys.argv[2])
+sys.argv = ['zpflab', *argv]
+try:
+    zpflab.cli.main()
+except SystemExit as exc:
+    code = exc.code
+deadline = time.monotonic() + 2
+while len(os.listdir('/proc/self/task')) > expected and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(json.dumps({'code': code, 'threads': len(os.listdir('/proc/self/task')),
+                  'openblas': os.environ.get('OPENBLAS_NUM_THREADS')}))
+"""
+
+
+def probe_threads(argv, expected, **preset):
+    result = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, json.dumps(argv), str(expected)],
+        env=probe_env(**preset), capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# With one CPU a BLAS library starts no pool, so a thread count shows nothing.
+needs_linux_smp = pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or min(os.cpu_count() or 1, len(os.sched_getaffinity(0))) < 2,
+    reason="counts threads in /proc/self/task; needs Linux and two CPUs",
+)
+
+
+@needs_linux_smp
+@pytest.mark.parametrize("subcommand", ["oscillator", "field"])
+def test_a_cli_process_starts_no_blas_thread_pool(subcommand):
+    report = probe_threads(SUBCOMMAND_RUNS[subcommand], 1, ZPFLAB_THREADS="2")
+    assert report == {"code": 0, "threads": 1, "openblas": "1"}
+
+
+@needs_linux_smp
+def test_a_preset_openblas_thread_count_is_kept():
+    report = probe_threads(SUBCOMMAND_RUNS["oscillator"], 2, OPENBLAS_NUM_THREADS="2")
+    assert report["code"] == 0 and report["openblas"] == "2"
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "openblas" in blas.get("name", ""):  # the probe sees the pool that the cap prevents
+        assert report["threads"] == 2

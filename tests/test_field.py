@@ -204,6 +204,22 @@ class TestLatticeSpec:
         with pytest.raises(ConfigurationError, match="float range"):
             LatticeSpec(box_size=box, points_per_axis=16, spectrum_normalization=kappa)
 
+    def test_spectrum_larger_than_physical_memory_rejected(self):
+        if field._physical_memory_bytes() == math.inf:
+            pytest.skip("the system does not report its physical memory")
+        # sigma alone would be 4e15 bytes; the spec is refused before any array exists
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            LatticeSpec(box_size=1.0, points_per_axis=100_000)
+
+    def test_memory_bound_is_the_bytes_of_sigma(self, monkeypatch):
+        n = 64
+        sigma_bytes = mode_std(LatticeSpec(box_size=1.0, points_per_axis=n)).nbytes
+        monkeypatch.setattr(field, "_physical_memory_bytes", lambda: sigma_bytes)
+        LatticeSpec(box_size=1.0, points_per_axis=n)
+        monkeypatch.setattr(field, "_physical_memory_bytes", lambda: sigma_bytes - 1)
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            LatticeSpec(box_size=1.0, points_per_axis=n)
+
     def test_kmax_at_fundamental_keeps_the_fundamental_modes(self):
         spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=2 * math.pi)
         assert np.count_nonzero(mode_std(spec)) == 5  # +-kx, +-ky and +kz in the half layout

@@ -99,6 +99,13 @@ class TestHydrogenShift:
         shift = hydrogen_s_shift(HydrogenState(n=2), JitterVariance(0.0), GAUSSIAN)
         assert shift.value == 0.0
 
+    @pytest.mark.parametrize("state, j", [(HydrogenState(n=2), 1e-320), (HydrogenState(n=1), 5e-324)])
+    def test_positive_jitter_whose_shift_underflows_is_refused(self, state, j):
+        # 0.5 * j * 4 pi * e^2 falls below the smallest subnormal before |psi(0)|^2
+        # scales it back up, so the product is 0.0 although every factor is positive
+        with pytest.raises(DomainError, match="underflowed to 0"):
+            hydrogen_s_shift(state, JitterVariance(j), GAUSSIAN)
+
     def test_matches_oracle_arithmetic(self):
         # oracle: Delta_E = (1/2) j 4 pi e^2 / (pi n^3 a0^3) = 2 e^2 j / (n^3 a0^3)
         j = 3.7e-23
