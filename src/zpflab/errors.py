@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all zpflab modules."""
+"""Exception hierarchy shared by all zpflab modules, and the memory they check sizes against."""
+
+import os
 
 
 class ZpfLabError(Exception):
@@ -23,3 +25,11 @@ class InvariantError(ZpfLabError, RuntimeError):
 
 class ConvergenceError(ZpfLabError, RuntimeError):
     """A numerical extrapolation or iteration failed to converge."""
+
+
+def physical_memory_bytes() -> float:
+    """Physical memory of this machine, or inf where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return float("inf")

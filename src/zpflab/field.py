@@ -23,7 +23,7 @@ lives there and only ``field scaling-run`` imports this module.
 
 A cube average is a linear functional of the coefficients, so a scaling
 run never builds the real N^3 grid, nor even the whole half layout of
-coefficients: ``draw_modes`` folds each block of x-slabs, as it is drawn,
+coefficients: ``draw_modes`` folds each block of 8 x-slabs, as it is drawn,
 into the aliases that a block grid cannot tell apart along x, weighted by
 the window's transform; ``coarse_mean_squares`` folds y and z, and by
 Parseval the mean square of the cube averages is the energy of that
@@ -53,15 +53,17 @@ whole-box average is the mean, which is pinned to zero).
 from __future__ import annotations
 
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+# numpy loads numpy.random on first use; were that in a draw worker, its set-up
+# would leave about 0.6 MB more resident in that thread's malloc arena.
+from numpy.random import SeedSequence, default_rng
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, physical_memory_bytes
 
 WINDOWS = ("tophat", "hann")
 
@@ -80,7 +82,7 @@ class LatticeSpec:
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
         sigma_bytes = 8 * n * n * (n // 2 + 1)  # the run's one spectrum, float64
-        memory = _physical_memory_bytes()
+        memory = physical_memory_bytes()
         if sigma_bytes > memory:
             raise ConfigurationError(
                 f"points_per_axis {n} needs {sigma_bytes:.3g} bytes for the spectrum alone, "
@@ -129,14 +131,6 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
-def _physical_memory_bytes() -> float:
-    """Physical memory of this machine, or inf where the system does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
-        return math.inf
-
-
 def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
     """|k| on the half lattice, shape (N, N, N/2 + 1)."""
     n = spec.points_per_axis
@@ -162,24 +156,13 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
 
 def _reflect(folded: np.ndarray) -> np.ndarray:
     """conj(folded) at -q for every FFT-ordered q of an (nb, nb, nb) fold."""
-    neg = -np.arange(len(folded))  # -q, wrapped into FFT order
-    for axis in range(3):
-        folded = np.take(folded, neg, axis=axis, mode="wrap")  # a new array each time
-    return np.conjugate(folded, out=folded)
+    return np.conjugate(np.roll(np.flip(folded), 1, axis=(0, 1, 2)))  # index nb - q, mod nb
 
 
-# The live normals are drawn a block of x-slabs at a time, so the workspace
-# they pass through is a fraction of the half layout: 1/_DRAW_BLOCKS of it up
-# to 128^3, and beyond that blocks of at most _BLOCK_SLABS slabs, so that the
-# block and its weighted copy grow as N^2, not N^3.
-_DRAW_BLOCKS = 8
-_BLOCK_SLABS = 16
-
-
-def _block_edges(n: int) -> list[int]:
-    """The x-slab edges of the draw's blocks; the stream does not depend on them."""
-    blocks = max(_DRAW_BLOCKS, -(-n // _BLOCK_SLABS))
-    return [n * b // blocks for b in range(blocks + 1)]
+# The live normals are drawn a block of _BLOCK_SLABS x-slabs at a time, the
+# last block taking what is left, so the block and its weighted copy grow as
+# N^2, not N^3: an eighth of the half layout at 64^3, a sixteenth at 128^3.
+_BLOCK_SLABS = 8
 
 
 def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
@@ -193,9 +176,9 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     folds, then have E|c_k|^2 = sigma_k^2, real with full variance on the
     self-conjugate modes.  Only the live modes (sigma_k > 0) are drawn, in
     C order of the half layout; the x-slab blocks they are drawn in split
-    one stream, so the numbers do not depend on the block count.
+    one stream, so the numbers do not depend on the block size.
     Deterministic in (sigma, seed); seed may be an int or a numpy
-    SeedSequence spawned from a master seed.
+    SeedSequence derived from a master seed.
 
     The amplitudes are never held whole: each block, scaled, goes into one
     (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into class x mod
@@ -204,19 +187,18 @@ def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
     are free until the folds, so a block allocates no array.
     """
     n = len(sigma)
-    rng = np.random.default_rng(seed)
-    edges = _block_edges(n)
-    rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    rng = default_rng(seed)
     # One workspace per draw: the block, its weighted copy, then the folds.
     # glibc returns the top of its heap once more than twice its largest
     # recent allocation is free there; allocated apart, these arrays pass
     # that at the end of every draw and are faulted back in on the next.
-    sizes = [rows, rows] + [p.blocks for p in plans]
+    sizes = [min(_BLOCK_SLABS, n)] * 2 + [p.blocks for p in plans]
     work = np.empty((sum(sizes), *sigma.shape[1:]), dtype=np.complex128)
     block, weighted, *folded = (work[e - s : e] for s, e in zip(sizes, accumulate(sizes)))
     live = np.empty(block.shape, dtype=bool)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2, the self-conjugate planes
-    for lo, hi in zip(edges, edges[1:]):
+    for lo in range(0, n, _BLOCK_SLABS):
+        hi = min(lo + _BLOCK_SLABS, n)
         coeff, mask = block[: hi - lo], live[: hi - lo]
         np.greater(sigma[lo:hi], 0.0, out=mask)
         normals = weighted.reshape(-1)[: np.count_nonzero(mask)]
@@ -407,8 +389,9 @@ def scaling_run(
 
     ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
     recommended above; given scales are reported in increasing order.
-    Per-draw seeds are spawned from the master seed with a splittable
-    SeedSequence, so the result is bit-identical for any thread count.
+    Draw i is seeded by ``SeedSequence(seed, spawn_key=(i,))``, the i-th
+    child that ``SeedSequence(seed).spawn`` would give, derived in its
+    worker, so the result is bit-identical for any thread count.
     sigma and the per-scale plans are computed once, before the pool
     starts, and every draw reads that one sigma; the draws run in a pool of
     ``min(threads, draws)`` worker threads under the caller's numpy error
@@ -430,15 +413,15 @@ def scaling_run(
         if 2 * plan.cells > spec.points_per_axis:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
     sigma = mode_std(spec)
-    children = np.random.SeedSequence(seed).spawn(draws)
     errors = np.geterr()
 
-    def one(child):
+    def one(i):
+        child = SeedSequence(seed, spawn_key=(i,))
         with np.errstate(**errors):  # numpy keeps its error state per thread
             return coarse_mean_squares(draw_modes(sigma, child, plans), plans)
 
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
-        rows = list(pool.map(one, children))
+        rows = list(pool.map(one, range(draws)))
     per_scale_ms = np.array(rows).T  # one row of per-draw mean squares per scale
     report = CoarseGrainReport(
         scales=tuple(ordered),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, physical_memory_bytes
 
 QUADRATURE_NODES = 2**14 + 1  # trapezoid node count
 QUADRATURE_HALF_WIDTH = 12.0  # support half-width in units of the Gaussian sigma
@@ -59,6 +59,12 @@ def sample_positions(p: OscillatorParams, seed: int, n: int) -> np.ndarray:
     """n deterministic draws from |psi|^2 (zero-mean Gaussian)."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
+    memory = physical_memory_bytes()
+    if 16 * n > memory:  # the draws, and the copy of them that a variance makes
+        raise DomainError(
+            f"{n} samples and their variance need {16 * n:.3g} bytes, "
+            f"more than the {memory:.3g} bytes of physical memory"
+        )
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, math.sqrt(position_variance(p)), size=int(n))
 

@@ -214,6 +214,18 @@ class TestOscillatorCommand:
         assert err == "error: a number left the float range: overflow encountered in square\n"
         assert caught == []
 
+    def test_samples_beyond_physical_memory_exit_one_with_one_line(self, monkeypatch):
+        # 8 samples and the variance's copy of them are 128 bytes
+        argv = ["oscillator", "--m", "1", "--omega", "1", "--samples", "8"]
+        monkeypatch.setattr(oscillator, "physical_memory_bytes", lambda: 128)
+        assert run(argv)[0] == 0
+        monkeypatch.setattr(oscillator, "physical_memory_bytes", lambda: 127)
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "physical memory" in err
+
     @pytest.mark.parametrize("samples", ["-1", "0", "1"])
     def test_fewer_than_two_samples_exit_one_with_one_line(self, samples):
         code, out, err = run(["oscillator", "--m", "1", "--omega", "1", "--samples", samples])
@@ -359,7 +371,7 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
 
 # Each asks for more bytes than any address space holds, so nothing is
 # allocated: LatticeSpec refuses the grid, whose spectrum alone is 3.47 EiB,
-# and numpy refuses the 711 PiB of samples at once.
+# and sample_positions the 1.39 EiB of samples and their variance's copy.
 OVERSIZED = [
     "field scaling-run --grid 1000000 --draws 1 --scales 0.25,0.5",
     "oscillator --m 1 --omega 1 --samples 100000000000000000",
