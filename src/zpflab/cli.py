@@ -7,6 +7,10 @@ versions) goes to standard error or to ``--manifest PATH``.  Reissuing
 the argv reconstructed from a manifest reproduces the stdout bytes
 exactly, for any value of ZPFLAB_THREADS.
 
+Each ``_cmd_*`` handler returns ``(units, payload, rows)``: the unit
+system, the ``--format json`` payload and the CSV table, header row
+first.  ``dispatch`` renders and records them; only it reads the format.
+
 Exit codes: 0 success, 1 usage or domain/validation error, a request too
 large to allocate or a number outside the float range, 2 internal
 invariant or convergence failure.  Every failure is one line on standard
@@ -170,11 +174,11 @@ def _raising_float_errors(handler):
     ``dispatch`` reports as a number that left the float range.
     """
 
-    def run(args, out):
+    def run(args):
         import numpy as np
 
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(args, out)
+            return handler(args)
 
     return run
 
@@ -192,6 +196,13 @@ class _UsageError(Exception):
         self.parser = parser
 
 
+def _outputs(p, handler, default_format, help=None) -> None:
+    """Add the flags every subcommand ends with, --format and --manifest, and set its handler."""
+    p.add_argument("--format", choices=["csv", "json"], default=default_format, help=help)
+    p.add_argument("--manifest", metavar="PATH", default=None)
+    p.set_defaults(run=handler)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="zpflab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -199,9 +210,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="Print the pinned constants table.")
     p.add_argument("--system", choices=SYSTEMS, default="gaussian")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_constants)
+    _outputs(p, _cmd_constants, "csv")
 
     p = sub.add_parser("oscillator", help="Ground-state width, variance and sample moments.")
     p.add_argument("--m", type=_finite, required=True, help="Oscillator mass.")
@@ -209,9 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None, help="Optional Monte Carlo draw count.")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--units", choices=SYSTEMS, default="gaussian")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_raising_float_errors(_cmd_oscillator))
+    _outputs(p, _raising_float_errors(_cmd_oscillator), "csv")
 
     p = sub.add_parser("field", help="Spectral field simulation.")
     fs = p.add_subparsers(dest="field_command", required=True, parser_class=_Parser)
@@ -230,10 +237,8 @@ def build_parser() -> _Parser:
     # no choices here: scaling_run checks it against field.WINDOWS before any draw
     p.add_argument("--window", default="hann",
                    help="Coarse-graining window: hann (default) or tophat.")
-    p.add_argument("--format", choices=["csv", "json"], default=None,
-                   help="csv: table only; json: summary only; default: both.")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_raising_float_errors(_cmd_field_scaling))
+    _outputs(p, _raising_float_errors(_cmd_field_scaling), None,
+             "csv: table only; json: summary only; default: both.")
 
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
     p.add_argument("--area", type=_finite, required=True)
@@ -242,9 +247,7 @@ def build_parser() -> _Parser:
     p.add_argument("--modesum", action="store_true")
     p.add_argument("--epsilons", type=_finite_list, default=None)  # None: the default ladder
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_casimir)
+    _outputs(p, _cmd_casimir, "json")
 
     p = sub.add_parser("lamb", help="Hydrogen level shift from positional jitter.")
     p.add_argument("--n", type=int, default=2)
@@ -252,9 +255,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jitter", type=_finite, default=None, help="Jitter variance in cm^2.")
     p.add_argument("--omega-min", type=_finite, default=None)
     p.add_argument("--omega-max", type=_finite, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_lamb)
+    _outputs(p, _cmd_lamb, "csv")
 
     p = sub.add_parser("coil", help="Tap-current estimates for a coil in the field.")
     p.add_argument("--turns", type=int, required=True)
@@ -263,9 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=_finite, required=True, help="Fluctuation extent l.")
     p.add_argument("--particle", choices=["electron", "proton"], default="electron")
     p.add_argument("--units", choices=["gaussian", "natural"], default="gaussian")
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--manifest", metavar="PATH", default=None)
-    p.set_defaults(run=_cmd_coil)
+    _outputs(p, _cmd_coil, "json")
 
     return parser
 
@@ -277,25 +276,19 @@ def _json_dump(payload) -> str:
         raise ArithmeticError(str(exc)) from exc
 
 
-def _render_keyed(payload: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        _emit(_json_dump(payload), out)
-    else:
-        rows = [("name", "value")] + [(k, v) for k, v in payload.items()]
-        _emit(_csv(rows), out)
+def _keyed(payload: dict) -> list:
+    """CSV rows of a payload: a name,value header, then one row per key but the nested dicts."""
+    return [("name", "value")] + [(k, v) for k, v in payload.items() if not isinstance(v, dict)]
 
 
-def _cmd_constants(args, out) -> str:
+def _cmd_constants(args):
     table = constants_for(args.system)
     rows = list(table.rows())
-    if args.format == "json":
-        _emit(_json_dump([{"name": n, "value": v, "unit": u} for n, v, u in rows]), out)
-    else:
-        _emit(_csv([("name", "value", "unit")] + rows), out)
-    return table.system
+    payload = [{"name": n, "value": v, "unit": u} for n, v, u in rows]
+    return table.system, payload, [("name", "value", "unit")] + rows
 
 
-def _cmd_oscillator(args, out) -> str:
+def _cmd_oscillator(args):
     from . import oscillator as osc_mod
 
     table = constants_for(args.units)
@@ -311,11 +304,10 @@ def _cmd_oscillator(args, out) -> str:
         payload["sample_count"] = int(args.samples)
         payload["sample_mean"] = float(draws.mean())
         payload["sample_variance"] = float(draws.var(ddof=1))
-    _render_keyed(payload, args.format, out)
-    return table.system
+    return table.system, payload, _keyed(payload)
 
 
-def _cmd_field_scaling(args, out) -> str:
+def _cmd_field_scaling(args):
     from . import field as field_mod
 
     spec = field_mod.LatticeSpec(
@@ -331,7 +323,7 @@ def _cmd_field_scaling(args, out) -> str:
     )
     args.k_max = spec.k_max
     args.scales = list(report.scales)
-    csv_rows = [("scale", "rms", "stderr")] + [
+    rows = [("scale", "rms", "stderr")] + [
         (report.scales[i], report.rms[i], report.stderr(i)) for i in range(len(report.scales))
     ]
     summary = {
@@ -347,14 +339,10 @@ def _cmd_field_scaling(args, out) -> str:
         "window": args.window,
         "fit_skipped_reason": None if fit else "fewer than 3 scales",
     }
-    if args.format != "json":
-        _emit(_csv(csv_rows), out)
-    if args.format != "csv":
-        _emit(_json_dump(summary), out)
-    return "natural"
+    return "natural", summary, rows
 
 
-def _cmd_casimir(args, out) -> str:
+def _cmd_casimir(args):
     from . import casimir as casimir_mod
 
     if args.epsilons is None:  # resolved on every run, so the manifest lists the ladder
@@ -387,15 +375,10 @@ def _cmd_casimir(args, out) -> str:
                 },
             }
         )
-    if args.format == "csv":
-        flat = {k: v for k, v in payload.items() if not isinstance(v, dict)}
-        _render_keyed(flat, "csv", out)
-    else:
-        _emit(_json_dump(payload), out)
-    return table.system
+    return table.system, payload, _keyed(payload)
 
 
-def _cmd_lamb(args, out) -> str:
+def _cmd_lamb(args):
     table = constants_for("gaussian")
     if args.jitter is not None:
         if args.omega_min is not None or args.omega_max is not None:
@@ -418,14 +401,11 @@ def _cmd_lamb(args, out) -> str:
         ("jitter_cm2", "jitter", jitter.value, "cm^2"),
         ("jitter_provenance", "jitter_provenance", jitter.provenance(), ""),
     ]
-    if args.format == "json":
-        _emit(_json_dump({key: value for key, _, value, _ in quantities}), out)
-    else:
-        _emit(_csv([("quantity", "value", "unit")] + [row[1:] for row in quantities]), out)
-    return table.system
+    payload = {key: value for key, _, value, _ in quantities}
+    return table.system, payload, [("quantity", "value", "unit")] + [row[1:] for row in quantities]
 
 
-def _cmd_coil(args, out) -> str:
+def _cmd_coil(args):
     from . import coil as coil_mod
 
     table = constants_for(args.units)
@@ -447,24 +427,19 @@ def _cmd_coil(args, out) -> str:
             "units": args.units,
         },
     }
-    if args.format == "csv":
-        flat = {k: v for k, v in payload.items() if not isinstance(v, dict)}
-        flat.update({f"input_{k}": v for k, v in payload["inputs"].items()})
-        _render_keyed(flat, "csv", out)
-    else:
-        _emit(_json_dump(payload), out)
-    return table.system
+    rows = _keyed(payload) + [(f"input_{k}", v) for k, v in payload["inputs"].items()]
+    return table.system, payload, rows
 
 
 def dispatch(argv, stdout=None, stderr=None) -> int:
-    """Parse argv, run the subcommand, emit results and the run manifest.
+    """Parse argv, run the subcommand, render its result and record the run manifest.
 
-    Each handler resolves its defaults into ``args``, prints its result and
-    returns the unit system of the printed numbers.  The manifest parameters
-    are the parsed arguments after that, so every flag is replayed.
+    Each handler resolves its defaults into ``args``; the manifest parameters
+    are the parsed arguments after that, so every flag is replayed.  The CSV
+    table is printed unless ``--format json``, then the JSON unless ``csv``.
     ``--manifest PATH`` is opened before the run: an unwritable path exits 1
     with nothing on stdout, and a run that then fails leaves the file empty.
-    The result is buffered and reaches stdout only if the whole run succeeds.
+    The result reaches stdout only if the run and its rendering both succeed.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -488,9 +463,13 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         return 1
     with manifest_out as sink:
         start = time.perf_counter()
-        result = io.StringIO()
         try:
-            units = args.run(args, result)
+            units, payload, rows = args.run(args)
+            text = ""
+            if args.format != "json":
+                text += _csv(rows)
+            if args.format != "csv":
+                text += _json_dump(payload) + "\n"
         except _VALIDATION_ERRORS as exc:
             _emit(f"error: {exc}", err)
             return 1
@@ -501,7 +480,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             _emit(f"internal error: {exc}", err)
             return 2
         duration = time.perf_counter() - start
-        out.write(result.getvalue())
+        out.write(text)
 
         subcommand = args.subcommand
         if subcommand == "field":

@@ -66,6 +66,7 @@ from numpy.random import SeedSequence, default_rng
 from .errors import ConfigurationError, DomainError, physical_memory_bytes
 
 WINDOWS = ("tophat", "hann")
+_DRAWS_IN_FLIGHT = 1024  # draws submitted to the pool at once
 
 
 @dataclass(frozen=True)
@@ -396,8 +397,11 @@ def scaling_run(
     starts, and every draw reads that one sigma; the draws run in a pool of
     ``min(threads, draws)`` worker threads under the caller's numpy error
     state.  Each worker streams its draw into the per-scale x-folds and
-    reduces those to mean squares, so memory grows with the workers, not
-    the draws, and no worker holds a whole coefficient array.
+    reduces those to mean squares, so no worker holds a whole coefficient
+    array.  The pool is given ``_DRAWS_IN_FLIGHT`` draws at a time, and each
+    draw's mean squares go into one preallocated (draws, scales) table, so
+    beyond that table memory grows with the workers, not the draws; a table
+    larger than physical memory is refused before any draw.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -408,6 +412,13 @@ def scaling_run(
         raise DomainError("need at least one scale")
     if any(b <= a for a, b in zip(ordered, ordered[1:])):
         raise DomainError(f"scales must be distinct, got {scales}")
+    table_bytes = 8 * draws * len(ordered)  # Python ints, so no size overflows
+    memory = physical_memory_bytes()
+    if table_bytes > memory:
+        raise DomainError(
+            f"{draws} draws at {len(ordered)} scales need {table_bytes} bytes for their "
+            f"mean squares, more than the {memory:.3g} bytes of physical memory"
+        )
     plans = scale_plans(spec, ordered, window)
     for s, plan in zip(ordered, plans):
         if 2 * plan.cells > spec.points_per_axis:
@@ -420,9 +431,12 @@ def scaling_run(
         with np.errstate(**errors):  # numpy keeps its error state per thread
             return coarse_mean_squares(draw_modes(sigma, child, plans), plans)
 
+    table = np.empty((draws, len(ordered)))
     with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
-        rows = list(pool.map(one, range(draws)))
-    per_scale_ms = np.array(rows).T  # one row of per-draw mean squares per scale
+        for start in range(0, draws, _DRAWS_IN_FLIGHT):
+            stop = min(start + _DRAWS_IN_FLIGHT, draws)
+            table[start:stop] = list(pool.map(one, range(start, stop)))
+    per_scale_ms = table.T  # one row of per-draw mean squares per scale
     report = CoarseGrainReport(
         scales=tuple(ordered),
         rms=tuple(float(np.sqrt(np.mean(ms))) for ms in per_scale_ms),

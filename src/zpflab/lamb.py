@@ -35,6 +35,8 @@ class JitterVariance:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0):
             raise DomainError(f"jitter variance must be finite and >= 0, got {self.value}")
+        if self.value == 0:  # -0.0 passes the check above; store the zero as +0.0
+            object.__setattr__(self, "value", 0.0)
 
     def provenance(self) -> str:
         if self.omega_min is None:

@@ -115,6 +115,19 @@ class TestLambCommand:
         assert code == 0
         assert json.loads(out)["delta_e_erg"] == 0.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_jitter_prints_a_positive_zero(self, fmt):
+        code, out, err = run(["lamb", "--jitter", "-0", "--format", fmt])
+        assert code == 0
+        assert "-0" not in out
+        if fmt == "json":
+            assert math.copysign(1.0, json.loads(out)["jitter_cm2"]) == 1.0
+        else:
+            assert "jitter,0,cm^2" in out.splitlines()
+        code2, out2, _ = run(argv_from_manifest(manifest_of(err)))
+        assert code2 == 0
+        assert out2 == out
+
 
 class TestCoilCommand:
     def test_ratio_reported(self):
@@ -398,7 +411,7 @@ class TestDispatchPlumbing:
         assert err.startswith("error: zpflab: ") and err.count("\n") == 1
 
     def test_internal_invariant_maps_to_exit_two(self, monkeypatch):
-        def boom(args, out):
+        def boom(args):
             raise InvariantError("synthetic failure")
 
         monkeypatch.setattr(cli, "_cmd_casimir", boom)
@@ -407,14 +420,15 @@ class TestDispatchPlumbing:
         assert "synthetic failure" in err
 
     def test_output_of_a_failing_run_stays_off_stdout(self, monkeypatch):
-        def half_printed(args, out):
-            out.write("name,value\n")
-            raise InvariantError("synthetic failure")
+        # the default format renders the finite CSV table, then fails on the JSON
+        def half_renderable(args):
+            return "natural", {"exponent": math.nan}, [("scale", "rms"), (0.5, 1.0)]
 
-        monkeypatch.setattr(cli, "_cmd_casimir", half_printed)
-        code, out, _ = run(["casimir", "--area", "1", "--sep", "1"])
-        assert code == 2
+        monkeypatch.setattr(cli, "_cmd_field_scaling", half_renderable)
+        code, out, err = run(["field", "scaling-run"])
+        assert code == 1
         assert out == ""
+        assert err.startswith("error: a number left the float range") and err.count("\n") == 1
 
     def test_non_finite_results_are_not_rendered(self):
         with pytest.raises(ArithmeticError):

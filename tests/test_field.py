@@ -787,6 +787,50 @@ class TestScalingPipeline:
         scaling_run(SMALL, [1 / 4, 1 / 2], draws=3, seed=1, threads=64)
         assert started == [3]
 
+    @pytest.mark.parametrize("in_flight", [1, 3, 1024])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_window_leaves_the_bits_alone(self, in_flight, threads, monkeypatch):
+        spec, scales = LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 8, 1 / 4, 1 / 2]
+        report, fit = scaling_run(spec, scales, draws=7, seed=77, threads=1)
+        monkeypatch.setattr(field, "_DRAWS_IN_FLIGHT", in_flight)
+        windowed, windowed_fit = scaling_run(spec, scales, draws=7, seed=77, threads=threads)
+        assert windowed.rms == report.rms
+        assert windowed.estimate_variance == report.estimate_variance
+        assert windowed_fit.exponent == fit.exponent
+
+    def test_memory_bound_is_the_bytes_of_the_table(self, monkeypatch):
+        draws, scales = 5, [1 / 4, 1 / 2]
+        table_bytes = 8 * draws * len(scales)
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: table_bytes)
+        scaling_run(SMALL, scales, draws=draws, seed=0)
+
+        def no_arrays(*args):
+            raise AssertionError("built an array before checking the table")
+
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: table_bytes - 1)
+        monkeypatch.setattr(field, "mode_std", no_arrays)
+        monkeypatch.setattr(field, "scale_plans", no_arrays)
+        with pytest.raises(DomainError, match="physical memory"):
+            scaling_run(SMALL, scales, draws=draws, seed=0)
+
+    def test_draws_in_flight_are_bounded(self, monkeypatch):
+        # Draws stubbed to their result, so only the scheduling allocates: with
+        # every draw submitted at once, a future, its work item and its result
+        # took about 1.7 KB per draw; a window of 64 leaves the table's 16 bytes
+        # per draw and a constant.
+        monkeypatch.setattr(field, "_DRAWS_IN_FLIGHT", 64)
+        monkeypatch.setattr(field, "draw_modes", lambda sigma, seed, plans: None)
+        monkeypatch.setattr(field, "coarse_mean_squares", lambda folded, plans: [1.0, 1.0])
+        draws = 4000
+        scaling_run(SMALL, [1 / 4, 1 / 2], draws=2, seed=0, threads=2)
+        tracemalloc.start()
+        try:
+            scaling_run(SMALL, [1 / 4, 1 / 2], draws=draws, seed=3, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 170 * draws
+
     def test_memory_does_not_grow_with_draws(self):
         # One-time costs (lazy imports) are paid first; what the run allocates
         # after that, its spectrum included, must not scale with draws.

@@ -37,6 +37,13 @@ GOLDEN = {
         {"format": "csv", "m": 1.5, "omega": 0.5, "samples": 64, "seed": 9,
          "units": "gaussian"},
     ),
+    "oscillator-json": (
+        ["oscillator", "--m", "1.5", "--omega", "0.5", "--samples", "64", "--seed", "9",
+         "--format", "json"],
+        "cdd1f7efbb5b8264182a8102af0d13828601d3aff8f1e62eaf591c56ac8d95fd",
+        {"format": "json", "m": 1.5, "omega": 0.5, "samples": 64, "seed": 9,
+         "units": "gaussian"},
+    ),
     "field-default-scales": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"],
         # drawn one-sidedly in the real-FFT half layout, one Gaussian per live
@@ -44,6 +51,13 @@ GOLDEN = {
         # Hermitian symmetry is completed after the folds
         "994728a7def7ad98b04e3821ab79db09cae884522fceb1b3dfbfa09a290b57c8",
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
+         "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
+    ),
+    "field-json": (
+        ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13",
+         "--format", "json"],
+        "4ff7d8c6e3adaec2fe0f7f73d150e4705e2f23296ac2ed0e7895130971e4a0e8",
+        {"box": 1.0, "draws": 2, "format": "json", "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
     "field-tophat-box2-csv": (
@@ -60,10 +74,24 @@ GOLDEN = {
         {"area": 2.0, "epsilons": [0.4, 0.2, 0.1, 0.05], "format": "csv", "modesum": False,
          "order": 3, "sep": 0.5, "units": "gaussian"},
     ),
+    "casimir-closed-json": (
+        ["casimir", "--area", "2", "--sep", "0.5"],
+        "853890f0c31437a93dd45297c49c05f0dad105dd3d980f9a7f1e761093db878d",
+        {"area": 2.0, "epsilons": [0.4, 0.2, 0.1, 0.05], "format": "json", "modesum": False,
+         "order": 3, "sep": 0.5, "units": "gaussian"},
+    ),
     "casimir-modesum-default-ladder": (
         ["casimir", "--area", "1", "--sep", "1", "--units", "natural", "--modesum"],
         "94a1266b0f02425380ff4eda937a62642921c494489fbad43a02558db4433b35",
         {"area": 1.0, "epsilons": [0.4, 0.2, 0.1, 0.05], "format": "json", "modesum": True,
+         "order": 3, "sep": 1.0, "units": "natural"},
+    ),
+    "casimir-modesum-csv": (
+        # the nested diagnostics have no CSV row
+        ["casimir", "--area", "1", "--sep", "1", "--units", "natural", "--modesum",
+         "--format", "csv"],
+        "764dfe41f92781a0241f80544f96cbdf52f3f2da809069ae6067caf8293e3db9",
+        {"area": 1.0, "epsilons": [0.4, 0.2, 0.1, 0.05], "format": "csv", "modesum": True,
          "order": 3, "sep": 1.0, "units": "natural"},
     ),
     "lamb-welton": (

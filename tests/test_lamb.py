@@ -179,6 +179,9 @@ class TestWeltonJitter:
         with pytest.raises(DomainError):
             JitterVariance(value=-1e-20)
 
+    def test_negative_zero_jitter_is_stored_as_positive_zero(self):
+        assert math.copysign(1.0, JitterVariance(value=-0.0).value) == 1.0
+
 
 class TestHeadlineNumber:
     def test_2s_shift_with_default_cutoffs_lands_near_1000_mhz(self):
