@@ -2,10 +2,10 @@
 
 Results go to standard output; a JSON run manifest (full post-default
 parameter set, seed, unit system, constants snapshot, wall-clock
-duration, worker threads, peak resident memory, Python and numpy
-versions) goes to standard error or to ``--manifest PATH``.  Reissuing
-the argv reconstructed from a manifest reproduces the stdout bytes
-exactly, for any value of ZPFLAB_THREADS.
+duration, peak resident memory, Python and numpy versions, and for a
+field run its distance from the exact ensemble) goes to standard error
+or to ``--manifest PATH``.  Reissuing the argv reconstructed from a
+manifest reproduces the stdout bytes exactly.
 
 Each ``_cmd_*`` handler returns ``(units, payload, rows)``: the unit
 system, the ``--format json`` payload and the CSV table, header row
@@ -22,10 +22,10 @@ subcommand's code: ``_cmd_oscillator`` imports ``oscillator``,
 ``_cmd_coil`` ``coil``.  ``constants`` needs only ``units``.  ``lamb`` is
 the exception, imported with this module: it imports nothing that
 ``units`` has not, and ``perfbench/tracer.py`` traces only the modules
-that importing this one loads.  Only ``oscillator`` and ``field`` compute
-with arrays; they load numpy and run under numpy's raising float-error
-state.  The other four are pure ``math``/``decimal`` and never load
-numpy, whose import would be most of their run time.  Their float errors
+that importing this one loads.  Only the field run and the oscillator's
+``--samples`` compute with arrays; they load numpy and run under numpy's
+raising float-error state.  The rest is pure ``math``/``decimal`` and never
+loads numpy, whose import would be most of its run time.  Its float errors
 need no such state: Python raises ``OverflowError`` or
 ``ZeroDivisionError``, and a result that overflowed to inf is refused
 when it is rendered.
@@ -73,7 +73,7 @@ from . import lamb as lamb_mod
 _VALIDATION_ERRORS = (DomainError, ConfigurationError, MemoryError)
 _INTERNAL_ERRORS = (InvariantError, ConvergenceError)
 # parsed or set by a handler, not replayed
-_NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run", "threads"}
+_NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run", "convergence"}
 
 
 def _fmt(value) -> str:
@@ -83,21 +83,6 @@ def _fmt(value) -> str:
             raise ArithmeticError(f"result {value!r} is not finite")
         return format(value, ".17g")
     return str(value)
-
-
-def _threads() -> int:
-    raw = os.environ.get("ZPFLAB_THREADS")
-    if raw is None:  # the CPUs this process may run on
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"ZPFLAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigurationError(f"ZPFLAB_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _versions() -> dict:
@@ -167,20 +152,15 @@ def _seed(raw: str) -> int:
     return int(raw)
 
 
-def _raising_float_errors(handler):
-    """The handler, run with numpy's overflow, division and invalid-value errors raised.
+def _raising_float_errors():
+    """numpy's overflow, division and invalid-value errors raised, inside a ``with`` block.
 
     numpy raises them as FloatingPointError, an ArithmeticError, which
     ``dispatch`` reports as a number that left the float range.
     """
+    import numpy as np
 
-    def run(args):
-        import numpy as np
-
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(args)
-
-    return run
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,7 +198,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None, help="Optional Monte Carlo draw count.")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--units", choices=SYSTEMS, default="gaussian")
-    _outputs(p, _raising_float_errors(_cmd_oscillator), "csv")
+    _outputs(p, _cmd_oscillator, "csv")
 
     p = sub.add_parser("field", help="Spectral field simulation.")
     fs = p.add_subparsers(dest="field_command", required=True, parser_class=_Parser)
@@ -230,14 +210,15 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0,
                    help="Non-negative master seed; each draw's stream is spawned from it.")
     p.add_argument("--scales", type=_finite_list, default=None,
-                   help="Comma list; default box/16,box/8,box/4,box/2.")
+                   help="Comma list; default box/16,box/8,box/4,box/2.  A list that starts "
+                        "with a minus sign is read as an option: give it as --scales=-0.25,0.5.")
     p.add_argument("--kappa", type=_finite, default=1.0, help="Spectrum normalization.")
     p.add_argument("--k-max", type=_finite, default=None,
                    help="Wavenumber cutoff; default Nyquist.")
     # no choices here: scaling_run checks it against field.WINDOWS before any draw
     p.add_argument("--window", default="hann",
                    help="Coarse-graining window: hann (default) or tophat.")
-    _outputs(p, _raising_float_errors(_cmd_field_scaling), None,
+    _outputs(p, _cmd_field_scaling, None,
              "csv: table only; json: summary only; default: both.")
 
     p = sub.add_parser("casimir", help="Closed-form Casimir force, optionally the mode sum.")
@@ -300,10 +281,11 @@ def _cmd_oscillator(args):
     if args.samples is not None:
         if args.samples < 2:
             raise DomainError(f"--samples must be >= 2 for a sample variance, got {args.samples}")
-        draws = osc_mod.sample_positions(params, seed=args.seed, n=args.samples)
-        payload["sample_count"] = int(args.samples)
-        payload["sample_mean"] = float(draws.mean())
-        payload["sample_variance"] = float(draws.var(ddof=1))
+        with _raising_float_errors():
+            draws = osc_mod.sample_positions(params, seed=args.seed, n=args.samples)
+            payload["sample_count"] = int(args.samples)
+            payload["sample_mean"] = float(draws.mean())
+            payload["sample_variance"] = float(draws.var(ddof=1))
     return table.system, payload, _keyed(payload)
 
 
@@ -316,13 +298,22 @@ def _cmd_field_scaling(args):
         k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
-    args.threads = _threads()
-    report, fit = field_mod.scaling_run(
-        spec, args.scales, draws=args.draws, seed=args.seed, window=args.window,
-        threads=args.threads,
-    )
+    with _raising_float_errors():
+        report, fit = field_mod.scaling_run(
+            spec, args.scales, draws=args.draws, seed=args.seed, window=args.window
+        )
+        exact = report.exact_fit() if fit else None
     args.k_max = spec.k_max
     args.scales = list(report.scales)
+    args.convergence = {
+        "field": {
+            "scales": [
+                {"scale": s, "exact_rms": e, "z_score": z}
+                for s, e, z in zip(report.scales, report.exact_rms, report.z_scores)
+            ],
+            "exact_exponent": exact.exponent if exact else None,
+        }
+    }
     rows = [("scale", "rms", "stderr")] + [
         (report.scales[i], report.rms[i], report.stderr(i)) for i in range(len(report.scales))
     ]
@@ -494,7 +485,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             "version": __version__,
             "constants_snapshot": SNAPSHOT,
             "duration_seconds": duration,
-            "threads": vars(args).get("threads", 1),  # only the field run has workers
+            "convergence": vars(args).get("convergence"),  # only the field run sets it
             "peak_rss_kb": _peak_rss_kb(),
             "versions": _versions(),
         }

@@ -7,32 +7,38 @@ sigma_k^2 = kappa * |k| / L^3 (natural units, hbar = c = 1; kappa absorbs
 the overall normalization).  They are stored one-sidedly in the real-FFT
 half layout (N, N, N/2 + 1): the coefficient at k is B(k) + conj B(-k),
 with B zero for kz < 0, so Hermitian symmetry holds by construction.
-The self-conjugate planes kz = 0 and kz = N/2 store both members of a
-pair, so their B are scaled by sqrt(1/2).  sigma_k = 0 at DC
-(|k| = 0) and beyond k_max, so only the live modes, 0 < |k| <= k_max
-(about 52 % of the half layout at k_max = Nyquist), get Gaussians; the
-rest stay zero.  A draw is valid by construction and is never
-re-checked; the two things the inputs can break, the spectrum's float
-range and the memory that sigma needs, are checked once in
-``LatticeSpec``.  The coefficients describe a real field, their inverse
-real transform, whose cube-averaged RMS falls as l^-2 with the averaging
-scale l, which is the scaling this module exists to measure.
+B(k) = s_k xi_k, xi_k an independent complex normal with E|xi_k|^2 = 1,
+and s_k = sigma_k, times sqrt(1/2) on the self-conjugate planes kz = 0
+and kz = N/2, which store both members of a pair.  sigma_k = 0 at DC
+(|k| = 0) and beyond k_max.  The two things the inputs can break, the
+spectrum's float range and the memory that sigma needs, are checked once
+in ``LatticeSpec``.  The coefficients describe a real field, their
+inverse real transform, whose cube-averaged RMS falls as l^-2 with the
+averaging scale l, which is the scaling this module exists to measure.
 The dimensioned form of that law, sqrt(hbar c) / l^2, is
 ``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
 lives there and only ``field scaling-run`` imports this module.
 
-A cube average is a linear functional of the coefficients, so a scaling
-run never builds the real N^3 grid, nor even the whole half layout of
-coefficients: ``draw_modes`` folds each block of 8 x-slabs, as it is drawn,
-into the aliases that a block grid cannot tell apart along x, weighted by
-the window's transform; ``coarse_mean_squares`` folds y and z, and by
-Parseval the mean square of the cube averages is the energy of that
-folded spectrum.  The window transforms are computed once per run, and
-every contraction in a draw is a fixed-order sum: no FFT or BLAS call
-runs per draw, so the digits do not depend on either library's build.
-No BLAS worker thread competes with the draw workers, from process start
-on: the ``zpflab`` command caps OpenBLAS at one thread before numpy
-loads, so OpenBLAS starts no idle pool either.
+A scaling run draws neither the field nor its modes.  A cube average at
+the scale of nb cubes per axis is a linear functional of the modes that
+reads them only through their sums over the alias classes k = q
+(mod nb), weighted by the window's transform W(k).  With L the lcm of
+the scales' nb (16 for box/16..box/2 at any N), each class r mod L of the
+half layout has the S-vector of class sums H(r) = (sum_{k = r} W_a(k)
+B(k))_a, one entry per scale.  The H(r) are independent circular complex
+Gaussians with covariance C_r[a, b] = sum_{k = r} s_k^2 W_a(k) conj W_b(k),
+so a draw of the H(r) from that law is a draw of every scale's cube
+averages at once, with their exact joint law.  ``class_law`` builds C once
+per run, a block of x-slabs of sigma at a time, and factors every class
+with a diagonal-scaled semidefinite Cholesky; ``draw_mean_squares`` draws
+H from the factor (about 4 k complex normals per scale at the default, at
+any N), folds it from L down to each scale's nb classes, completes the
+Hermitian symmetry and takes the energy of the fold, which by Parseval is
+the mean square of the cube averages.  The trace of C gives each scale's
+exact ensemble mean square, 2 sum_r C_r[a, a], at no extra cost.  Every
+contraction in the build, the factor and a draw is elementwise numpy in a
+fixed order: no FFT, BLAS or LAPACK call is made, so the digits do not
+depend on how any of those libraries was built.
 
 Coarse-graining windows
 -----------------------
@@ -54,19 +60,14 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 
 import numpy as np
-# numpy loads numpy.random on first use; were that in a draw worker, its set-up
-# would leave about 0.6 MB more resident in that thread's malloc arena.
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigurationError, DomainError, physical_memory_bytes
 
 WINDOWS = ("tophat", "hann")
-_DRAWS_IN_FLIGHT = 1024  # draws submitted to the pool at once
 
 
 @dataclass(frozen=True)
@@ -160,96 +161,31 @@ def _reflect(folded: np.ndarray) -> np.ndarray:
     return np.conjugate(np.roll(np.flip(folded), 1, axis=(0, 1, 2)))  # index nb - q, mod nb
 
 
-# The live normals are drawn a block of _BLOCK_SLABS x-slabs at a time, the
-# last block taking what is left, so the block and its weighted copy grow as
-# N^2, not N^3: an eighth of the half layout at 64^3, a sixteenth at 128^3.
-_BLOCK_SLABS = 8
-
-
-def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
-    """Draw one realization's one-sided amplitudes and return their x-fold for each plan.
-
-    ``sigma`` is ``mode_std(spec)``.  Each mode k of the half layout
-    (N, N, N/2 + 1) gets B(k) = sigma_k xi_k, xi_k an independent complex
-    Gaussian with E|xi_k|^2 = 1, times sqrt(1/2) on the planes kz = 0 and
-    N/2, which store both members of a pair; the coefficients
-    B(k) + conj B(-k), which ``coarse_mean_squares`` completes after the
-    folds, then have E|c_k|^2 = sigma_k^2, real with full variance on the
-    self-conjugate modes.  Only the live modes (sigma_k > 0) are drawn, in
-    C order of the half layout; the x-slab blocks they are drawn in split
-    one stream, so the numbers do not depend on the block size.
-    Deterministic in (sigma, seed); seed may be an int or a numpy
-    SeedSequence derived from a master seed.
-
-    The amplitudes are never held whole: each block, scaled, goes into one
-    (nb, N, N/2 + 1) fold per plan, slab x times W(kx) into class x mod
-    nb, in increasing x as ``_fold_aliases`` would add them.  A block's
-    normals are drawn straight into the rows of its weighted copy, which
-    are free until the folds, so a block allocates no array.
-    """
-    n = len(sigma)
-    rng = default_rng(seed)
-    # One workspace per draw: the block, its weighted copy, then the folds.
-    # glibc returns the top of its heap once more than twice its largest
-    # recent allocation is free there; allocated apart, these arrays pass
-    # that at the end of every draw and are faulted back in on the next.
-    sizes = [min(_BLOCK_SLABS, n)] * 2 + [p.blocks for p in plans]
-    work = np.empty((sum(sizes), *sigma.shape[1:]), dtype=np.complex128)
-    block, weighted, *folded = (work[e - s : e] for s, e in zip(sizes, accumulate(sizes)))
-    live = np.empty(block.shape, dtype=bool)
-    planes = slice(None, None, n // 2)  # kz = 0 and N/2, the self-conjugate planes
-    for lo in range(0, n, _BLOCK_SLABS):
-        hi = min(lo + _BLOCK_SLABS, n)
-        coeff, mask = block[: hi - lo], live[: hi - lo]
-        np.greater(sigma[lo:hi], 0.0, out=mask)
-        normals = weighted.reshape(-1)[: np.count_nonzero(mask)]
-        parts = normals.view(np.float64)  # each (re, im) pair read as one normal
-        rng.standard_normal(out=parts)
-        parts *= math.sqrt(0.5)  # the floats of normal(scale=sqrt(1/2)), 0 + scale * z
-        coeff.fill(0.0)
-        coeff[mask] = normals
-        coeff *= sigma[lo:hi]
-        coeff[:, :, planes] *= math.sqrt(0.5)  # these planes store both members of a pair
-        for plan, out in zip(plans, folded):
-            np.multiply(coeff, plan.transform[lo:hi, None, None], out=weighted[: hi - lo])
-            _add_aliases(out, weighted[: hi - lo], lo)
-    return folded
-
-
-def _add_aliases(out: np.ndarray, weighted: np.ndarray, x0: int) -> None:
-    """Add the weighted slabs x0, x0 + 1, ... into class x mod nb of ``out``.
-
-    A class's first alias (x < nb) writes it and later ones add to it in
-    increasing x, the order in which ``_fold_aliases`` sums them.
-    """
-    nb = len(out)
-    x, end = x0, x0 + len(weighted)
-    while x < end:
-        q = x % nb
-        run = weighted[x - x0 : min(end, x - q + nb) - x0]  # up to the next class 0
-        if x < nb:
-            out[q : q + len(run)] = run
-        else:
-            out[q : q + len(run)] += run
-        x += len(run)
-
-
 @dataclass(frozen=True)
 class CoarseGrainReport:
     scales: tuple[float, ...]
     rms: tuple[float, ...]
     draws: int
     estimate_variance: tuple[float, ...]  # variance of the per-draw RMS at each scale
+    exact_rms: tuple[float, ...] = ()  # the exact ensemble RMS at each scale
+    # (pooled mean square - its exact mean) / its standard error; None below 2 draws
+    z_scores: tuple[float | None, ...] = ()
 
     def stderr(self, i: int) -> float:
         """Standard error of the pooled RMS at scale index i across draws."""
         return math.sqrt(self.estimate_variance[i] / self.draws)
 
+    def exact_fit(self) -> ScalingFit:
+        """The power law fitted to the exact ensemble RMS, as ``fit_scaling`` fits the drawn one."""
+        return fit_scaling(replace(self, rms=self.exact_rms))
+
 
 def _cells_for_scale(spec: LatticeSpec, scale: float) -> int:
     m = scale / spec.cell_size
+    if m < 1.0 - 1e-9:  # any scale <= 0 too
+        raise DomainError(f"scale {scale} is below one lattice cell (cell {spec.cell_size})")
     m_int = round(m)
-    if m_int < 1 or abs(m - m_int) > 1e-9 * max(m, 1.0):
+    if abs(m - m_int) > 1e-9 * max(m, 1.0):
         raise DomainError(
             f"scale {scale} is not an integer number of lattice cells (cell {spec.cell_size})"
         )
@@ -277,10 +213,9 @@ def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: in
 
     One multiply weights the m aliases into a C-ordered, alias-major
     (m, ..., blocks, ...) product and one reduce over its first axis sums
-    them, so the number of calls does not grow with m.  The result is
-    C-ordered in the caller's axis order, the order in which ``np.sum`` in
-    ``coarse_mean_squares`` adds it up.  The reduce runs
-    on the product's float view, whose last axis holds at least one
+    them, so the number of calls does not grow with m.  ``values`` may be
+    real and the weights complex; the result is complex and C-ordered in the
+    caller's axis order.  The reduce runs on the product's float view, whose last axis holds at least one
     (re, im) pair, so numpy adds whole rows in increasing j, as a loop over
     the aliases would, and never takes the pairwise sum it uses where the
     reduced axis is the only one longer than 1.
@@ -318,32 +253,187 @@ def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]
     return tuple(plans)
 
 
-def coarse_mean_squares(folded, plans) -> list[float]:
-    """Mean square of the cube averages at each planned scale, from ``draw_modes``'s x-folds.
+# An alias-class covariance is built a block of _BLOCK_SLABS x-slabs at a
+# time, the last block taking what is left, so the build's temporaries grow
+# as N^2, not N^3.
+_BLOCK_SLABS = 8
+_PIVOT_FLOOR = 1e-12  # a pivot of a class's correlation matrix at or below this is rank lost
 
-    Along one axis the weighted average over block b of m cells is
-    sum_k c_k W(k) exp(2 pi i k b / nb), with nb = N/m blocks and W(k) the
-    window's transform; the phase repeats in k with period nb, so folding
-    the m aliases k = q (mod nb) on each axis leaves G(q), whose nb-point
-    inverse transform is the cube averages, so by Parseval their mean
-    square is sum_q |G(q)|^2.  x is folded as the one-sided amplitudes B
-    are drawn; here y is, then the stored kz, zero-padded to whole
-    nb-periods, which leaves the fold F of B.  The coefficients are
-    B(k) + conj B(-k), and a real window has W(-k) = conj W(k), so the
-    completion commutes with every fold: G(q) = F(q) + conj F(-q).  Every
-    contraction is a fixed-order sum, so no FFT or BLAS call is made.
+
+def class_layout(n: int, blocks) -> tuple[int, int, int]:
+    """(L, Lz, M) for scales of ``blocks`` cubes per axis on an N^3 lattice.
+
+    L is the lcm of the blocks, so every scale's alias classes mod nb are
+    unions of the classes mod L.  The class grid is (L, L, Lz), Lz =
+    min(L, N/2 + 1), since the half layout stores kz = 0..N/2 only; M is
+    the most modes a class holds.
     """
+    period = math.lcm(*blocks)
+    nz = n // 2 + 1
+    lz = min(period, nz)
+    return period, lz, (n // period) ** 2 * -(-nz // lz)
+
+
+@dataclass(frozen=True)
+class ClassLaw:
+    """The joint law of one draw's alias-class sums, fixed for a run.
+
+    For class r mod L, H(r) = sum_j factor[:, j, r] z_j(r), with z_j(r)
+    independent complex normals of E|z|^2 = 1, has the covariance C_r of
+    ``class_covariance``.
+    """
+
+    factor: np.ndarray  # (S, width, L, L, Lz) complex
+    mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r C_r[a, a]
+
+
+def class_law(sigma: np.ndarray, plans) -> ClassLaw:
+    """The factor of the class sums' covariance, and the exact mean squares it gives.
+
+    Where a class holds at most S modes, the factor is its modes' columns
+    s_k W(k), so its width is the M of ``class_layout``; otherwise it is
+    the semidefinite Cholesky factor of ``class_covariance``, of width S.
+    """
+    period, lz, per_class = class_layout(len(sigma), [p.blocks for p in plans])
+    if per_class <= len(plans):
+        factor = _mode_columns(sigma, plans, period, lz)
+        power = factor.real**2 + factor.imag**2
+        return ClassLaw(factor, 2.0 * power.sum(axis=(1, 2, 3, 4)))
+    factor = class_covariance(sigma, plans)
+    diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
+    _factor_in_place(factor)
+    return ClassLaw(factor, 2.0 * diagonal)
+
+
+def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
+    """C_r[a, b] = sum over k = r (mod L) of s_k^2 W_a(k) conj W_b(k), shape (S, S, L, L, L).
+
+    s_k is sigma_k, times sqrt(1/2) on the kz = 0 and N/2 planes, the
+    one-sided amplitude of the half layout, and W_a(k) = W_a(kx) W_a(ky)
+    W_a(kz) is scale a's window transform.  Each block of x-slabs of s^2,
+    weighted by P = W_a conj W_b, is folded along y, then along the stored
+    kz, zero-padded to whole L-periods, then added slab by slab into
+    class x mod L: one pass over sigma for every pair of scales, holding
+    only a block's temporaries and C beside it.
+    """
+    n, nz = len(sigma), sigma.shape[2]
+    period = class_layout(n, [p.blocks for p in plans])[0]
+    kz = -(-nz // period) * period
+    pairs = [
+        (a, b, plans[a].transform * np.conj(plans[b].transform))
+        for a in range(len(plans))
+        for b in range(a, len(plans))
+    ]
+    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
+    padded = np.zeros((min(_BLOCK_SLABS, n), period, kz), dtype=np.complex128)
+    planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
+    for lo in range(0, n, _BLOCK_SLABS):
+        hi = min(lo + _BLOCK_SLABS, n)
+        power = np.square(sigma[lo:hi])
+        power[:, :, planes] *= 0.5
+        for a, b, weight in pairs:
+            padded[: hi - lo, :, :nz] = _fold_aliases(power, weight, period, 1)
+            folded = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
+            for x in range(lo, hi):
+                cov[a, b, x % period] += weight[x] * folded[x - lo]
+    for a, b, _ in pairs:
+        if a != b:
+            cov[b, a] = np.conj(cov[a, b])
+    return cov
+
+
+def _factor_in_place(cov: np.ndarray) -> None:
+    """Overwrite each class's covariance C_r with a lower factor F_r, F_r F_r^H = C_r.
+
+    Every class at once, in elementwise numpy with loops over the scales
+    only.  Each class is scaled to its correlation matrix first, a class
+    whose diagonal entry is 0 getting a zero row; a pivot at or below
+    ``_PIVOT_FLOOR`` leaves its column zero, so a rank-deficient class
+    (the tophat's transform has exact zeros) gets a semidefinite factor.
+    """
+    s = len(cov)
+    scale = np.sqrt(np.stack([cov[a, a].real for a in range(s)]))
+    inverse = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    for a in range(s):
+        for b in range(s):
+            cov[a, b] *= inverse[a] * inverse[b]
+    for j in range(s):
+        pivot = cov[j, j].real.copy()
+        for k in range(j):
+            pivot -= cov[j, k].real ** 2 + cov[j, k].imag ** 2
+        live = pivot > _PIVOT_FLOOR
+        root = np.sqrt(np.where(live, pivot, 1.0))
+        cov[j, j] = np.where(live, root, 0.0)
+        for i in range(j + 1, s):
+            for k in range(j):
+                cov[i, j] -= cov[i, k] * np.conj(cov[j, k])
+            cov[i, j] = np.where(live, cov[i, j] / root, 0.0)
+        cov[:j, j] = 0.0
+    for a in range(s):
+        cov[a] *= scale[a]
+
+
+def _mode_columns(sigma: np.ndarray, plans, period: int, lz: int) -> np.ndarray:
+    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz)."""
+    n, nz = len(sigma), sigma.shape[2]
+    kz = -(-nz // lz) * lz
+    amplitude = np.zeros((n, n, kz))
+    amplitude[:, :, :nz] = sigma
+    amplitude[:, :, : nz : n // 2] *= math.sqrt(0.5)
+    reps = n // period
+    factor = np.empty((len(plans), reps * reps * (kz // lz), period, period, lz), np.complex128)
+    for plan, out in zip(plans, factor):
+        w = plan.transform
+        weighted = amplitude * w[:, None, None]
+        weighted *= w[None, :, None]
+        weighted *= w[None, None, :kz]
+        by_class = weighted.reshape(reps, period, reps, period, kz // lz, lz)
+        out[...] = by_class.transpose(0, 2, 4, 1, 3, 5).reshape(out.shape)
+    return factor
+
+
+def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
+    """One realization's mean square of the cube averages at each planned scale.
+
+    Draws the class sums H(r) from ``law``: one ``standard_normal`` call
+    fills the complex normals z_j(r), scaled by sqrt(1/2), and H is their
+    sum over j times the factor's columns, in increasing j.  Each scale
+    folds H_a from L down to its nb classes, which is the fold F of the
+    one-sided amplitudes; the coefficients are B(k) + conj B(-k) and a real
+    window has W(-k) = conj W(k), so G(q) = F(q) + conj F(-q), and by
+    Parseval the mean square of the cube averages is sum_q |G(q)|^2.
+    Deterministic in (law, seed); seed may be an int or a numpy
+    SeedSequence.  Every contraction is a fixed-order sum, so no FFT or
+    BLAS call is made.
+    """
+    factor = law.factor
+    normals = np.empty(factor.shape[1:], dtype=np.complex128)
+    parts = normals.view(np.float64)  # each (re, im) pair read as one normal
+    default_rng(seed).standard_normal(out=parts)
+    parts *= math.sqrt(0.5)
+    sums = factor[:, 0] * normals[0]
+    term = np.empty_like(sums) if len(normals) > 1 else None
+    for j in range(1, len(normals)):
+        sums += np.multiply(factor[:, j], normals[j], out=term)
     out = []
-    for plan, x_folded in zip(plans, folded):
-        nb = plan.blocks
-        y_folded = _fold_aliases(x_folded, plan.transform, nb, 1)
-        kz = -(-y_folded.shape[2] // nb) * nb  # the stored kz, padded to whole nb-periods
-        padded = np.zeros((nb, nb, kz), dtype=np.complex128)
-        padded[:, :, : y_folded.shape[2]] = y_folded
-        f = _fold_aliases(padded, plan.transform[:kz], nb, 2)
+    for plan, h in zip(plans, sums):
+        f = _fold_classes(h, plan.blocks)
         g = f + _reflect(f)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
+
+
+def _fold_classes(sums: np.ndarray, nb: int) -> np.ndarray:
+    """The sum of ``sums`` over the classes r = q (mod nb), for q < nb on each axis.
+
+    The z extent is zero-padded to whole nb-periods first, which only a
+    class grid of Lz = N/2 + 1 needs.
+    """
+    lx, ly, lz = sums.shape
+    kz = -(-lz // nb) * nb
+    if kz != lz:
+        sums = np.concatenate([sums, np.zeros((lx, ly, kz - lz), dtype=sums.dtype)], axis=2)
+    return sums.reshape(lx // nb, nb, ly // nb, nb, kz // nb, nb).sum(axis=(0, 2, 4))
 
 
 @dataclass(frozen=True)
@@ -378,30 +468,37 @@ def fit_scaling(report: CoarseGrainReport) -> ScalingFit:
     )
 
 
+def _z_score(mean_squares: np.ndarray, exact: float) -> float | None:
+    """(pooled mean square - exact) / its standard error, None if that error is 0 or undefined.
+
+    Taken on the mean squares over their exact mean, which are of order 1,
+    so squaring them cannot overflow for any spectrum ``LatticeSpec`` accepts.
+    """
+    if len(mean_squares) < 2 or not exact > 0:
+        return None
+    ratio = mean_squares / exact
+    spread = float(np.std(ratio, ddof=1))
+    return (float(np.mean(ratio)) - 1.0) * math.sqrt(len(ratio)) / spread if spread > 0 else None
+
+
 def scaling_run(
     spec: LatticeSpec,
     scales: list[float] | None,
     draws: int,
     seed: int,
     window: str = "hann",
-    threads: int = 1,
 ) -> tuple[CoarseGrainReport, ScalingFit | None]:
     """Draw, coarse-grain and (with >= 3 scales) fit the exponent.
 
     ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
     recommended above; given scales are reported in increasing order.
-    Draw i is seeded by ``SeedSequence(seed, spawn_key=(i,))``, the i-th
-    child that ``SeedSequence(seed).spawn`` would give, derived in its
-    worker, so the result is bit-identical for any thread count.
-    sigma and the per-scale plans are computed once, before the pool
-    starts, and every draw reads that one sigma; the draws run in a pool of
-    ``min(threads, draws)`` worker threads under the caller's numpy error
-    state.  Each worker streams its draw into the per-scale x-folds and
-    reduces those to mean squares, so no worker holds a whole coefficient
-    array.  The pool is given ``_DRAWS_IN_FLIGHT`` draws at a time, and each
-    draw's mean squares go into one preallocated (draws, scales) table, so
-    beyond that table memory grows with the workers, not the draws; a table
-    larger than physical memory is refused before any draw.
+    sigma, the per-scale plans and the class law are built once, before
+    the first draw, and sigma is dropped once the law is built.  Draw i is
+    seeded by ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
+    ``SeedSequence(seed).spawn`` would give, and its mean squares go into
+    one preallocated (draws, scales) table, so memory does not grow with
+    the draws beyond that table.  A table or a class-law factor larger than
+    physical memory is refused before any array is built.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -419,24 +516,25 @@ def scaling_run(
             f"{draws} draws at {len(ordered)} scales need {table_bytes} bytes for their "
             f"mean squares, more than the {memory:.3g} bytes of physical memory"
         )
-    plans = scale_plans(spec, ordered, window)
-    for s, plan in zip(ordered, plans):
-        if 2 * plan.cells > spec.points_per_axis:
+    n = spec.points_per_axis
+    cells = [_cells_for_scale(spec, s) for s in ordered]
+    for s, m in zip(ordered, cells):
+        if 2 * m > n:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
-    sigma = mode_std(spec)
-    errors = np.geterr()
-
-    def one(i):
-        child = SeedSequence(seed, spawn_key=(i,))
-        with np.errstate(**errors):  # numpy keeps its error state per thread
-            return coarse_mean_squares(draw_modes(sigma, child, plans), plans)
-
+    period, lz, per_class = class_layout(n, [n // m for m in cells])
+    factor_bytes = 16 * len(cells) * min(len(cells), per_class) * period * period * lz
+    if factor_bytes > memory:
+        raise DomainError(
+            f"scales of {cells} cells on a {n}^3 grid need {factor_bytes} bytes for the law "
+            f"of their alias-class sums, more than the {memory:.3g} bytes of physical memory"
+        )
+    plans = scale_plans(spec, ordered, window)
+    law = class_law(mode_std(spec), plans)
     table = np.empty((draws, len(ordered)))
-    with ThreadPoolExecutor(max_workers=min(threads, draws)) as pool:
-        for start in range(0, draws, _DRAWS_IN_FLIGHT):
-            stop = min(start + _DRAWS_IN_FLIGHT, draws)
-            table[start:stop] = list(pool.map(one, range(start, stop)))
+    for i in range(draws):
+        table[i] = draw_mean_squares(law, plans, SeedSequence(seed, spawn_key=(i,)))
     per_scale_ms = table.T  # one row of per-draw mean squares per scale
+    exact = [float(e) for e in law.mean_squares]
     report = CoarseGrainReport(
         scales=tuple(ordered),
         rms=tuple(float(np.sqrt(np.mean(ms))) for ms in per_scale_ms),
@@ -444,6 +542,8 @@ def scaling_run(
         estimate_variance=tuple(
             float(np.var(np.sqrt(ms), ddof=1)) if draws > 1 else 0.0 for ms in per_scale_ms
         ),
+        exact_rms=tuple(math.sqrt(e) for e in exact),
+        z_scores=tuple(_z_score(ms, e) for ms, e in zip(per_scale_ms, exact)),
     )
     fit = fit_scaling(report) if len(report.scales) >= 3 else None
     return report, fit

@@ -4,15 +4,15 @@ Works on plain positive reals in whatever unit system the caller uses;
 hbar is passed in explicitly (typically from the active ConstantsTable).
 The exact Gaussian variance hbar/(2 m omega) is the precise internal
 quantity; ``fluctuation_width`` keeps the conventional order-of-magnitude
-combination sqrt(hbar/(m omega)), which is larger by sqrt(2).
+combination sqrt(hbar/(m omega)), which is larger by sqrt(2).  Width and
+variance are plain ``math``; numpy is imported only by the functions that
+make arrays, so a run that samples nothing never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, physical_memory_bytes
 
@@ -41,6 +41,8 @@ def ground_state_psi(x, p: OscillatorParams):
 
     Accepts a scalar or array x; strictly positive and even in x.
     """
+    import numpy as np
+
     a = p.m * p.omega / p.hbar
     return (a / math.pi) ** 0.25 * np.exp(-0.5 * a * np.asarray(x, dtype=float) ** 2)
 
@@ -65,6 +67,8 @@ def sample_positions(p: OscillatorParams, seed: int, n: int) -> np.ndarray:
             f"{n} samples and their variance need {16 * n:.3g} bytes, "
             f"more than the {memory:.3g} bytes of physical memory"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, math.sqrt(position_variance(p)), size=int(n))
 
@@ -77,6 +81,8 @@ def normalization_quadrature(p: OscillatorParams) -> float:
     rule converges exponentially for a Gaussian, and is written out
     because ``np.trapezoid`` needs numpy >= 2.
     """
+    import numpy as np
+
     half = QUADRATURE_HALF_WIDTH * math.sqrt(position_variance(p))
     x, h = np.linspace(-half, half, QUADRATURE_NODES, retstep=True)
     y = ground_state_psi(x, p) ** 2

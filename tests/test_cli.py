@@ -271,12 +271,14 @@ class TestFieldCommand:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, threads):
-        # the error state dispatch sets must hold in every worker thread
-        def huge(sigma, seed, plans):  # x-folds at 1e200: their cube averages square to inf
-            n = len(sigma)
-            return [np.full((p.blocks, n, n // 2 + 1), 1e200, dtype=complex) for p in plans]
+        # the error state dispatch sets holds in the draws, whatever ZPFLAB_THREADS says
+        class_law = field.class_law
 
-        monkeypatch.setattr(field, "draw_modes", huge)
+        def huge(sigma, plans):  # a factor of 1e200: the class sums' folds square to inf
+            law = class_law(sigma, plans)
+            return field.ClassLaw(np.full_like(law.factor, 1e200), law.mean_squares)
+
+        monkeypatch.setattr(field, "class_law", huge)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(self.ARGS, env_threads=threads, monkeypatch=monkeypatch)
@@ -352,6 +354,36 @@ class TestFieldCommand:
         )
         assert code == 1
         assert "scale" in err
+
+    @pytest.mark.parametrize("scales", ["0,0.5", "0.03125,0.5", "--scales=-0.25,0.5"])
+    def test_scale_below_one_cell_exits_one_with_one_line(self, scales):
+        # a list starting with a minus sign reaches the run only as --scales=...
+        flag = [scales] if scales.startswith("--") else ["--scales", scales]
+        code, out, err = run(["field", "scaling-run", "--grid", "16", "--draws", "1", *flag])
+        first = flag[-1].removeprefix("--scales=").split(",")[0]
+        assert code == 1
+        assert out == ""
+        assert err == f"error: scale {float(first)} is below one lattice cell (cell 0.0625)\n"
+
+    def test_manifest_records_the_distance_from_the_exact_ensemble(self):
+        code, out, err = run(self.ARGS + ["--scales", "0.125,0.25,0.5", "--draws", "5"])
+        assert code == 0
+        convergence = manifest_of(err)["convergence"]["field"]
+        report, _ = field.scaling_run(
+            field.LatticeSpec(box_size=1.0, points_per_axis=16), [0.125, 0.25, 0.5],
+            draws=5, seed=7,
+        )
+        assert convergence == {
+            "scales": [
+                {"scale": s, "exact_rms": e, "z_score": z}
+                for s, e, z in zip(report.scales, report.exact_rms, report.z_scores)
+            ],
+            "exact_exponent": report.exact_fit().exponent,
+        }
+        assert all(math.isfinite(row["z_score"]) for row in convergence["scales"])
+        # the record leaves the printed table alone
+        row = (report.scales[0], report.rms[0], report.stderr(0))
+        assert out.splitlines()[1] == ",".join(cli._fmt(v) for v in row)
 
 
 OUT_OF_FLOAT_RANGE = [
@@ -451,12 +483,6 @@ class TestDispatchPlumbing:
                 types.add(action.type)
         assert float not in types and cli._finite in types
 
-    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("ZPFLAB_THREADS", raising=False)
-        if hasattr(os, "sched_getaffinity"):
-            assert cli._threads() == len(os.sched_getaffinity(0))
-        else:
-            assert cli._threads() == (os.cpu_count() or 1)
 
 
 class TestManifest:
@@ -519,7 +545,7 @@ class TestManifest:
         code, out, err = run(argv, env_threads=threads, monkeypatch=monkeypatch)
         assert code == 0
         manifest = manifest_of(err)
-        assert manifest["threads"] == threads
+        assert "threads" not in manifest  # the field run has no workers to count
         assert manifest["peak_rss_kb"] > 1000  # the interpreter and numpy alone take more
         assert set(manifest["parameters"]) == {
             "box", "draws", "format", "grid", "k_max", "kappa", "scales", "seed", "window"
@@ -528,10 +554,10 @@ class TestManifest:
         assert "--threads" not in replay_argv and "--peak-rss-kb" not in replay_argv
         assert run(replay_argv)[1] == out
 
-    def test_runs_without_workers_record_one_thread(self):
+    def test_runs_without_a_field_record_no_convergence(self):
         _, _, err = run(["lamb"])
         manifest = manifest_of(err)
-        assert manifest["threads"] == 1
+        assert manifest["convergence"] is None
         assert manifest["peak_rss_kb"] > 1000
 
 
@@ -591,6 +617,17 @@ def test_numpy_free_subcommands_never_load_numpy(tmp_path):
     python = "{}.{}.{}".format(*sys.version_info[:3])
     for path in paths:
         assert json.loads(path.read_text())["versions"] == {"python": python, "numpy": None}
+
+
+def test_oscillator_without_samples_never_loads_numpy(tmp_path):
+    # width and variance are plain math; only the sampling makes an array
+    path = tmp_path / "m.json"
+    argv = ["oscillator", "--m", "1.5", "--omega", "0.5", "--format", "json"]
+    report = probe_fresh_interpreter([argv + ["--manifest", str(path)]])
+    assert report["runs"] == [[0, False, False]]
+    assert report["run_modules"] == [["zpflab.oscillator"]]
+    assert json.loads(path.read_text())["versions"]["numpy"] is None
+    assert json.loads(path.read_text())["parameters"]["samples"] is None
 
 
 @pytest.mark.parametrize(

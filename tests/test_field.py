@@ -10,13 +10,15 @@ import re
 import subprocess
 import sys
 import textwrap
-import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import per_mode
+from per_mode import coarse_mean_squares, draw_modes
 from zpflab import field
 from zpflab.coil import predicted_rms
 from zpflab.errors import ConfigurationError, DomainError
@@ -24,8 +26,9 @@ from zpflab.field import (
     WINDOWS,
     CoarseGrainReport,
     LatticeSpec,
-    coarse_mean_squares,
-    draw_modes,
+    class_covariance,
+    class_law,
+    draw_mean_squares,
     fit_scaling,
     mode_std,
     scale_plans,
@@ -132,26 +135,26 @@ def drawn_coefficients(spec, seed):
 
 
 def use_draw_blocks(monkeypatch, slabs):
-    """Make the draw run in blocks of ``slabs`` x-slabs; at least N slabs is one block."""
-    monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
+    """Make the per-mode draw run in blocks of ``slabs`` x-slabs; at least N slabs is one block."""
+    monkeypatch.setattr(per_mode, "_BLOCK_SLABS", slabs)
 
 
-def block_runs(monkeypatch, n, plan):
-    """The (first slab, slab count) of each block a draw of n slabs folds, and its fold.
+def build_blocks(monkeypatch, n, plan):
+    """The slab count of each block that ``class_covariance`` folds for n slabs, and its C.
 
-    A stand-in spectrum of shape (n, 1, 1) shows the block rule at any n
-    without the memory of a real one.
+    A stand-in spectrum of shape (n, n, 2) shows the block rule at any n
+    without the memory of a real one; each block's first fold is along y.
     """
-    runs = []
-    add_aliases = field._add_aliases
+    slabs = []
+    fold_aliases = field._fold_aliases
 
-    def recording(out, weighted, x0):
-        runs.append((x0, len(weighted)))
-        add_aliases(out, weighted, x0)
+    def recording(values, weights, blocks, axis):
+        if axis == 1:
+            slabs.append(len(values))
+        return fold_aliases(values, weights, blocks, axis)
 
-    monkeypatch.setattr(field, "_add_aliases", recording)
-    (folded,) = draw_modes(np.ones((n, 1, 1)), 0, [plan])
-    return runs, folded
+    monkeypatch.setattr(field, "_fold_aliases", recording)
+    return slabs, class_covariance(np.ones((n, n, 2)), [plan])
 
 
 def synthesize_field(coefficients):
@@ -364,14 +367,14 @@ class TestDrawModes:
 
     @pytest.mark.parametrize("n", [16, 64, 128, 130, 256])
     def test_every_block_is_block_slabs_but_a_shorter_last(self, n, monkeypatch):
-        # one rule at every N: the block and its weighted copy are at most
-        # _BLOCK_SLABS slabs, so they grow as N^2, not N^3
+        # one rule at every N: the covariance build's block of sigma and its
+        # weighted copy are at most _BLOCK_SLABS slabs, so they grow as N^2
         slabs = field._BLOCK_SLABS
         plan = field.ScalePlan(cells=n // 2, blocks=2, transform=np.ones(n, dtype=complex))
-        runs, folded = block_runs(monkeypatch, n, plan)
-        assert runs == [(lo, min(slabs, n - lo)) for lo in range(0, n, slabs)]
-        # the workspace: the block and its weighted copy, then the one fold
-        assert folded.base.shape[0] == 2 * slabs + plan.blocks
+        runs, cov = build_blocks(monkeypatch, n, plan)
+        assert runs == [min(slabs, n - lo) for lo in range(0, n, slabs)]
+        # every (x, y) lands once in its class mod 2: s^2 = 1, halved on kz = 0
+        assert np.array_equal(cov[0, 0], np.broadcast_to([n * n / 8, n * n / 4], (2, 2, 2)))
 
     @pytest.mark.parametrize("spec", STREAM_SPECS + [N96], ids=STREAM_IDS + ["N96"])
     def test_spectrum_built_in_place_is_the_out_of_place_one(self, spec):
@@ -384,13 +387,12 @@ class TestDrawModes:
         calls = []
         real = field.wavenumber_magnitudes
 
-        def slow_and_counted(spec):
+        def counted(spec):
             calls.append(spec)
-            time.sleep(0.05)  # long enough for a second worker to race the first
             return real(spec)
 
-        monkeypatch.setattr(field, "wavenumber_magnitudes", slow_and_counted)
-        scaling_run(MEDIUM, None, draws=4, seed=1, threads=2)
+        monkeypatch.setattr(field, "wavenumber_magnitudes", counted)
+        scaling_run(MEDIUM, None, draws=4, seed=1)
         assert calls == [MEDIUM]
 
 
@@ -544,15 +546,17 @@ class TestCoarseMeanSquares:
             np.testing.assert_allclose(plan.transform, direct, rtol=1e-14, atol=1e-14)
 
     def test_no_fft_or_blas_call_per_draw(self):
-        # a BLAS product wakes its worker threads, which spin on the cores the
-        # draw workers use, and ties the digits to the BLAS kernel; by Parseval
-        # the mean square needs no transform back to real space
+        # a BLAS or LAPACK call ties the digits to the library's kernels, and
+        # a BLAS product wakes its worker threads; by Parseval the mean square
+        # needs no transform back to real space.  The build, the factor and
+        # the draw are all covered.
         functions = (
-            draw_modes, field._add_aliases, coarse_mean_squares, field._fold_aliases,
-            field._reflect,
+            field.class_law, class_covariance, field._factor_in_place, field._mode_columns,
+            draw_mean_squares, field._fold_classes, field._fold_aliases, field._reflect,
         )
+        banned = r"@|\bdot\b|vdot|inner|matmul|tensordot|einsum|linalg|fft"
         for fn in functions:
-            assert not re.search(r"@|\bdot\b|matmul|tensordot|fft", inspect.getsource(fn)), fn
+            assert not re.search(banned, inspect.getsource(fn)), fn
 
     def test_fold_calls_do_not_grow_with_the_aliases(self):
         # each numpy call holds the GIL for its set-up, so a Python loop over
@@ -599,9 +603,8 @@ class TestCoarseMeanSquares:
         sigma = mode_std(spec)
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
-            per_draw = np.array(
-                [coarse_mean_squares(draw_modes(sigma, c, plans), plans) for c in children]
-            )
+            law = class_law(sigma, plans)
+            per_draw = np.array([draw_mean_squares(law, plans, c) for c in children])
             pooled = per_draw.mean(axis=0)
             se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(children))
             z = (pooled - expected_mean_squares(spec, scales, window)) / se
@@ -616,20 +619,23 @@ class TestCoarseMeanSquares:
         assert -1.86 <= exact_exponent(spec, "tophat") <= -1.82
 
     def test_scaling_run_never_builds_the_grid(self):
-        # Everything a draw and its coarse-grain allocate beside the spectrum,
-        # at their peak, fits in less than one real N^3 grid, so no grid, and
-        # no whole half-layout coefficient array (1.03 grids), can ever have
-        # existed.
+        # Everything the class law's build and two draws allocate beside the
+        # spectrum, at their peak, fits in less than one real N^3 grid, so no
+        # grid, and no whole half-layout coefficient array (1.03 grids), can
+        # ever have existed.
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
-        sigma, plans = mode_std(spec), scale_plans(spec, [1 / 4, 1 / 2], "hann")
-        draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost
+        sigma = mode_std(spec)
+        plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
+        small = scale_plans(SMALL, [1 / 4, 1 / 2], "hann")
+        draw_mean_squares(class_law(mode_std(SMALL), small), small, 0)  # one-time lazy imports
         tracemalloc.start()
         try:
-            rows = [coarse_mean_squares(draw_modes(sigma, s, plans), plans) for s in (3, 4)]
+            law = class_law(sigma, plans)
+            rows = [draw_mean_squares(law, plans, s) for s in (3, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(len(row) == 2 for row in rows)
+        assert all(len(row) == 4 for row in rows)
         assert peak < spec.points_per_axis**3 * 8
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4, 16])
@@ -671,6 +677,165 @@ class TestStreamedFold:
         self.assert_routes_agree(N96, [1 / 32, 1 / 16, 1 / 4, 1 / 2], (11,))
 
 
+def covariance_mode_by_mode(spec, plans):
+    """C_r[a, b] summed one mode at a time: the oracle for ``class_covariance``.
+
+    The per-mode draw's class sum H_a(r) = sum_{k = r} W_a(k) B(k) has
+    independent terms, so its covariance adds v v^H, v = s_k (W_a(k))_a,
+    for each mode k of the half layout in class k mod L.
+    """
+    n = spec.points_per_axis
+    period = math.lcm(*(p.blocks for p in plans))
+    s = mode_std(spec)
+    s[:, :, [0, n // 2]] *= math.sqrt(0.5)
+    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=complex)
+    for k in np.ndindex(s.shape):
+        v = np.array([s[k] * p.transform[k[0]] * p.transform[k[1]] * p.transform[k[2]]
+                      for p in plans])
+        cov[(slice(None), slice(None)) + tuple(i % period for i in k)] += np.outer(v, v.conj())
+    return cov
+
+
+def correlation_scale(cov):
+    """sqrt(C_r[a, a] C_r[b, b]) for every entry: the scale of a class's correlations."""
+    diagonal = np.array([cov[a, a].real for a in range(len(cov))])
+    return np.sqrt(diagonal[:, None] * diagonal[None, :])
+
+
+LAW_SPECS = {
+    "N8": (SMALL, [1 / 4, 1 / 2]),  # L = 4
+    "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 8, 1 / 4, 1 / 2]),  # L = 8
+    # a cutoff far below Nyquist leaves whole classes with no live mode
+    "box2-kmax": (LatticeSpec(box_size=2.0, points_per_axis=16, k_max=math.pi * 4),
+                  [1 / 4, 1 / 2, 1.0]),
+    # L = N: every class holds at most one mode
+    "N16-one-cell": (LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 16, 1 / 8, 1 / 2]),
+}
+
+
+class TestClassLaw:
+    """The run's draw, the alias-class sums from their joint law, against the per-mode route."""
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", list(LAW_SPECS))
+    def test_covariance_is_the_per_mode_covariance(self, name, window):
+        spec, scales = LAW_SPECS[name]
+        plans = scale_plans(spec, scales, window)
+        built = class_covariance(mode_std(spec), plans)
+        oracle = covariance_mode_by_mode(spec, plans)
+        assert np.all(np.abs(built - oracle) <= 1e-13 * correlation_scale(oracle))
+        if name == "box2-kmax":
+            assert np.count_nonzero(correlation_scale(oracle) == 0) > 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", list(LAW_SPECS))
+    def test_twice_the_trace_is_the_exact_mean_square(self, name, window):
+        spec, scales = LAW_SPECS[name]
+        plans = scale_plans(spec, scales, window)
+        sigma = mode_std(spec)
+        cov = class_covariance(sigma, plans)
+        trace = [2 * float(cov[a, a].real.sum()) for a in range(len(plans))]
+        exact = expected_mean_squares(spec, scales, window)
+        assert trace == pytest.approx(exact, rel=1e-13)
+        assert class_law(sigma, plans).mean_squares == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_factor_rebuilds_the_covariance(self, n, window):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=n)
+        plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window)
+        sigma = mode_std(spec)
+        cov = class_covariance(sigma, plans)
+        factor = class_law(sigma, plans).factor
+        assert factor.shape == (4, 4, 16, 16, 16)  # width S: L = 16 at any N
+        assert not np.any(np.triu(np.ones((4, 4)), 1)[:, :, None, None, None] * factor)
+        rebuilt = np.einsum("ajxyz,bjxyz->abxyz", factor, factor.conj())
+        assert np.all(np.abs(rebuilt - cov) <= 1e-12 * correlation_scale(cov))
+        # the exact mean squares are the trace of C, before any pivot is dropped
+        trace = [2 * float(cov[a, a].real.sum()) for a in range(4)]
+        assert list(class_law(sigma, plans).mean_squares) == trace
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_one_mode_classes_take_their_modes_as_the_factor(self, window):
+        spec, scales = LAW_SPECS["N16-one-cell"]
+        plans = scale_plans(spec, scales, window)
+        law = class_law(mode_std(spec), plans)
+        assert law.factor.shape == (3, 1, 16, 16, 9)  # the half layout itself, width 1
+        oracle = covariance_mode_by_mode(spec, plans)[:, :, :, :, :9]
+        rebuilt = law.factor[:, None, 0] * law.factor[None, :, 0].conj()
+        assert np.all(np.abs(rebuilt - oracle) <= 1e-13 * correlation_scale(oracle))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_routes_agree_in_distribution(self, window):
+        # 600 draws per route at 32^3: each scale's mean and SD of the mean
+        # square and the correlations between scales, the law of the exponent
+        spec, draws = MEDIUM, 600
+        plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window)
+        sigma = mode_std(spec)
+        law = class_law(sigma, plans)
+        per_mode_ms = np.array([
+            coarse_mean_squares(draw_modes(sigma, c, plans), plans)
+            for c in np.random.SeedSequence(1).spawn(draws)
+        ])
+        class_ms = np.array([
+            draw_mean_squares(law, plans, c) for c in np.random.SeedSequence(2).spawn(draws)
+        ])
+        means = [ms.mean(axis=0) for ms in (per_mode_ms, class_ms)]
+        sds = [ms.std(axis=0, ddof=1) for ms in (per_mode_ms, class_ms)]
+        se = np.hypot(*sds) / math.sqrt(draws)
+        assert np.all(np.abs(means[0] - means[1]) < 4 * se)
+        for mean, sd in zip(means, sds):
+            assert np.all(np.abs(mean - law.mean_squares) < 4 * sd / math.sqrt(draws))
+        assert np.all(np.abs(sds[0] / sds[1] - 1) < 0.2)
+        correlations = [np.corrcoef(ms.T) for ms in (per_mode_ms, class_ms)]
+        assert np.all(np.abs(correlations[0] - correlations[1]) < 0.15)
+        if window == "tophat":  # its neighbouring scales correlate at about 0.25, so
+            for c in correlations:  # drawing each scale from its own law would not do
+                assert np.all(np.diag(c, 1)[:2] > 0.15)
+
+    def test_draws_are_deterministic_in_the_seed(self):
+        plans = scale_plans(MEDIUM, [1 / 8, 1 / 4, 1 / 2], "hann")
+        law = class_law(mode_std(MEDIUM), plans)
+        child = np.random.SeedSequence(5).spawn(3)[2]
+        assert draw_mean_squares(law, plans, child) == draw_mean_squares(law, plans, child)
+        assert draw_mean_squares(law, plans, 5) != draw_mean_squares(law, plans, 6)
+
+    @pytest.mark.parametrize("window, exponent", [("hann", -2.00151), ("tophat", -1.85654)])
+    def test_exact_exponent_at_64_cubed(self, window, exponent):
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        report, _ = scaling_run(spec, None, draws=2, seed=0, window=window)
+        assert report.exact_fit().exponent == pytest.approx(exponent, abs=5e-6)
+        assert report.exact_fit().exponent == pytest.approx(exact_exponent(spec, window), rel=1e-12)
+
+    def test_memory_bound_is_the_bytes_of_the_factor(self, monkeypatch):
+        # N = 8 at box/4 and box/2: L = 4, width S = 2, so 2 * 2 * 4^3 complex values
+        scales, factor_bytes = [1 / 4, 1 / 2], 2 * 2 * 4**3 * 16
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: factor_bytes)
+        scaling_run(SMALL, scales, draws=1, seed=0)
+
+        def no_arrays(*args):
+            raise AssertionError("built an array before checking the factor")
+
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: factor_bytes - 1)
+        monkeypatch.setattr(field, "mode_std", no_arrays)
+        monkeypatch.setattr(field, "class_law", no_arrays)
+        with pytest.raises(DomainError, match="alias-class sums.*physical memory"):
+            scaling_run(SMALL, scales, draws=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "grid, draws, scales",
+        [(64, 50, [0.0625, 0.125, 0.25, 0.5]), (128, 20, None)],
+        ids=["field_accept", "field_scale"],
+    )
+    def test_benchmark_field_checks_hold_for_seeds_one_to_eight(self, grid, draws, scales):
+        # the benchmark's field workloads, checked as it checks them
+        spec = LatticeSpec(box_size=1.0, points_per_axis=grid)
+        for seed in range(1, 9):
+            _, fit = scaling_run(spec, scales, draws=draws, seed=seed)
+            assert abs(fit.exponent + 2.0) <= 0.1, seed
+            assert fit.r_squared >= 0.99, seed
+
+
 class TestFitScaling:
     def make_report(self, scales, rms):
         return CoarseGrainReport(
@@ -702,9 +867,7 @@ class TestScalingPipeline:
         spec = LatticeSpec(
             box_size=1.0, points_per_axis=32, k_max=math.pi * 32, spectrum_normalization=1.0
         )
-        report, fit = scaling_run(
-            spec, [1 / 8, 1 / 4, 1 / 2], draws=20, seed=314, window="hann", threads=2
-        )
+        report, fit = scaling_run(spec, [1 / 8, 1 / 4, 1 / 2], draws=20, seed=314, window="hann")
         assert fit is not None
         assert fit.exponent == pytest.approx(-2.0, abs=0.15)
         assert fit.r_squared > 0.99
@@ -728,9 +891,8 @@ class TestScalingPipeline:
             assert np.array_equal(derived.generate_state(8), child.generate_state(8)), i
 
     def test_numpy_random_loads_with_the_module(self):
-        # numpy loads numpy.random on first use; in a draw worker, its set-up
-        # would allocate in that thread's malloc arena and keep about 0.6 MB
-        # more resident through a 64^3 run
+        # the draws' generator is imported with the module, not lazily on the
+        # first draw, where numpy would otherwise load numpy.random
         probe = "import sys, zpflab.field; print('numpy.random' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(field.__file__).parents[1])}
         result = subprocess.run(
@@ -739,67 +901,59 @@ class TestScalingPipeline:
         assert result.stdout == "True\n"
 
     def test_thread_count_invariance(self):
+        # the module keeps no state between runs: four runs in concurrent
+        # threads give the bits of one run alone
         spec = LatticeSpec(box_size=1.0, points_per_axis=16, k_max=math.pi * 16)
-        r1, f1 = scaling_run(spec, [1 / 4, 1 / 2], draws=6, seed=99, threads=1)
-        r4, f4 = scaling_run(spec, [1 / 4, 1 / 2], draws=6, seed=99, threads=4)
-        assert r1.rms == r4.rms
-        assert r1.estimate_variance == r4.estimate_variance
+        r1, f1 = scaling_run(spec, [1 / 4, 1 / 2], draws=6, seed=99)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(scaling_run, spec, [1 / 4, 1 / 2], 6, 99) for _ in range(4)]
+            results = [run.result(timeout=60) for run in runs]
+        for r4, _ in results:
+            assert r1.rms == r4.rms
+            assert r1.estimate_variance == r4.estimate_variance
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_streamed_report_equals_pooling_the_grids(self, threads):
+    def test_report_pools_the_per_draw_mean_squares(self):
         scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
+        plans = scale_plans(MEDIUM, scales, "hann")
+        law = class_law(mode_std(MEDIUM), plans)
         per_draw_ms = np.array(
-            [
-                grid_route_mean_squares(drawn_coefficients(MEDIUM, child), MEDIUM, scales, "hann")
-                for child in np.random.SeedSequence(seed).spawn(draws)
-            ]
+            [draw_mean_squares(law, plans, c) for c in np.random.SeedSequence(seed).spawn(draws)]
         ).T
-        rms = [float(np.sqrt(np.mean(ms))) for ms in per_draw_ms]
-        var = [float(np.var(np.sqrt(ms), ddof=1)) for ms in per_draw_ms]
-        report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed, threads=threads)
+        pooled = np.mean(per_draw_ms, axis=1)
+        se = np.std(per_draw_ms, axis=1, ddof=1) / math.sqrt(draws)
+        report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed)
         assert report.scales == tuple(scales)
-        assert report.rms == pytest.approx(rms, rel=1e-12)
-        assert report.estimate_variance == pytest.approx(var, rel=1e-12)
+        assert report.rms == tuple(float(np.sqrt(np.mean(ms))) for ms in per_draw_ms)
+        assert report.estimate_variance == tuple(
+            float(np.var(np.sqrt(ms), ddof=1)) for ms in per_draw_ms
+        )
         assert report.draws == draws
+        assert report.exact_rms == tuple(np.sqrt(law.mean_squares))
+        z = (pooled - law.mean_squares) / se
+        assert report.z_scores == pytest.approx(z, rel=1e-9, abs=1e-9)
+
+    def test_one_draw_has_no_z_score(self):
+        report, _ = scaling_run(SMALL, [1 / 4, 1 / 2], draws=1, seed=3)
+        assert report.z_scores == (None, None)
+        assert all(r > 0 for r in report.exact_rms)
 
     def test_scale_beyond_half_the_box_rejected(self):
         with pytest.raises(DomainError, match="half the box"):
             scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2, 1.0], draws=1, seed=0)
 
     def test_scales_checked_before_any_draw(self, monkeypatch):
-        def no_draws(sigma, seed, plans):
-            raise AssertionError("drew before checking the scales")
+        def no_draws(sigma, plans):
+            raise AssertionError("built the class law before checking the scales")
 
-        monkeypatch.setattr(field, "draw_modes", no_draws)
+        monkeypatch.setattr(field, "class_law", no_draws)
         for scales in ([0.3], [1.0], [], [0.25, 0.25]):
             with pytest.raises(DomainError):
                 scaling_run(MEDIUM, scales, draws=4, seed=0)
 
-    def test_workers_capped_by_draws(self, monkeypatch):
-        started = []
-
-        class Recording(field.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(field, "ThreadPoolExecutor", Recording)
-        scaling_run(SMALL, [1 / 4, 1 / 2], draws=3, seed=1, threads=64)
-        assert started == [3]
-
-    @pytest.mark.parametrize("in_flight", [1, 3, 1024])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_window_leaves_the_bits_alone(self, in_flight, threads, monkeypatch):
-        spec, scales = LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 8, 1 / 4, 1 / 2]
-        report, fit = scaling_run(spec, scales, draws=7, seed=77, threads=1)
-        monkeypatch.setattr(field, "_DRAWS_IN_FLIGHT", in_flight)
-        windowed, windowed_fit = scaling_run(spec, scales, draws=7, seed=77, threads=threads)
-        assert windowed.rms == report.rms
-        assert windowed.estimate_variance == report.estimate_variance
-        assert windowed_fit.exponent == fit.exponent
-
     def test_memory_bound_is_the_bytes_of_the_table(self, monkeypatch):
-        draws, scales = 5, [1 / 4, 1 / 2]
+        # 300 draws, so that the table (4800 bytes) outweighs the class-law
+        # factor of these scales (4096 bytes), which is bounded as well
+        draws, scales = 300, [1 / 4, 1 / 2]
         table_bytes = 8 * draws * len(scales)
         monkeypatch.setattr(field, "physical_memory_bytes", lambda: table_bytes)
         scaling_run(SMALL, scales, draws=draws, seed=0)
@@ -814,18 +968,15 @@ class TestScalingPipeline:
             scaling_run(SMALL, scales, draws=draws, seed=0)
 
     def test_draws_in_flight_are_bounded(self, monkeypatch):
-        # Draws stubbed to their result, so only the scheduling allocates: with
-        # every draw submitted at once, a future, its work item and its result
-        # took about 1.7 KB per draw; a window of 64 leaves the table's 16 bytes
-        # per draw and a constant.
-        monkeypatch.setattr(field, "_DRAWS_IN_FLIGHT", 64)
-        monkeypatch.setattr(field, "draw_modes", lambda sigma, seed, plans: None)
-        monkeypatch.setattr(field, "coarse_mean_squares", lambda folded, plans: [1.0, 1.0])
+        # Draws stubbed to their result, so only the scheduling allocates: one
+        # draw is in flight at a time, which leaves the table's 16 bytes per
+        # draw and a constant.
+        monkeypatch.setattr(field, "draw_mean_squares", lambda law, plans, seed: [1.0, 1.0])
         draws = 4000
-        scaling_run(SMALL, [1 / 4, 1 / 2], draws=2, seed=0, threads=2)
+        scaling_run(SMALL, [1 / 4, 1 / 2], draws=2, seed=0)
         tracemalloc.start()
         try:
-            scaling_run(SMALL, [1 / 4, 1 / 2], draws=draws, seed=3, threads=2)
+            scaling_run(SMALL, [1 / 4, 1 / 2], draws=draws, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,10 +985,10 @@ class TestScalingPipeline:
     def test_memory_does_not_grow_with_draws(self):
         # One-time costs (lazy imports) are paid first; what the run allocates
         # after that, its spectrum included, must not scale with draws.
-        scaling_run(MEDIUM, [1 / 2], draws=1, seed=0, threads=1)
+        scaling_run(MEDIUM, [1 / 2], draws=1, seed=0)
         tracemalloc.start()
         try:
-            scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2], draws=40, seed=5, threads=1)
+            scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2], draws=40, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -845,26 +996,23 @@ class TestScalingPipeline:
         assert peak < 3 * grid_bytes
 
     def test_draw_buffer_is_a_fraction_of_the_array(self):
-        # At 128^3 a draw holds one workspace of x-slabs, each 0.008 grids: the
-        # x-folds of box/16..box/2 (30 slabs), a block of 8 slabs and its
-        # weighted copy, whose rows the block's normals are drawn into, for
-        # 0.37; the draw holds no other array.  The coarse-grain's alias product
-        # for the y-fold at box/16 (16 slabs) and the y-fold add 0.14, for
-        # 0.508 by tracemalloc; blocks of 16 slabs would take 0.635.  Holding
-        # the whole coefficient array, as folding it after the draw would, is
-        # 1.02 grids on its own.
+        # A draw holds its normals, the class sums and one product term, each
+        # (L, L, L) complex times the factor's width or S: 0.25 MB apiece for
+        # box/16..box/2 at any N, 0.061 grids by tracemalloc at 128^3 beside
+        # the factor.  The whole coefficient array is 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
-        sigma, plans = mode_std(spec), scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
-        draw_modes(sigma, 0, plans)  # the first draw's lazy imports are a one-time cost
+        plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
+        law = class_law(mode_std(spec), plans)
+        draw_mean_squares(law, plans, 0)  # the first draw's lazy imports are a one-time cost
         tracemalloc.start()
         try:
             for seed in (5, 6, 7):
-                coarse_mean_squares(draw_modes(sigma, seed, plans), plans)
+                draw_mean_squares(law, plans, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         grid_bytes = spec.points_per_axis**3 * 8
-        assert peak < 0.52 * grid_bytes
+        assert peak < 0.1 * grid_bytes
 
     def test_spectrum_build_peak_is_about_one_spectrum(self):
         # sigma is built in the array of |k|, beside a boolean cutoff mask of

@@ -46,17 +46,17 @@ GOLDEN = {
     ),
     "field-default-scales": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"],
-        # drawn one-sidedly in the real-FFT half layout, one Gaussian per live
-        # mode, and coarse-grained by Parseval on the folded spectrum, whose
-        # Hermitian symmetry is completed after the folds
-        "994728a7def7ad98b04e3821ab79db09cae884522fceb1b3dfbfa09a290b57c8",
+        # the alias-class sums drawn from their exact joint law, then folded
+        # to each scale and coarse-grained by Parseval on the folded spectrum,
+        # whose Hermitian symmetry is completed after the folds
+        "959bf127a979cd197cd0e99e091d182771ab5eb5413c4766ac4e1e173a44e572",
         {"box": 1.0, "draws": 2, "format": None, "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
     "field-json": (
         ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13",
          "--format", "json"],
-        "4ff7d8c6e3adaec2fe0f7f73d150e4705e2f23296ac2ed0e7895130971e4a0e8",
+        "efc01b0eccba5a3abaa5c7e00772348f8f4890c8f323a3ef4c7af3294a16e6d0",
         {"box": 1.0, "draws": 2, "format": "json", "grid": 16, "k_max": 50.26548245743669,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -64,7 +64,7 @@ GOLDEN = {
         # tophat window, csv only, a box other than 1 and scales given out of order
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "5789a39af54982a37cf320225a7f2f0ae35d071243a081b69fe3e051572069b0",
+        "99af0895d981837be70ad429123ab0888532a34f75dd3f6fc9cac6b78fe2a3e0",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
