@@ -912,7 +912,11 @@ class TestScalingPipeline:
             assert r1.rms == r4.rms
             assert r1.estimate_variance == r4.estimate_variance
 
-    def test_report_pools_the_per_draw_mean_squares(self):
+    @pytest.mark.parametrize("slabs", [1, 2])
+    def test_streamed_report_equals_pooling_the_grids(self, slabs, monkeypatch):
+        # the report pools each draw's mean squares, drawn from a law built in
+        # the default slab blocks; the run streams its law's build in blocks
+        # of `slabs` x-slabs, which leaves every bit of the report alone
         scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
         plans = scale_plans(MEDIUM, scales, "hann")
         law = class_law(mode_std(MEDIUM), plans)
@@ -921,6 +925,7 @@ class TestScalingPipeline:
         ).T
         pooled = np.mean(per_draw_ms, axis=1)
         se = np.std(per_draw_ms, axis=1, ddof=1) / math.sqrt(draws)
+        monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
         report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed)
         assert report.scales == tuple(scales)
         assert report.rms == tuple(float(np.sqrt(np.mean(ms))) for ms in per_draw_ms)
