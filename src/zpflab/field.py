@@ -260,18 +260,23 @@ _BLOCK_SLABS = 8
 _PIVOT_FLOOR = 1e-12  # a pivot of a class's correlation matrix at or below this is rank lost
 
 
-def class_layout(n: int, blocks) -> tuple[int, int, int]:
-    """(L, Lz, M) for scales of ``blocks`` cubes per axis on an N^3 lattice.
+def class_layout(n: int, blocks) -> tuple[int, int, int, bool]:
+    """(L, Lz, width, modes) for scales of ``blocks`` cubes per axis on an N^3 lattice.
 
     L is the lcm of the blocks, so every scale's alias classes mod nb are
     unions of the classes mod L.  The class grid is (L, L, Lz), Lz =
-    min(L, N/2 + 1), since the half layout stores kz = 0..N/2 only; M is
-    the most modes a class holds.
+    min(L, N/2 + 1), since the half layout stores kz = 0..N/2 only.  A
+    class holds at most M = (N/L)^2 ceil((N/2 + 1)/Lz) modes; where M is
+    at most S, the number of scales, ``modes`` is True and the factor's
+    columns are those modes, so its width is M, and otherwise it is the
+    Cholesky factor, of width S.  The factor is (S, width, L, L, Lz).
     """
     period = math.lcm(*blocks)
     nz = n // 2 + 1
     lz = min(period, nz)
-    return period, lz, (n // period) ** 2 * -(-nz // lz)
+    per_class = (n // period) ** 2 * -(-nz // lz)
+    modes = per_class <= len(blocks)
+    return period, lz, per_class if modes else len(blocks), modes
 
 
 @dataclass(frozen=True)
@@ -291,11 +296,11 @@ def class_law(sigma: np.ndarray, plans) -> ClassLaw:
     """The factor of the class sums' covariance, and the exact mean squares it gives.
 
     Where a class holds at most S modes, the factor is its modes' columns
-    s_k W(k), so its width is the M of ``class_layout``; otherwise it is
-    the semidefinite Cholesky factor of ``class_covariance``, of width S.
+    s_k W(k); otherwise it is the semidefinite Cholesky factor of
+    ``class_covariance``.  ``class_layout`` picks the route and the width.
     """
-    period, lz, per_class = class_layout(len(sigma), [p.blocks for p in plans])
-    if per_class <= len(plans):
+    period, lz, _, modes = class_layout(len(sigma), [p.blocks for p in plans])
+    if modes:
         factor = _mode_columns(sigma, plans, period, lz)
         power = factor.real**2 + factor.imag**2
         return ClassLaw(factor, 2.0 * power.sum(axis=(1, 2, 3, 4)))
@@ -346,17 +351,22 @@ def _factor_in_place(cov: np.ndarray) -> None:
     """Overwrite each class's covariance C_r with a lower factor F_r, F_r F_r^H = C_r.
 
     Every class at once, in elementwise numpy with loops over the scales
-    only.  Each class is scaled to its correlation matrix first, a class
-    whose diagonal entry is 0 getting a zero row; a pivot at or below
-    ``_PIVOT_FLOOR`` leaves its column zero, so a rank-deficient class
-    (the tophat's transform has exact zeros) gets a semidefinite factor.
+    only.  Each class is scaled to its correlation matrix first, dividing
+    C_r[a, b] by sqrt(C_r[a, a]) and by sqrt(C_r[b, b]) one at a time:
+    |C_r[a, b]| <= sqrt(C_r[a, a] C_r[b, b]) bounds each quotient, where
+    the product of the two reciprocals overflows for a subnormal diagonal
+    entry.  A pivot at or below ``_PIVOT_FLOOR`` leaves its column zero, so
+    a rank-deficient class (the tophat's transform has exact zeros) gets a
+    semidefinite factor; a diagonal entry of 0 is such a pivot, and the
+    scale it restores at the end zeroes its row.
     """
     s = len(cov)
     scale = np.sqrt(np.stack([cov[a, a].real for a in range(s)]))
-    inverse = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    divisor = np.where(scale > 0, scale, 1.0)
     for a in range(s):
-        for b in range(s):
-            cov[a, b] *= inverse[a] * inverse[b]
+        cov[a] /= divisor[a]
+    for b in range(s):
+        cov[:, b] /= divisor[b]
     for j in range(s):
         pivot = cov[j, j].real.copy()
         for k in range(j):
@@ -492,13 +502,14 @@ def scaling_run(
 
     ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
     recommended above; given scales are reported in increasing order.
-    sigma, the per-scale plans and the class law are built once, before
+    The per-scale plans, sigma and the class law are built once, before
     the first draw, and sigma is dropped once the law is built.  Draw i is
     seeded by ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
     ``SeedSequence(seed).spawn`` would give, and its mean squares go into
     one preallocated (draws, scales) table, so memory does not grow with
-    the draws beyond that table.  A table or a class-law factor larger than
-    physical memory is refused before any array is built.
+    the draws beyond that table.  A table larger than physical memory is
+    refused before any array is built, and a class-law factor before sigma
+    or the factor is.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -517,18 +528,18 @@ def scaling_run(
             f"mean squares, more than the {memory:.3g} bytes of physical memory"
         )
     n = spec.points_per_axis
-    cells = [_cells_for_scale(spec, s) for s in ordered]
-    for s, m in zip(ordered, cells):
-        if 2 * m > n:
+    plans = scale_plans(spec, ordered, window)
+    for s, plan in zip(ordered, plans):
+        if 2 * plan.cells > n:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
-    period, lz, per_class = class_layout(n, [n // m for m in cells])
-    factor_bytes = 16 * len(cells) * min(len(cells), per_class) * period * period * lz
+    period, lz, width, _ = class_layout(n, [p.blocks for p in plans])
+    factor_bytes = 16 * len(plans) * width * period * period * lz
     if factor_bytes > memory:
+        cells = [p.cells for p in plans]
         raise DomainError(
             f"scales of {cells} cells on a {n}^3 grid need {factor_bytes} bytes for the law "
             f"of their alias-class sums, more than the {memory:.3g} bytes of physical memory"
         )
-    plans = scale_plans(spec, ordered, window)
     law = class_law(mode_std(spec), plans)
     table = np.empty((draws, len(ordered)))
     for i in range(draws):

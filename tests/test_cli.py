@@ -19,9 +19,7 @@ from zpflab.cli import argv_from_manifest, dispatch
 from zpflab.errors import InvariantError
 
 
-def run(argv, env_threads=None, monkeypatch=None):
-    if env_threads is not None:
-        monkeypatch.setenv("ZPFLAB_THREADS", str(env_threads))
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = dispatch(argv, out, err)
     return code, out.getvalue(), err.getvalue()
@@ -264,14 +262,17 @@ class TestFieldCommand:
     ARGS = ["field", "scaling-run", "--grid", "16", "--box", "1", "--draws", "2",
             "--seed", "7", "--scales", "0.25,0.5"]
 
-    def test_byte_identical_reruns(self, monkeypatch):
-        _, out1, _ = run(self.ARGS, env_threads=1, monkeypatch=monkeypatch)
-        _, out2, _ = run(self.ARGS, env_threads=4, monkeypatch=monkeypatch)
+    def test_byte_identical_reruns(self):
+        _, out1, _ = run(self.ARGS)
+        _, out2, _ = run(self.ARGS)
         assert out1 == out2
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, threads):
-        # the error state dispatch sets holds in the draws, whatever ZPFLAB_THREADS says
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, cells):
+        # the error state dispatch sets holds in the draws, on either factor
+        # route: a smallest scale of one cell makes L = N and takes the modes
+        # as the factor's columns, one of two cells the Cholesky factor
+        argv = self.ARGS[:-1] + [f"{cells / 16},0.5"]
         class_law = field.class_law
 
         def huge(sigma, plans):  # a factor of 1e200: the class sums' folds square to inf
@@ -281,7 +282,7 @@ class TestFieldCommand:
         monkeypatch.setattr(field, "class_law", huge)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(self.ARGS, env_threads=threads, monkeypatch=monkeypatch)
+            code, out, err = run(argv)
         assert code == 1
         assert out == ""
         assert err == "error: a number left the float range: overflow encountered in square\n"
@@ -404,6 +405,19 @@ OUT_OF_FLOAT_RANGE = [
     "lamb --n 2 --jitter 1e-320",
     "oscillator --m 2.3e-308 --omega 1 --units natural --samples 64",
 ]
+
+
+@pytest.mark.parametrize("window", ["hann", "tophat"])
+@pytest.mark.parametrize("kappa", ["1e-290", "1e-250", "1e-200"])
+@pytest.mark.parametrize("grid", ["32", "64"])
+def test_tiny_kappa_on_the_cholesky_route_draws_the_unit_exponent(grid, kappa, window):
+    # classes whose covariance falls to the subnormal range stay in the
+    # float range under dispatch's raising error state
+    argv = ["field", "scaling-run", "--grid", grid, "--draws", "2", "--window", window]
+    code, out, err = run(argv + ["--kappa", kappa])
+    assert code == 0, err
+    unit = json.loads(run(argv)[1].splitlines()[-1])
+    assert json.loads(out.splitlines()[-1])["exponent"] == pytest.approx(unit["exponent"], abs=1e-9)
 
 
 @pytest.mark.parametrize("argv", OUT_OF_FLOAT_RANGE)
@@ -539,13 +553,17 @@ class TestManifest:
         assert code2 == 0
         assert out2 == out1
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_threads_and_peak_rss_leave_stdout_and_replay_alone(self, threads, monkeypatch):
-        argv = ["field", "scaling-run", "--grid", "16", "--draws", "2", "--seed", "13"]
-        code, out, err = run(argv, env_threads=threads, monkeypatch=monkeypatch)
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_threads_and_peak_rss_leave_stdout_and_replay_alone(self, draws):
+        # one draw has no z-scores, which the manifest records as null
+        argv = ["field", "scaling-run", "--grid", "16", "--draws", str(draws), "--seed", "13"]
+        code, out, err = run(argv)
         assert code == 0
         manifest = manifest_of(err)
         assert "threads" not in manifest  # the field run has no workers to count
+        z_scores = [row["z_score"] for row in manifest["convergence"]["field"]["scales"]]
+        assert len(z_scores) == 4
+        assert all((z is None) == (draws == 1) for z in z_scores)
         assert manifest["peak_rss_kb"] > 1000  # the interpreter and numpy alone take more
         assert set(manifest["parameters"]) == {
             "box", "draws", "format", "grid", "k_max", "kappa", "scales", "seed", "window"

@@ -727,6 +727,16 @@ class TestClassLaw:
         if name == "box2-kmax":
             assert np.count_nonzero(correlation_scale(oracle) == 0) > 0
 
+    @pytest.mark.parametrize("slabs", [1, 3, 10**9])
+    def test_covariance_does_not_depend_on_the_slab_block(self, slabs, monkeypatch):
+        # each slab is folded on its own and added into its class in
+        # increasing x, so the block it is built in leaves every bit alone
+        plans = scale_plans(MEDIUM, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "tophat")
+        sigma = mode_std(MEDIUM)
+        default = class_covariance(sigma, plans)
+        monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
+        assert np.array_equal(class_covariance(sigma, plans), default)
+
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("name", list(LAW_SPECS))
     def test_twice_the_trace_is_the_exact_mean_square(self, name, window):
@@ -912,29 +922,44 @@ class TestScalingPipeline:
             assert r1.rms == r4.rms
             assert r1.estimate_variance == r4.estimate_variance
 
-    @pytest.mark.parametrize("slabs", [1, 2])
-    def test_streamed_report_equals_pooling_the_grids(self, slabs, monkeypatch):
-        # the report pools each draw's mean squares, drawn from a law built in
-        # the default slab blocks; the run streams its law's build in blocks
-        # of `slabs` x-slabs, which leaves every bit of the report alone
-        scales, draws, seed = [1 / 8, 1 / 4, 1 / 2], 12, 4242
-        plans = scale_plans(MEDIUM, scales, "hann")
-        law = class_law(mode_std(MEDIUM), plans)
-        per_draw_ms = np.array(
-            [draw_mean_squares(law, plans, c) for c in np.random.SeedSequence(seed).spawn(draws)]
-        ).T
-        pooled = np.mean(per_draw_ms, axis=1)
-        se = np.std(per_draw_ms, axis=1, ddof=1) / math.sqrt(draws)
-        monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
-        report, _ = scaling_run(MEDIUM, scales, draws=draws, seed=seed)
+    @pytest.mark.parametrize("box", [1, 2])
+    def test_streamed_report_equals_pooling_the_grids(self, box):
+        # With a one-cell scale L = N, so the factor's columns are the modes'
+        # s_k W(k) and a draw's normals are one per mode of the half layout.
+        # B(k) = s_k z_k from those normals is the draw's field: its grid's
+        # cube averages are each draw's mean squares, and pooled over the
+        # draws they are the report.  Box 2 cuts the spectrum at k_max = 6 pi,
+        # far below Nyquist, so most of the factor's columns are zero.
+        spec = MEDIUM if box == 1 else STREAM_SPECS[2]
+        n, draws, seed = spec.points_per_axis, 6, 4242
+        scales = [box * cells / n for cells in (1, 4, 8, 16)]
+        plans = scale_plans(spec, scales, "hann")
+        law = class_law(mode_std(spec), plans)
+        assert law.factor.shape[1] == 1
+        amplitude = mode_std(spec)
+        amplitude[:, :, [0, n // 2]] *= math.sqrt(0.5)
+        grid_ms = []
+        for i in range(draws):
+            child = np.random.SeedSequence(seed, spawn_key=(i,))
+            normals = np.empty(amplitude.shape, dtype=complex)
+            np.random.default_rng(child).standard_normal(out=normals.view(np.float64))
+            normals.view(np.float64)[...] *= math.sqrt(0.5)
+            grid_ms.append(
+                grid_route_mean_squares(hermitian(amplitude * normals), spec, scales, "hann")
+            )
+            assert draw_mean_squares(law, plans, child) == pytest.approx(grid_ms[-1], rel=1e-12)
+        per_scale_ms = np.array(grid_ms).T
+        report, _ = scaling_run(spec, scales, draws=draws, seed=seed)
         assert report.scales == tuple(scales)
-        assert report.rms == tuple(float(np.sqrt(np.mean(ms))) for ms in per_draw_ms)
-        assert report.estimate_variance == tuple(
-            float(np.var(np.sqrt(ms), ddof=1)) for ms in per_draw_ms
-        )
         assert report.draws == draws
-        assert report.exact_rms == tuple(np.sqrt(law.mean_squares))
-        z = (pooled - law.mean_squares) / se
+        assert report.rms == pytest.approx(np.sqrt(per_scale_ms.mean(axis=1)), rel=1e-12)
+        assert report.estimate_variance == pytest.approx(
+            np.var(np.sqrt(per_scale_ms), axis=1, ddof=1), rel=1e-9
+        )
+        exact = expected_mean_squares(spec, scales, "hann")
+        assert report.exact_rms == pytest.approx(np.sqrt(exact), rel=1e-12)
+        se = np.std(per_scale_ms, axis=1, ddof=1) / math.sqrt(draws)
+        z = (per_scale_ms.mean(axis=1) - exact) / se
         assert report.z_scores == pytest.approx(z, rel=1e-9, abs=1e-9)
 
     def test_one_draw_has_no_z_score(self):
@@ -1050,6 +1075,24 @@ def test_kappa_and_box_are_rejected_or_leave_the_exponent(kappa, box):
     report, fit = scaling_run(spec, None, draws=2, seed=5)
     assert report.scales == (box / 16, box / 8, box / 4, box / 2)
     assert fit.exponent == pytest.approx(unit_box_exponent(), abs=1e-9)
+
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("kappa", [1e-290, 1e-250, 1e-200])
+@pytest.mark.parametrize("n", [32, 64])
+def test_tiny_kappa_leaves_the_exponent_on_the_cholesky_route(n, kappa, window):
+    # At 32^3 and up the default scales take the Cholesky route.  Window
+    # weights at rounding level put some classes' diagonal entries of C in
+    # the subnormal range here; their correlation scaling must not overflow
+    # under the raising error state the CLI runs in.
+    spec = LatticeSpec(box_size=1.0, points_per_axis=n, spectrum_normalization=kappa)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report, fit = scaling_run(spec, None, draws=2, seed=5, window=window)
+    unit = LatticeSpec(box_size=1.0, points_per_axis=n)
+    unit_report, unit_fit = scaling_run(unit, None, draws=2, seed=5, window=window)
+    assert fit.exponent == pytest.approx(unit_fit.exponent, abs=1e-9)
+    assert report.exact_fit().exponent == pytest.approx(unit_report.exact_fit().exponent, abs=1e-9)
 
 
 class TestPredictedRms:

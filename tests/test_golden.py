@@ -64,7 +64,7 @@ GOLDEN = {
         # tophat window, csv only, a box other than 1 and scales given out of order
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "99af0895d981837be70ad429123ab0888532a34f75dd3f6fc9cac6b78fe2a3e0",
+        "1b75fd1113d1a9eeadebe191ee2e5a6d58145eed162c790199fcb6543e2616dc",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
