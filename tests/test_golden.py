@@ -68,6 +68,29 @@ GOLDEN = {
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
+    "field-cholesky-route": (
+        # 64^3 on the default scales: the class grid L = 16 is below N, so the
+        # law is the Cholesky factor of the class covariance, as in a benchmark run
+        ["field", "scaling-run", "--grid", "64", "--draws", "3", "--seed", "13"],
+        "bf47f074b97d28f0d2c181d097cd59f8b573dc3cfec7a2ef90d0770926cab86a",
+        {"box": 1.0, "draws": 3, "format": None, "grid": 64, "k_max": 201.06192982974676,
+         "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
+    ),
+    "field-cholesky-tophat-box2-kmax-csv": (
+        # the Cholesky route with the tophat window and a cutoff far below Nyquist
+        ["field", "scaling-run", "--grid", "32", "--window", "tophat", "--box", "2",
+         "--k-max", "6.3", "--draws", "3", "--format", "csv"],
+        "3b234e0d0a6151e55c2a59eeccf499afd210c83d00470150c628d14a6150c10b",
+        {"box": 2.0, "draws": 3, "format": "csv", "grid": 32, "k_max": 6.3, "kappa": 1.0,
+         "scales": [0.125, 0.25, 0.5, 1.0], "seed": 0, "window": "tophat"},
+    ),
+    "field-cholesky-128": (
+        # the scale target's grid, with the arguments of the field_scale benchmark
+        ["field", "scaling-run", "--grid", "128", "--draws", "2", "--seed", "5"],
+        "bf397ec1e45a6bea69a3314d706c9d8d354fa58f1d20f6455ddc1c8832031a24",
+        {"box": 1.0, "draws": 2, "format": None, "grid": 128, "k_max": 402.1238596594935,
+         "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 5, "window": "hann"},
+    ),
     "casimir-closed-csv": (
         ["casimir", "--area", "2", "--sep", "0.5", "--format", "csv"],
         "0b67601723199a1208663ef4a8ee2d98e07ae42da289ef7cf4bb55fdd9438058",
