@@ -63,6 +63,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigurationError, DomainError, physical_memory_bytes
@@ -133,22 +134,28 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
-def wavenumber_magnitudes(spec: LatticeSpec) -> np.ndarray:
-    """|k| on the half lattice, shape (N, N, N/2 + 1)."""
+def wavenumber_magnitudes(spec: LatticeSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """|k| on the x-slabs lo..hi - 1 of the half lattice (all N by default), shape (hi - lo, N, N/2 + 1)."""
     n = spec.points_per_axis
     k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
     kz = spec.fundamental * np.arange(n // 2 + 1)
-    kmag = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz**2
+    kmag = k[lo:hi, None, None] ** 2 + k[None, :, None] ** 2 + kz**2
     return np.sqrt(kmag, out=kmag)
 
 
 def mode_std(spec: LatticeSpec) -> np.ndarray:
-    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max.
+    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max."""
+    return _slab_std(spec, 0, spec.points_per_axis)
+
+
+def _slab_std(spec: LatticeSpec, lo: int, hi: int) -> np.ndarray:
+    """sigma_k on the x-slabs lo..hi - 1: the bits of ``mode_std(spec)[lo:hi]``.
 
     sqrt(|k| * kappa / L^3) is built in the array of |k| itself, so the
-    build holds one array and the cutoff mask, not three arrays.
+    build holds one array and the cutoff mask, not three arrays.  Every
+    operation is elementwise, so no slab's values depend on the others.
     """
-    sigma = wavenumber_magnitudes(spec)
+    sigma = wavenumber_magnitudes(spec, lo, hi)
     beyond = sigma > spec.k_max
     np.multiply(sigma, spec.variance_per_wavenumber, out=sigma)
     np.sqrt(sigma, out=sigma)
@@ -158,7 +165,8 @@ def mode_std(spec: LatticeSpec) -> np.ndarray:
 
 def _reflect(folded: np.ndarray) -> np.ndarray:
     """conj(folded) at -q for every FFT-ordered q of an (nb, nb, nb) fold."""
-    return np.conjugate(np.roll(np.flip(folded), 1, axis=(0, 1, 2)))  # index nb - q, mod nb
+    reflected = np.roll(np.flip(folded), 1, axis=(0, 1, 2))  # index nb - q, mod nb
+    return np.conjugate(reflected, out=reflected)
 
 
 @dataclass(frozen=True)
@@ -292,36 +300,42 @@ class ClassLaw:
     mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r C_r[a, a]
 
 
-def class_law(sigma: np.ndarray, plans) -> ClassLaw:
+def class_law(spec: LatticeSpec, plans) -> ClassLaw:
     """The factor of the class sums' covariance, and the exact mean squares it gives.
 
     Where a class holds at most S modes, the factor is its modes' columns
     s_k W(k); otherwise it is the semidefinite Cholesky factor of
     ``class_covariance``.  ``class_layout`` picks the route and the width.
+    Either route computes the spectrum a block of x-slabs at a time, so
+    sigma is never built whole.
     """
-    period, lz, _, modes = class_layout(len(sigma), [p.blocks for p in plans])
+    period, lz, _, modes = class_layout(spec.points_per_axis, [p.blocks for p in plans])
     if modes:
-        factor = _mode_columns(sigma, plans, period, lz)
-        power = factor.real**2 + factor.imag**2
-        return ClassLaw(factor, 2.0 * power.sum(axis=(1, 2, 3, 4)))
-    factor = class_covariance(sigma, plans)
+        factor = _mode_columns(spec, plans, period, lz)
+        power = [np.sum(f.real**2 + f.imag**2) for f in factor]
+        return ClassLaw(factor, 2.0 * np.array(power))
+    factor = class_covariance(spec, plans)
     diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
     _factor_in_place(factor)
     return ClassLaw(factor, 2.0 * diagonal)
 
 
-def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
+def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
     """C_r[a, b] = sum over k = r (mod L) of s_k^2 W_a(k) conj W_b(k), shape (S, S, L, L, L).
 
     s_k is sigma_k, times sqrt(1/2) on the kz = 0 and N/2 planes, the
     one-sided amplitude of the half layout, and W_a(k) = W_a(kx) W_a(ky)
-    W_a(kz) is scale a's window transform.  Each block of x-slabs of s^2,
-    weighted by P = W_a conj W_b, is folded along y, then along the stored
-    kz, zero-padded to whole L-periods, then added slab by slab into
-    class x mod L: one pass over sigma for every pair of scales, holding
-    only a block's temporaries and C beside it.
+    W_a(kz) is scale a's window transform.  s_k^2 is computed a block of
+    x-slabs at a time, and only for kx = 0..N/2: slab N - x negates kx,
+    which leaves s^2 bit for bit.  Each slab, weighted by P = W_a conj W_b,
+    is folded along y, then along the stored kz, zero-padded to whole
+    L-periods, into one (L, L) fold per pair of scales; then slab x times
+    P(kx) goes into class x mod L, in increasing x over all N slabs.  The
+    build holds these (N/2 + 1) L^2 folds per pair, one block's
+    temporaries and C, and no array of N^3 / 2 values.
     """
-    n, nz = len(sigma), sigma.shape[2]
+    n = spec.points_per_axis
+    nz, half = n // 2 + 1, n // 2 + 1  # stored kz, and the slabs kx = 0..N/2
     period = class_layout(n, [p.blocks for p in plans])[0]
     kz = -(-nz // period) * period
     pairs = [
@@ -329,19 +343,21 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
         for a in range(len(plans))
         for b in range(a, len(plans))
     ]
-    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
-    padded = np.zeros((min(_BLOCK_SLABS, n), period, kz), dtype=np.complex128)
+    folds = np.empty((len(pairs), half, period, period), dtype=np.complex128)
+    padded = np.zeros((min(_BLOCK_SLABS, half), period, kz), dtype=np.complex128)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
-    for lo in range(0, n, _BLOCK_SLABS):
-        hi = min(lo + _BLOCK_SLABS, n)
-        power = np.square(sigma[lo:hi])
+    for lo in range(0, half, _BLOCK_SLABS):
+        hi = min(lo + _BLOCK_SLABS, half)
+        power = _slab_std(spec, lo, hi)
+        np.square(power, out=power)
         power[:, :, planes] *= 0.5
-        for a, b, weight in pairs:
+        for (_, _, weight), yz in zip(pairs, folds):
             padded[: hi - lo, :, :nz] = _fold_aliases(power, weight, period, 1)
-            folded = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
-            for x in range(lo, hi):
-                cov[a, b, x % period] += weight[x] * folded[x - lo]
-    for a, b, _ in pairs:
+            yz[lo:hi] = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
+    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
+    for (a, b, weight), yz in zip(pairs, folds):
+        for x in range(n):
+            cov[a, b, x % period] += weight[x] * yz[min(x, n - x)]
         if a != b:
             cov[b, a] = np.conj(cov[a, b])
     return cov
@@ -383,22 +399,32 @@ def _factor_in_place(cov: np.ndarray) -> None:
         cov[a] *= scale[a]
 
 
-def _mode_columns(sigma: np.ndarray, plans, period: int, lz: int) -> np.ndarray:
-    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz)."""
-    n, nz = len(sigma), sigma.shape[2]
+def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
+    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz).
+
+    Filled a block of x-slabs at a time, each slab x into the columns of
+    its x-alias x // L and its class x mod L.
+    """
+    n = spec.points_per_axis
+    nz = n // 2 + 1
     kz = -(-nz // lz) * lz
-    amplitude = np.zeros((n, n, kz))
-    amplitude[:, :, :nz] = sigma
-    amplitude[:, :, : nz : n // 2] *= math.sqrt(0.5)
     reps = n // period
     factor = np.empty((len(plans), reps * reps * (kz // lz), period, period, lz), np.complex128)
-    for plan, out in zip(plans, factor):
-        w = plan.transform
-        weighted = amplitude * w[:, None, None]
-        weighted *= w[None, :, None]
-        weighted *= w[None, None, :kz]
-        by_class = weighted.reshape(reps, period, reps, period, kz // lz, lz)
-        out[...] = by_class.transpose(0, 2, 4, 1, 3, 5).reshape(out.shape)
+    columns = factor.reshape(len(plans), reps, -1, period, period, lz)  # x-alias apart
+    amplitude = np.zeros((min(_BLOCK_SLABS, n), n, kz))
+    for lo in range(0, n, _BLOCK_SLABS):
+        hi = min(lo + _BLOCK_SLABS, n)
+        block = amplitude[: hi - lo]
+        block[:, :, :nz] = _slab_std(spec, lo, hi)
+        block[:, :, : nz : n // 2] *= math.sqrt(0.5)
+        for plan, out in zip(plans, columns):
+            w = plan.transform
+            weighted = block * w[lo:hi, None, None]
+            weighted *= w[None, :, None]
+            weighted *= w[None, None, :kz]
+            by_class = weighted.reshape(hi - lo, reps, period, kz // lz, lz).transpose(0, 1, 3, 2, 4)
+            for x in range(lo, hi):
+                out[x // period, :, x % period] = by_class[x - lo].reshape(-1, period, lz)
     return factor
 
 
@@ -406,9 +432,10 @@ def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
     """One realization's mean square of the cube averages at each planned scale.
 
     Draws the class sums H(r) from ``law``: one ``standard_normal`` call
-    fills the complex normals z_j(r), scaled by sqrt(1/2), and H is their
-    sum over j times the factor's columns, in increasing j.  Each scale
-    folds H_a from L down to its nb classes, which is the fold F of the
+    fills the complex normals z_j(r), scaled by sqrt(1/2), and each scale's
+    H_a is their sum over j times its factor columns, in increasing j, so
+    one scale's sums are held at a time.  Each scale folds H_a from L down
+    to its nb classes, which is the fold F of the
     one-sided amplitudes; the coefficients are B(k) + conj B(-k) and a real
     window has W(-k) = conj W(k), so G(q) = F(q) + conj F(-q), and by
     Parseval the mean square of the cube averages is sum_q |G(q)|^2.
@@ -421,29 +448,52 @@ def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
     parts = normals.view(np.float64)  # each (re, im) pair read as one normal
     default_rng(seed).standard_normal(out=parts)
     parts *= math.sqrt(0.5)
-    sums = factor[:, 0] * normals[0]
-    term = np.empty_like(sums) if len(normals) > 1 else None
-    for j in range(1, len(normals)):
-        sums += np.multiply(factor[:, j], normals[j], out=term)
+    term = np.empty(normals.shape[1:], dtype=np.complex128) if len(normals) > 1 else None
     out = []
-    for plan, h in zip(plans, sums):
-        f = _fold_classes(h, plan.blocks)
-        g = f + _reflect(f)
+    for plan, columns in zip(plans, factor):
+        sums = columns[0] * normals[0]
+        for j in range(1, len(normals)):
+            sums += np.multiply(columns[j], normals[j], out=term)
+        g = _complete(_fold_classes(sums, plan.blocks))
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
+
+
+def _complete(folded: np.ndarray) -> np.ndarray:
+    """G(q) = F(q) + conj F(-q), built in the array of the reflection."""
+    completed = _reflect(folded)
+    completed += folded
+    return completed
 
 
 def _fold_classes(sums: np.ndarray, nb: int) -> np.ndarray:
     """The sum of ``sums`` over the classes r = q (mod nb), for q < nb on each axis.
 
-    The z extent is zero-padded to whole nb-periods first, which only a
-    class grid of Lz = N/2 + 1 needs.
+    The classes of a q are added in the C order of their aliases (x, then
+    y, then z), each into its own sum.  The z extent need not be whole
+    nb-periods, as the N/2 + 1 stored kz of a class grid of Lz = N/2 + 1
+    are not: the first ``width`` q along z have one alias more than the
+    rest, so the two sets are summed apart, each as a strided view of
+    ``sums`` with no padded copy.  The sums run on the float view, whose
+    last axis holds a (re, im) pair, so numpy adds whole rows of the
+    output in alias order and never takes a pairwise sum over the aliases.
     """
     lx, ly, lz = sums.shape
-    kz = -(-lz // nb) * nb
-    if kz != lz:
-        sums = np.concatenate([sums, np.zeros((lx, ly, kz - lz), dtype=sums.dtype)], axis=2)
-    return sums.reshape(lx // nb, nb, ly // nb, nb, kz // nb, nb).sum(axis=(0, 2, 4))
+    periods = -(-lz // nb)
+    width = lz - (periods - 1) * nb  # q < width have an alias in the last, partial period
+    parts = sums[..., None].view(np.float64)  # each (re, im) pair as a last axis of 2
+    sx, sy, sz, sc = parts.strides
+    folded = np.empty((nb, nb, nb), dtype=np.complex128)
+    out = folded.view(np.float64).reshape(nb, nb, nb, 2)
+    for q, aliases, count in ((0, periods, width), (width, periods - 1, nb - width)):
+        classes = as_strided(
+            parts[:, :, q:],
+            shape=(lx // nb, nb, ly // nb, nb, aliases, count, 2),
+            strides=(nb * sx, sx, nb * sy, sy, nb * sz, sz, sc),
+            writeable=False,
+        )
+        np.add.reduce(classes, axis=(0, 2, 4), out=out[:, :, q : q + count])
+    return folded
 
 
 @dataclass(frozen=True)
@@ -540,7 +590,7 @@ def scaling_run(
             f"scales of {cells} cells on a {n}^3 grid need {factor_bytes} bytes for the law "
             f"of their alias-class sums, more than the {memory:.3g} bytes of physical memory"
         )
-    law = class_law(mode_std(spec), plans)
+    law = class_law(spec, plans)
     table = np.empty((draws, len(ordered)))
     for i in range(draws):
         table[i] = draw_mean_squares(law, plans, SeedSequence(seed, spawn_key=(i,)))

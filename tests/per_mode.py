@@ -1,14 +1,19 @@
-"""The per-mode draw: one complex Gaussian per live mode, folded into each scale's aliases.
+"""The per-mode draw, and the class covariance built from the whole spectrum.
 
-This is the route a field draw took before it drew the alias-class sums
-from their joint law, kept as the test oracle for that law.  Each mode k
-of the half layout (N, N, N/2 + 1) gets the one-sided amplitude
-B(k) = s_k xi_k, s_k = sigma_k times sqrt(1/2) on the kz = 0 and N/2
-planes, xi_k an independent complex Gaussian with E|xi_k|^2 = 1.  The
-coefficients B(k) + conj B(-k) then have E|c_k|^2 = sigma_k^2.
+The per-mode draw, one complex Gaussian per live mode folded into each
+scale's aliases, is the route a field draw took before it drew the
+alias-class sums from their joint law, kept as the test oracle for that
+law.  Each mode k of the half layout (N, N, N/2 + 1) gets the one-sided
+amplitude B(k) = s_k xi_k, s_k = sigma_k times sqrt(1/2) on the kz = 0
+and N/2 planes, xi_k an independent complex Gaussian with E|xi_k|^2 = 1.
+The coefficients B(k) + conj B(-k) then have E|c_k|^2 = sigma_k^2.
 ``draw_modes`` streams the amplitudes into each scale's x-fold and
 ``coarse_mean_squares`` folds y and z and returns the energy of the
 completed fold, which by Parseval is the mean square of the cube averages.
+``class_covariance`` builds the law's covariance from the whole of sigma,
+every slab folded on its own: the oracle for ``field.class_covariance``,
+which computes each block's spectrum from the wavenumbers and folds only
+the slabs kx = 0..N/2.
 """
 
 import math
@@ -16,10 +21,11 @@ import math
 import numpy as np
 from numpy.random import default_rng
 
+from zpflab import field
 from zpflab.field import _fold_aliases, _reflect
 
-# The live normals are drawn a block of _BLOCK_SLABS x-slabs at a time, the
-# last block taking what is left.
+# The live normals are drawn, and the oracle covariance folded, a block of
+# _BLOCK_SLABS x-slabs at a time, the last block taking what is left.
 _BLOCK_SLABS = 8
 
 
@@ -96,3 +102,38 @@ def coarse_mean_squares(folded, plans) -> list[float]:
         g = f + _reflect(f)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
+
+
+def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
+    """C_r[a, b] = sum over k = r (mod L) of s_k^2 W_a(k) conj W_b(k), shape (S, S, L, L, L).
+
+    ``sigma`` is ``mode_std(spec)``; s_k is sigma_k, times sqrt(1/2) on the
+    kz = 0 and N/2 planes.  Each block of x-slabs of s^2, weighted by
+    P = W_a conj W_b, is folded along y, then along the stored kz,
+    zero-padded to whole L-periods, then added slab by slab into class
+    x mod L, in increasing x: one pass over sigma for every pair of scales.
+    """
+    n, nz = len(sigma), sigma.shape[2]
+    period = field.class_layout(n, [p.blocks for p in plans])[0]
+    kz = -(-nz // period) * period
+    pairs = [
+        (a, b, plans[a].transform * np.conj(plans[b].transform))
+        for a in range(len(plans))
+        for b in range(a, len(plans))
+    ]
+    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
+    padded = np.zeros((min(_BLOCK_SLABS, n), period, kz), dtype=np.complex128)
+    planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
+    for lo in range(0, n, _BLOCK_SLABS):
+        hi = min(lo + _BLOCK_SLABS, n)
+        power = np.square(sigma[lo:hi])
+        power[:, :, planes] *= 0.5
+        for a, b, weight in pairs:
+            padded[: hi - lo, :, :nz] = _fold_aliases(power, weight, period, 1)
+            folded = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
+            for x in range(lo, hi):
+                cov[a, b, x % period] += weight[x] * folded[x - lo]
+    for a, b, _ in pairs:
+        if a != b:
+            cov[b, a] = np.conj(cov[a, b])
+    return cov

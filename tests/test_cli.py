@@ -275,8 +275,8 @@ class TestFieldCommand:
         argv = self.ARGS[:-1] + [f"{cells / 16},0.5"]
         class_law = field.class_law
 
-        def huge(sigma, plans):  # a factor of 1e200: the class sums' folds square to inf
-            law = class_law(sigma, plans)
+        def huge(spec, plans):  # a factor of 1e200: the class sums' folds square to inf
+            law = class_law(spec, plans)
             return field.ClassLaw(np.full_like(law.factor, 1e200), law.mean_squares)
 
         monkeypatch.setattr(field, "class_law", huge)

@@ -140,21 +140,19 @@ def use_draw_blocks(monkeypatch, slabs):
 
 
 def build_blocks(monkeypatch, n, plan):
-    """The slab count of each block that ``class_covariance`` folds for n slabs, and its C.
+    """The x-slab range of each block whose spectrum ``class_covariance`` computes, and its C.
 
-    A stand-in spectrum of shape (n, n, 2) shows the block rule at any n
-    without the memory of a real one; each block's first fold is along y.
+    A stand-in spectrum of ones shows the block rule at any n, and where
+    every slab lands, without the work of a real one.
     """
-    slabs = []
-    fold_aliases = field._fold_aliases
+    blocks = []
 
-    def recording(values, weights, blocks, axis):
-        if axis == 1:
-            slabs.append(len(values))
-        return fold_aliases(values, weights, blocks, axis)
+    def ones(spec, lo, hi):
+        blocks.append((lo, hi))
+        return np.ones((hi - lo, n, n // 2 + 1))
 
-    monkeypatch.setattr(field, "_fold_aliases", recording)
-    return slabs, class_covariance(np.ones((n, n, 2)), [plan])
+    monkeypatch.setattr(field, "_slab_std", ones)
+    return blocks, class_covariance(LatticeSpec(box_size=1.0, points_per_axis=n), [plan])
 
 
 def synthesize_field(coefficients):
@@ -367,14 +365,16 @@ class TestDrawModes:
 
     @pytest.mark.parametrize("n", [16, 64, 128, 130, 256])
     def test_every_block_is_block_slabs_but_a_shorter_last(self, n, monkeypatch):
-        # one rule at every N: the covariance build's block of sigma and its
-        # weighted copy are at most _BLOCK_SLABS slabs, so they grow as N^2
-        slabs = field._BLOCK_SLABS
+        # one rule at every N: the covariance build computes the spectrum of
+        # the slabs kx = 0..N/2 only, at most _BLOCK_SLABS slabs at a time,
+        # so its temporaries grow as N^2
+        slabs, half = field._BLOCK_SLABS, n // 2 + 1
         plan = field.ScalePlan(cells=n // 2, blocks=2, transform=np.ones(n, dtype=complex))
-        runs, cov = build_blocks(monkeypatch, n, plan)
-        assert runs == [min(slabs, n - lo) for lo in range(0, n, slabs)]
-        # every (x, y) lands once in its class mod 2: s^2 = 1, halved on kz = 0
-        assert np.array_equal(cov[0, 0], np.broadcast_to([n * n / 8, n * n / 4], (2, 2, 2)))
+        blocks, cov = build_blocks(monkeypatch, n, plan)
+        assert blocks == [(lo, min(lo + slabs, half)) for lo in range(0, half, slabs)]
+        # every (x, y) lands once in its class mod 2, slab N - x as slab x:
+        # s^2 = 1, halved on kz = 0 and N/2, so each class sums (N/2)^2 N/4
+        assert np.array_equal(cov[0, 0], np.full((2, 2, 2), n**3 / 16))
 
     @pytest.mark.parametrize("spec", STREAM_SPECS + [N96], ids=STREAM_IDS + ["N96"])
     def test_spectrum_built_in_place_is_the_out_of_place_one(self, spec):
@@ -384,16 +384,26 @@ class TestDrawModes:
         assert np.array_equal(mode_std(spec), sigma)
 
     def test_spectrum_computed_once_per_run(self, monkeypatch):
+        # each slab kx = 0..N/2 once, a block at a time; slab N - x has the
+        # s^2 of slab x, so the other half is never computed
         calls = []
         real = field.wavenumber_magnitudes
 
-        def counted(spec):
-            calls.append(spec)
-            return real(spec)
+        def counted(spec, lo=0, hi=None):
+            calls.append((spec, lo, hi))
+            return real(spec, lo, hi)
 
         monkeypatch.setattr(field, "wavenumber_magnitudes", counted)
         scaling_run(MEDIUM, None, draws=4, seed=1)
-        assert calls == [MEDIUM]
+        slabs, half = field._BLOCK_SLABS, MEDIUM.points_per_axis // 2 + 1
+        assert calls == [(MEDIUM, lo, min(lo + slabs, half)) for lo in range(0, half, slabs)]
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS + [N96], ids=STREAM_IDS + ["N96"])
+    def test_a_block_of_slabs_is_those_slabs_of_the_spectrum(self, spec):
+        n = spec.points_per_axis
+        sigma = mode_std(spec)
+        for lo, hi in [(0, 1), (0, 3), (n // 2 - 2, n // 2 + 1), (n // 2, n)]:
+            assert np.array_equal(field._slab_std(spec, lo, hi), sigma[lo:hi])
 
 
 class TestSynthesize:
@@ -552,7 +562,8 @@ class TestCoarseMeanSquares:
         # the draw are all covered.
         functions = (
             field.class_law, class_covariance, field._factor_in_place, field._mode_columns,
-            draw_mean_squares, field._fold_classes, field._fold_aliases, field._reflect,
+            field._slab_std, field.wavenumber_magnitudes, draw_mean_squares, field._complete,
+            field._fold_classes, field._fold_aliases, field._reflect,
         )
         banned = r"@|\bdot\b|vdot|inner|matmul|tensordot|einsum|linalg|fft"
         for fn in functions:
@@ -600,10 +611,9 @@ class TestCoarseMeanSquares:
         spec = LatticeSpec(box_size=1.0, points_per_axis=64)
         scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
         children = np.random.SeedSequence(1).spawn(50)
-        sigma = mode_std(spec)
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
-            law = class_law(sigma, plans)
+            law = class_law(spec, plans)
             per_draw = np.array([draw_mean_squares(law, plans, c) for c in children])
             pooled = per_draw.mean(axis=0)
             se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(children))
@@ -619,18 +629,18 @@ class TestCoarseMeanSquares:
         assert -1.86 <= exact_exponent(spec, "tophat") <= -1.82
 
     def test_scaling_run_never_builds_the_grid(self):
-        # Everything the class law's build and two draws allocate beside the
-        # spectrum, at their peak, fits in less than one real N^3 grid, so no
-        # grid, and no whole half-layout coefficient array (1.03 grids), can
-        # ever have existed.
-        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
-        sigma = mode_std(spec)
+        # Everything the class law's build and two draws allocate, at their
+        # peak, fits in less than one real N^3 grid, so no grid, and no whole
+        # half-layout coefficient array (1.03 grids), can ever have existed.
+        # The build's folds grow as N L^2, so at 64^3 they alone are most of
+        # a grid; at 128^3 the whole peak is under a third of one.
+        spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         small = scale_plans(SMALL, [1 / 4, 1 / 2], "hann")
-        draw_mean_squares(class_law(mode_std(SMALL), small), small, 0)  # one-time lazy imports
+        draw_mean_squares(class_law(SMALL, small), small, 0)  # one-time lazy imports
         tracemalloc.start()
         try:
-            law = class_law(sigma, plans)
+            law = class_law(spec, plans)
             rows = [draw_mean_squares(law, plans, s) for s in (3, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -713,6 +723,20 @@ LAW_SPECS = {
 }
 
 
+ORACLE_SPECS = {
+    "N8": (SMALL, [1 / 4, 1 / 2]),  # L = 4
+    "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 16, 1 / 8, 1 / 4, 1 / 2]),
+    # a cutoff that keeps only the fundamental's modes
+    "N32-kmax7": (LatticeSpec(box_size=1.0, points_per_axis=32, k_max=7.0),
+                  [1 / 16, 1 / 8, 1 / 4, 1 / 2]),
+    "N64-box2-kmax": (LatticeSpec(box_size=2.0, points_per_axis=64, k_max=6 * math.pi),
+                      [1 / 8, 1 / 4, 1 / 2, 1.0]),
+    "N96": (N96, [1 / 16, 1 / 8, 1 / 4, 1 / 2]),  # six aliases per class along x
+    # N/2 odd, so slab N/2 is its own mirror and L = 10 does not divide N/2 + 1
+    "N130": (LatticeSpec(box_size=1.0, points_per_axis=130), [0.1, 0.2, 0.5]),
+}
+
+
 class TestClassLaw:
     """The run's draw, the alias-class sums from their joint law, against the per-mode route."""
 
@@ -721,55 +745,65 @@ class TestClassLaw:
     def test_covariance_is_the_per_mode_covariance(self, name, window):
         spec, scales = LAW_SPECS[name]
         plans = scale_plans(spec, scales, window)
-        built = class_covariance(mode_std(spec), plans)
+        built = class_covariance(spec, plans)
         oracle = covariance_mode_by_mode(spec, plans)
         assert np.all(np.abs(built - oracle) <= 1e-13 * correlation_scale(oracle))
         if name == "box2-kmax":
             assert np.count_nonzero(correlation_scale(oracle) == 0) > 0
+
+    @pytest.mark.parametrize("slabs", [1, 3, 8, 10**9])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_covariance_is_the_one_built_from_sigma(self, name, window, slabs, monkeypatch):
+        # the spectrum of the slabs kx = 0..N/2 only, from the wavenumbers a
+        # block at a time, gives every bit of the build from the whole of sigma
+        spec, scales = ORACLE_SPECS[name]
+        plans = scale_plans(spec, scales, window)
+        oracle = per_mode.class_covariance(mode_std(spec), plans)
+        monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
+        built = class_covariance(spec, plans)
+        assert np.array_equal(built.view(np.int64), oracle.view(np.int64))
 
     @pytest.mark.parametrize("slabs", [1, 3, 10**9])
     def test_covariance_does_not_depend_on_the_slab_block(self, slabs, monkeypatch):
         # each slab is folded on its own and added into its class in
         # increasing x, so the block it is built in leaves every bit alone
         plans = scale_plans(MEDIUM, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "tophat")
-        sigma = mode_std(MEDIUM)
-        default = class_covariance(sigma, plans)
+        default = class_covariance(MEDIUM, plans)
         monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
-        assert np.array_equal(class_covariance(sigma, plans), default)
+        assert np.array_equal(class_covariance(MEDIUM, plans), default)
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("name", list(LAW_SPECS))
     def test_twice_the_trace_is_the_exact_mean_square(self, name, window):
         spec, scales = LAW_SPECS[name]
         plans = scale_plans(spec, scales, window)
-        sigma = mode_std(spec)
-        cov = class_covariance(sigma, plans)
+        cov = class_covariance(spec, plans)
         trace = [2 * float(cov[a, a].real.sum()) for a in range(len(plans))]
         exact = expected_mean_squares(spec, scales, window)
         assert trace == pytest.approx(exact, rel=1e-13)
-        assert class_law(sigma, plans).mean_squares == pytest.approx(exact, rel=1e-13)
+        assert class_law(spec, plans).mean_squares == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("n", [32, 64])
     def test_factor_rebuilds_the_covariance(self, n, window):
         spec = LatticeSpec(box_size=1.0, points_per_axis=n)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window)
-        sigma = mode_std(spec)
-        cov = class_covariance(sigma, plans)
-        factor = class_law(sigma, plans).factor
+        cov = class_covariance(spec, plans)
+        factor = class_law(spec, plans).factor
         assert factor.shape == (4, 4, 16, 16, 16)  # width S: L = 16 at any N
         assert not np.any(np.triu(np.ones((4, 4)), 1)[:, :, None, None, None] * factor)
         rebuilt = np.einsum("ajxyz,bjxyz->abxyz", factor, factor.conj())
         assert np.all(np.abs(rebuilt - cov) <= 1e-12 * correlation_scale(cov))
         # the exact mean squares are the trace of C, before any pivot is dropped
         trace = [2 * float(cov[a, a].real.sum()) for a in range(4)]
-        assert list(class_law(sigma, plans).mean_squares) == trace
+        assert list(class_law(spec, plans).mean_squares) == trace
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_one_mode_classes_take_their_modes_as_the_factor(self, window):
         spec, scales = LAW_SPECS["N16-one-cell"]
         plans = scale_plans(spec, scales, window)
-        law = class_law(mode_std(spec), plans)
+        law = class_law(spec, plans)
         assert law.factor.shape == (3, 1, 16, 16, 9)  # the half layout itself, width 1
         oracle = covariance_mode_by_mode(spec, plans)[:, :, :, :, :9]
         rebuilt = law.factor[:, None, 0] * law.factor[None, :, 0].conj()
@@ -782,7 +816,7 @@ class TestClassLaw:
         spec, draws = MEDIUM, 600
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window)
         sigma = mode_std(spec)
-        law = class_law(sigma, plans)
+        law = class_law(spec, plans)
         per_mode_ms = np.array([
             coarse_mean_squares(draw_modes(sigma, c, plans), plans)
             for c in np.random.SeedSequence(1).spawn(draws)
@@ -805,7 +839,7 @@ class TestClassLaw:
 
     def test_draws_are_deterministic_in_the_seed(self):
         plans = scale_plans(MEDIUM, [1 / 8, 1 / 4, 1 / 2], "hann")
-        law = class_law(mode_std(MEDIUM), plans)
+        law = class_law(MEDIUM, plans)
         child = np.random.SeedSequence(5).spawn(3)[2]
         assert draw_mean_squares(law, plans, child) == draw_mean_squares(law, plans, child)
         assert draw_mean_squares(law, plans, 5) != draw_mean_squares(law, plans, 6)
@@ -934,7 +968,7 @@ class TestScalingPipeline:
         n, draws, seed = spec.points_per_axis, 6, 4242
         scales = [box * cells / n for cells in (1, 4, 8, 16)]
         plans = scale_plans(spec, scales, "hann")
-        law = class_law(mode_std(spec), plans)
+        law = class_law(spec, plans)
         assert law.factor.shape[1] == 1
         amplitude = mode_std(spec)
         amplitude[:, :, [0, n // 2]] *= math.sqrt(0.5)
@@ -972,7 +1006,7 @@ class TestScalingPipeline:
             scaling_run(MEDIUM, [1 / 8, 1 / 4, 1 / 2, 1.0], draws=1, seed=0)
 
     def test_scales_checked_before_any_draw(self, monkeypatch):
-        def no_draws(sigma, plans):
+        def no_draws(spec, plans):
             raise AssertionError("built the class law before checking the scales")
 
         monkeypatch.setattr(field, "class_law", no_draws)
@@ -1032,7 +1066,7 @@ class TestScalingPipeline:
         # the factor.  The whole coefficient array is 1.02 grids on its own.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
-        law = class_law(mode_std(spec), plans)
+        law = class_law(spec, plans)
         draw_mean_squares(law, plans, 0)  # the first draw's lazy imports are a one-time cost
         tracemalloc.start()
         try:
@@ -1043,6 +1077,32 @@ class TestScalingPipeline:
             tracemalloc.stop()
         grid_bytes = spec.points_per_axis**3 * 8
         assert peak < 0.1 * grid_bytes
+
+    @pytest.mark.parametrize("n", [16, 64], ids=["mode-columns", "cholesky"])
+    def test_the_run_never_builds_sigma(self, n, monkeypatch):
+        # on the default scales either route of the class law computes the
+        # spectrum a block of x-slabs at a time
+        def no_sigma(*args):
+            raise AssertionError("built the whole spectrum")
+
+        monkeypatch.setattr(field, "mode_std", no_sigma)
+        report, _ = scaling_run(LatticeSpec(box_size=1.0, points_per_axis=n), None, draws=2, seed=0)
+        assert len(report.rms) == 4
+
+    def test_class_law_peak_is_a_fraction_of_sigma(self):
+        # At 128^3 the build holds one (L, L) fold per pair of scales for each
+        # slab kx = 0..N/2 (2.7 MB), one block's spectrum and alias product and
+        # C itself (1 MB): about half the 8.5 MB that sigma alone would take.
+        spec = LatticeSpec(box_size=1.0, points_per_axis=128)
+        plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
+        class_law(MEDIUM, scale_plans(MEDIUM, [1 / 16, 1 / 2], "hann"))  # one-time lazy imports
+        tracemalloc.start()
+        try:
+            class_law(spec, plans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 8 * 128 * 128 * 65
 
     def test_spectrum_build_peak_is_about_one_spectrum(self):
         # sigma is built in the array of |k|, beside a boolean cutoff mask of
