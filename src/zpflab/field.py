@@ -12,9 +12,11 @@ and s_k = sigma_k, times sqrt(1/2) on the self-conjugate planes kz = 0
 and kz = N/2, which store both members of a pair.  sigma_k = 0 at DC
 (|k| = 0) and beyond k_max.  The two things the inputs can break, the
 spectrum's float range and the memory that sigma needs, are checked once
-in ``LatticeSpec``.  The coefficients describe a real field, their
-inverse real transform, whose cube-averaged RMS falls as l^-2 with the
-averaging scale l, which is the scaling this module exists to measure.
+in ``LatticeSpec``; a scaling run never holds sigma whole, but computes
+it a block of x-slabs at a time.  The coefficients describe a real
+field, their inverse real transform, whose cube-averaged RMS falls as
+l^-2 with the averaging scale l, which is the scaling this module exists
+to measure.
 The dimensioned form of that law, sqrt(hbar c) / l^2, is
 ``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
 lives there and only ``field scaling-run`` imports this module.
@@ -29,12 +31,15 @@ B(k))_a, one entry per scale.  The H(r) are independent circular complex
 Gaussians with covariance C_r[a, b] = sum_{k = r} s_k^2 W_a(k) conj W_b(k),
 so a draw of the H(r) from that law is a draw of every scale's cube
 averages at once, with their exact joint law.  ``class_law`` builds C once
-per run, a block of x-slabs of sigma at a time, and factors every class
-with a diagonal-scaled semidefinite Cholesky; ``draw_mean_squares`` draws
-H from the factor (about 4 k complex normals per scale at the default, at
-any N), folds it from L down to each scale's nb classes, completes the
-Hermitian symmetry and takes the energy of the fold, which by Parseval is
-the mean square of the cube averages.  The trace of C gives each scale's
+per run, computing s_k^2 from the wavenumbers a block of x-slabs at a
+time, and only for kx = 0..N/2, since slab N - x has the s^2 of slab x;
+it holds one (L, L) fold per slab and pair of scales, and no N^3 array.
+It then factors every class with a diagonal-scaled semidefinite
+Cholesky; ``draw_mean_squares`` draws H from the factor (about 4 k
+complex normals per scale at the default, at any N), folds it from L
+down to each scale's nb classes, completes the Hermitian symmetry and
+takes the energy of the fold, which by Parseval is the mean square of
+the cube averages.  The trace of C gives each scale's
 exact ensemble mean square, 2 sum_r C_r[a, a], at no extra cost.  Every
 contraction in the build, the factor and a draw is elementwise numpy in a
 fixed order: no FFT, BLAS or LAPACK call is made, so the digits do not
@@ -84,7 +89,10 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
-        sigma_bytes = 8 * n * n * (n // 2 + 1)  # the run's one spectrum, float64
+        # sigma whole, float64, as mode_std builds it: a scaling run computes it a
+        # block of x-slabs at a time and never holds it, but the bound still
+        # caps the work of each block, which is N^2 wavenumbers a slab
+        sigma_bytes = 8 * n * n * (n // 2 + 1)
         memory = physical_memory_bytes()
         if sigma_bytes > memory:
             raise ConfigurationError(
@@ -135,7 +143,7 @@ class LatticeSpec:
 
 
 def wavenumber_magnitudes(spec: LatticeSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """|k| on the x-slabs lo..hi - 1 of the half lattice (all N by default), shape (hi - lo, N, N/2 + 1)."""
+    """|k| on the half lattice's x-slabs lo..hi - 1, all N by default: (hi - lo, N, N/2 + 1)."""
     n = spec.points_per_axis
     k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
     kz = spec.fundamental * np.arange(n // 2 + 1)
@@ -335,7 +343,7 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
     temporaries and C, and no array of N^3 / 2 values.
     """
     n = spec.points_per_axis
-    nz, half = n // 2 + 1, n // 2 + 1  # stored kz, and the slabs kx = 0..N/2
+    nz = half = n // 2 + 1  # the stored kz; also the slabs kx = 0..N/2 that are folded
     period = class_layout(n, [p.blocks for p in plans])[0]
     kz = -(-nz // period) * period
     pairs = [
@@ -422,9 +430,11 @@ def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
             weighted = block * w[lo:hi, None, None]
             weighted *= w[None, :, None]
             weighted *= w[None, None, :kz]
-            by_class = weighted.reshape(hi - lo, reps, period, kz // lz, lz).transpose(0, 1, 3, 2, 4)
-            for x in range(lo, hi):
-                out[x // period, :, x % period] = by_class[x - lo].reshape(-1, period, lz)
+            by_class = weighted.reshape(hi - lo, reps, period, kz // lz, lz)
+            for x in range(lo, hi):  # (y-alias, z-alias) columns of each (ry, rz) class
+                out[x // period, :, x % period] = (
+                    by_class[x - lo].transpose(0, 2, 1, 3).reshape(-1, period, lz)
+                )
     return factor
 
 
@@ -552,14 +562,15 @@ def scaling_run(
 
     ``scales=None`` means box/16, box/8, box/4 and box/2, the fit range
     recommended above; given scales are reported in increasing order.
-    The per-scale plans, sigma and the class law are built once, before
-    the first draw, and sigma is dropped once the law is built.  Draw i is
-    seeded by ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
+    The per-scale plans and the class law are built once, before the
+    first draw; the law's build computes the spectrum a block of x-slabs
+    at a time, so sigma is never held whole.  Draw i is seeded by
+    ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
     ``SeedSequence(seed).spawn`` would give, and its mean squares go into
     one preallocated (draws, scales) table, so memory does not grow with
     the draws beyond that table.  A table larger than physical memory is
-    refused before any array is built, and a class-law factor before sigma
-    or the factor is.
+    refused before any array is built, and a class-law factor before the
+    law's build starts.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")

@@ -13,7 +13,8 @@ completed fold, which by Parseval is the mean square of the cube averages.
 ``class_covariance`` builds the law's covariance from the whole of sigma,
 every slab folded on its own: the oracle for ``field.class_covariance``,
 which computes each block's spectrum from the wavenumbers and folds only
-the slabs kx = 0..N/2.
+the slabs kx = 0..N/2.  ``mode_columns`` likewise weights the whole
+padded amplitude array at once, the oracle for ``field._mode_columns``.
 """
 
 import math
@@ -137,3 +138,22 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
         if a != b:
             cov[b, a] = np.conj(cov[a, b])
     return cov
+
+
+def mode_columns(sigma: np.ndarray, plans, period: int, lz: int) -> np.ndarray:
+    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz)."""
+    n, nz = len(sigma), sigma.shape[2]
+    kz = -(-nz // lz) * lz
+    amplitude = np.zeros((n, n, kz))
+    amplitude[:, :, :nz] = sigma
+    amplitude[:, :, : nz : n // 2] *= math.sqrt(0.5)
+    reps = n // period
+    factor = np.empty((len(plans), reps * reps * (kz // lz), period, period, lz), np.complex128)
+    for plan, out in zip(plans, factor):
+        w = plan.transform
+        weighted = amplitude * w[:, None, None]
+        weighted *= w[None, :, None]
+        weighted *= w[None, None, :kz]
+        by_class = weighted.reshape(reps, period, reps, period, kz // lz, lz)
+        out[...] = by_class.transpose(0, 2, 4, 1, 3, 5).reshape(out.shape)
+    return factor

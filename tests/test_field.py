@@ -799,6 +799,29 @@ class TestClassLaw:
         trace = [2 * float(cov[a, a].real.sum()) for a in range(4)]
         assert list(class_law(spec, plans).mean_squares) == trace
 
+    @pytest.mark.parametrize("slabs", [1, 3, 8, 10**9])
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize(
+        "spec, cells",
+        [
+            (LatticeSpec(box_size=1.0, points_per_axis=16), [1, 2, 8]),  # L = N
+            # eight scales of L = 36 < N: 8 modes a class, two x-aliases each
+            (LatticeSpec(box_size=1.0, points_per_axis=72), [2, 4, 6, 8, 12, 18, 24, 36]),
+        ],
+        ids=["N16-one-cell", "N72-eight-scales"],
+    )
+    def test_mode_columns_are_the_ones_built_from_sigma(self, spec, cells, window, slabs,
+                                                         monkeypatch):
+        plans = scale_plans(spec, [c * spec.cell_size for c in cells], window)
+        blocks = [p.blocks for p in plans]
+        period, lz, width, modes = field.class_layout(spec.points_per_axis, blocks)
+        assert modes
+        oracle = per_mode.mode_columns(mode_std(spec), plans, period, lz)
+        monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
+        law = class_law(spec, plans)
+        assert law.factor.shape[1] == width
+        assert np.array_equal(law.factor.view(np.int64), oracle.view(np.int64))
+
     @pytest.mark.parametrize("window", WINDOWS)
     def test_one_mode_classes_take_their_modes_as_the_factor(self, window):
         spec, scales = LAW_SPECS["N16-one-cell"]
