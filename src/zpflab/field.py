@@ -39,11 +39,11 @@ Cholesky; ``draw_mean_squares`` draws H from the factor (about 4 k
 complex normals per scale at the default, at any N), folds it from L
 down to each scale's nb classes, completes the Hermitian symmetry and
 takes the energy of the fold, which by Parseval is the mean square of
-the cube averages.  The trace of C gives each scale's
-exact ensemble mean square, 2 sum_r C_r[a, a], at no extra cost.  Every
-contraction in the build, the factor and a draw is elementwise numpy in a
-fixed order: no FFT, BLAS or LAPACK call is made, so the digits do not
-depend on how any of those libraries was built.
+the cube averages.  The trace of C gives each scale's exact ensemble mean
+square, 2 sum_r C_r[a, a], at no extra cost.  Every contraction in the
+build, the factor and a draw is elementwise numpy in a fixed order: no
+FFT, BLAS or LAPACK call is made, so the digits do not depend on how any
+of those libraries was built.
 
 Coarse-graining windows
 -----------------------
@@ -89,9 +89,9 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
-        # sigma whole, float64, as mode_std builds it: a scaling run computes it a
-        # block of x-slabs at a time and never holds it, but the bound still
-        # caps the work of each block, which is N^2 wavenumbers a slab
+        # sigma whole, float64, as mode_std builds it.  A scaling run computes it
+        # a block of x-slabs at a time and never holds it whole, but a grid whose
+        # spectrum exceeds memory is still refused: each block's work grows with it.
         sigma_bytes = 8 * n * n * (n // 2 + 1)
         memory = physical_memory_bytes()
         if sigma_bytes > memory:
@@ -445,10 +445,10 @@ def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
     fills the complex normals z_j(r), scaled by sqrt(1/2), and each scale's
     H_a is their sum over j times its factor columns, in increasing j, so
     one scale's sums are held at a time.  Each scale folds H_a from L down
-    to its nb classes, which is the fold F of the
-    one-sided amplitudes; the coefficients are B(k) + conj B(-k) and a real
-    window has W(-k) = conj W(k), so G(q) = F(q) + conj F(-q), and by
-    Parseval the mean square of the cube averages is sum_q |G(q)|^2.
+    to its nb classes, which is the fold F of the one-sided amplitudes; the
+    coefficients are B(k) + conj B(-k) and a real window has W(-k) =
+    conj W(k), so G(q) = F(q) + conj F(-q), and by Parseval the mean
+    square of the cube averages is sum_q |G(q)|^2.
     Deterministic in (law, seed); seed may be an int or a numpy
     SeedSequence.  Every contraction is a fixed-order sum, so no FFT or
     BLAS call is made.
