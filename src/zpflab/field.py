@@ -10,10 +10,10 @@ with B zero for kz < 0, so Hermitian symmetry holds by construction.
 B(k) = s_k xi_k, xi_k an independent complex normal with E|xi_k|^2 = 1,
 and s_k = sigma_k, times sqrt(1/2) on the self-conjugate planes kz = 0
 and kz = N/2, which store both members of a pair.  sigma_k = 0 at DC
-(|k| = 0) and beyond k_max.  The two things the inputs can break, the
-spectrum's float range and the memory that sigma needs, are checked once
-in ``LatticeSpec``; a scaling run never holds sigma whole, but computes
-it a block of x-slabs at a time.  The coefficients describe a real
+(|k| = 0) and beyond k_max.  ``LatticeSpec`` checks its float range.  A
+run computes sigma a block of x-slabs at a time and never holds it whole;
+``scaling_run`` checks the bytes it does hold, ``_run_bytes``, against
+physical memory once.  The coefficients describe a real
 field, their inverse real transform, whose cube-averaged RMS falls as
 l^-2 with the averaging scale l, which is the scaling this module exists
 to measure.
@@ -89,16 +89,6 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
-        # sigma whole, float64, as mode_std builds it.  A scaling run computes it
-        # a block of x-slabs at a time and never holds it whole, but a grid whose
-        # spectrum exceeds memory is still refused: each block's work grows with it.
-        sigma_bytes = 8 * n * n * (n // 2 + 1)
-        memory = physical_memory_bytes()
-        if sigma_bytes > memory:
-            raise ConfigurationError(
-                f"points_per_axis {n} needs {sigma_bytes:.3g} bytes for the spectrum alone, "
-                f"more than the {memory:.3g} bytes of physical memory"
-            )
         if self.k_max is None:
             object.__setattr__(self, "k_max", self.nyquist)
         if not self.k_max >= self.fundamental:
@@ -151,13 +141,8 @@ def wavenumber_magnitudes(spec: LatticeSpec, lo: int = 0, hi: int | None = None)
     return np.sqrt(kmag, out=kmag)
 
 
-def mode_std(spec: LatticeSpec) -> np.ndarray:
-    """Per-mode sigma_k on the half lattice; zero for DC and beyond k_max."""
-    return _slab_std(spec, 0, spec.points_per_axis)
-
-
 def _slab_std(spec: LatticeSpec, lo: int, hi: int) -> np.ndarray:
-    """sigma_k on the x-slabs lo..hi - 1: the bits of ``mode_std(spec)[lo:hi]``.
+    """sigma_k on the half lattice's x-slabs lo..hi - 1; zero for DC and beyond k_max.
 
     sqrt(|k| * kappa / L^3) is built in the array of |k| itself, so the
     build holds one array and the cutoff mask, not three arrays.  Every
@@ -251,7 +236,6 @@ def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: in
 class ScalePlan:
     """What coarse-graining at one scale needs, fixed for a run."""
 
-    cells: int  # m, cells per cube edge
     blocks: int  # nb = N / m, cubes per axis
     transform: np.ndarray  # W(k) = sum_i w_i exp(2 pi i k i / N) at the N FFT-ordered k
 
@@ -265,7 +249,7 @@ def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]
         w = _window_weights(m, window)
         phase = np.outer(np.arange(n), np.arange(m)) % n  # k * i, reduced mod N in integers
         w_k = (np.exp(2j * math.pi / n * phase) * w).sum(axis=1)
-        plans.append(ScalePlan(cells=m, blocks=n // m, transform=w_k))
+        plans.append(ScalePlan(blocks=n // m, transform=w_k))
     return tuple(plans)
 
 
@@ -293,6 +277,27 @@ def class_layout(n: int, blocks) -> tuple[int, int, int, bool]:
     per_class = (n // period) ** 2 * -(-nz // lz)
     modes = per_class <= len(blocks)
     return period, lz, per_class if modes else len(blocks), modes
+
+
+def _run_bytes(n: int, blocks, draws: int) -> int:
+    """The bytes of the arrays a scaling run holds at its peak, bounded from the layout alone.
+
+    The table, plus the larger of the law's build and the factor with one
+    draw, adding terms one phase does not hold at once; in Python ints, which
+    cannot overflow.  numpy's ufunc buffers, a few hundred KB, are not counted.
+    """
+    period, lz, width, modes = class_layout(n, blocks)
+    s, nz = len(blocks), n // 2 + 1
+    kz, grid = -(-nz // lz) * lz, 16 * period * period * lz  # padded kz; a class-grid array
+    factor = s * width * grid
+    if modes:  # a block's amplitude and two weighted copies; then one scale's squared columns
+        build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + 3 * width * grid // 2
+    else:  # a block's s^2, y-fold product, fold and z pad; each pair's folds; C; the factoring
+        build = (8 * min(_BLOCK_SLABS, nz) * ((3 * n + 2 * period) * nz + 2 * period * kz)
+                 + 8 * s * (s + 1) * nz * period**2 + factor + (s + 4) * grid)
+    # the normals, class sums and product term; three (nb, nb, nb) folds of the largest nb
+    draw = factor + (width + 2) * grid + 48 * max(blocks) ** 3
+    return 8 * draws * (s + 2) + max(build, draw)  # the table and two columns of its statistics
 
 
 @dataclass(frozen=True)
@@ -458,10 +463,11 @@ def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
     parts = normals.view(np.float64)  # each (re, im) pair read as one normal
     default_rng(seed).standard_normal(out=parts)
     parts *= math.sqrt(0.5)
-    term = np.empty(normals.shape[1:], dtype=np.complex128) if len(normals) > 1 else None
+    sums = np.empty(normals.shape[1:], dtype=np.complex128)
+    term = np.empty_like(sums) if len(normals) > 1 else None
     out = []
     for plan, columns in zip(plans, factor):
-        sums = columns[0] * normals[0]
+        np.multiply(columns[0], normals[0], out=sums)
         for j in range(1, len(normals)):
             sums += np.multiply(columns[j], normals[j], out=term)
         g = _complete(_fold_classes(sums, plan.blocks))
@@ -568,9 +574,9 @@ def scaling_run(
     ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
     ``SeedSequence(seed).spawn`` would give, and its mean squares go into
     one preallocated (draws, scales) table, so memory does not grow with
-    the draws beyond that table.  A table larger than physical memory is
-    refused before any array is built, and a class-law factor before the
-    law's build starts.
+    the draws beyond that table.  A run whose peak (``_run_bytes``: the
+    law's build, or its factor with one draw, and the table) exceeds
+    physical memory is refused before any array is built.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -581,26 +587,18 @@ def scaling_run(
         raise DomainError("need at least one scale")
     if any(b <= a for a, b in zip(ordered, ordered[1:])):
         raise DomainError(f"scales must be distinct, got {scales}")
-    table_bytes = 8 * draws * len(ordered)  # Python ints, so no size overflows
-    memory = physical_memory_bytes()
-    if table_bytes > memory:
-        raise DomainError(
-            f"{draws} draws at {len(ordered)} scales need {table_bytes} bytes for their "
-            f"mean squares, more than the {memory:.3g} bytes of physical memory"
-        )
     n = spec.points_per_axis
-    plans = scale_plans(spec, ordered, window)
-    for s, plan in zip(ordered, plans):
-        if 2 * plan.cells > n:
+    cells = [_cells_for_scale(spec, s) for s in ordered]
+    for s, m in zip(ordered, cells):
+        if 2 * m > n:
             raise DomainError(f"scale {s} exceeds half the box (the whole-box mean is pinned to 0)")
-    period, lz, width, _ = class_layout(n, [p.blocks for p in plans])
-    factor_bytes = 16 * len(plans) * width * period * period * lz
-    if factor_bytes > memory:
-        cells = [p.cells for p in plans]
+    need, memory = _run_bytes(n, [n // m for m in cells], draws), physical_memory_bytes()
+    if need > memory:
         raise DomainError(
-            f"scales of {cells} cells on a {n}^3 grid need {factor_bytes} bytes for the law "
-            f"of their alias-class sums, more than the {memory:.3g} bytes of physical memory"
+            f"{draws} draws at scales of {cells} cells on a {n}^3 grid need {need} bytes for "
+            f"the class law, a draw and the table, over the {memory:.3g} bytes of physical memory"
         )
+    plans = scale_plans(spec, ordered, window)
     law = class_law(spec, plans)
     table = np.empty((draws, len(ordered)))
     for i in range(draws):

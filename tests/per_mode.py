@@ -1,4 +1,8 @@
-"""The per-mode draw, and the class covariance built from the whole spectrum.
+"""The whole spectrum, the per-mode draw, and the class covariance built from sigma.
+
+``mode_std`` builds sigma on the whole half layout in one block, which no
+run does: a run computes it a block of x-slabs at a time.  The oracles
+below take it as their input.
 
 The per-mode draw, one complex Gaussian per live mode folded into each
 scale's aliases, is the route a field draw took before it drew the
@@ -28,6 +32,11 @@ from zpflab.field import _fold_aliases, _reflect
 # The live normals are drawn, and the oracle covariance folded, a block of
 # _BLOCK_SLABS x-slabs at a time, the last block taking what is left.
 _BLOCK_SLABS = 8
+
+
+def mode_std(spec) -> np.ndarray:
+    """Per-mode sigma_k on the whole half lattice; zero for DC and beyond k_max."""
+    return field._slab_std(spec, 0, spec.points_per_axis)
 
 
 def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:

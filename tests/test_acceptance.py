@@ -4,10 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here, not configurable.
 """
 
-import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from zpflab.casimir import (
     modesum_energy_per_area,
     regulated_cubic_sum,
 )
-from zpflab.cli import dispatch
+import zpflab
 from zpflab.coil import CoilSpec, coil_current, predicted_rms, zpf_tap_estimate
 from zpflab.field import LatticeSpec, scaling_run
 from zpflab.lamb import (
@@ -194,7 +197,10 @@ def test_criterion_6_coil_tap():
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_criterion_7_determinism(monkeypatch):
+def test_criterion_7_determinism():
+    # Each run is a fresh `python -m zpflab.cli` process under a different
+    # OPENBLAS_NUM_THREADS, the thread setting `main` defaults before numpy
+    # loads; its stdout must not change by a byte.
     with _Stopwatch("criterion 7: byte-identical reruns under thread variation", 60.0):
         stochastic_runs = [
             ["field", "scaling-run", "--grid", "32", "--box", "1", "--draws", "8",
@@ -202,13 +208,17 @@ def test_criterion_7_determinism(monkeypatch):
             ["oscillator", "--m", "1", "--omega", "1", "--units", "natural",
              "--samples", "20000", "--seed", "77"],
         ]
+        src = str(Path(zpflab.__file__).parents[1])
         for argv in stochastic_runs:
             outputs = []
             for threads in ("1", "4", "2"):
-                monkeypatch.setenv("ZPFLAB_THREADS", threads)
-                out, err = io.StringIO(), io.StringIO()
-                assert dispatch(argv, out, err) == 0
-                outputs.append(out.getvalue())
-                manifest = json.loads(err.getvalue().strip().splitlines()[-1])
+                env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+                result = subprocess.run(
+                    [sys.executable, "-m", "zpflab.cli", *argv],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert result.returncode == 0, result.stderr
+                outputs.append(result.stdout)
+                manifest = json.loads(result.stderr.strip().splitlines()[-1])
                 assert manifest["parameters"]["seed"] is not None
             assert outputs[0] == outputs[1] == outputs[2]

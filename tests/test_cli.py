@@ -13,6 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import zpflab.cli as cli
 from zpflab import field, oscillator
 from zpflab.cli import argv_from_manifest, dispatch
@@ -429,10 +434,13 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
 
 
 # Each asks for more bytes than any address space holds, so nothing is
-# allocated: LatticeSpec refuses the grid, whose spectrum alone is 3.47 EiB,
-# and sample_positions the 1.39 EiB of samples and their variance's copy.
+# allocated: scaling_run refuses the first two grids, whose build's block
+# alone is 0.96 TB and 96 TB, and the third's table of 3.2e16 bytes, and
+# sample_positions the 1.39 EiB of samples and their variance's copy.
 OVERSIZED = [
+    "field scaling-run --grid 100000 --draws 1",
     "field scaling-run --grid 1000000 --draws 1 --scales 0.25,0.5",
+    "field scaling-run --grid 8 --draws 1000000000000000 --scales 0.25,0.5",
     "oscillator --m 1 --omega 1 --samples 100000000000000000",
 ]
 
@@ -443,6 +451,43 @@ def test_oversized_request_exits_one_with_one_line(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Runs zpflab.cli as `python -m` does, with the field module's physical
+# memory reported as 8.42e9 bytes whatever the host has.
+BOUNDED_RUN = """
+import runpy, sys
+import zpflab.field
+zpflab.field.physical_memory_bytes = lambda: 8.42e9
+sys.argv = ['zpflab', *sys.argv[1:]]
+runpy.run_module('zpflab.cli', run_name='__main__')
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module to limit the child")
+def test_a_one_cell_run_past_memory_exits_one_before_allocating():
+    # At 512^3 a one-cell scale's factor alone is 4.3 GB and its first draw
+    # needs about 10 GB more.  The child's address space is capped at 2 GB,
+    # so a run that got past the bound would fail by numpy's "Unable to
+    # allocate" (or, without the cap, reach the OOM killer).
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = "field scaling-run --grid 512 --scales 0.001953125,0.0625,0.25,0.5 --draws 1"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run(
+        [sys.executable, "-c", BOUNDED_RUN, *argv.split()],
+        # numpy loads with zpflab.field, before main() would cap the BLAS threads
+        env=probe_env(OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "physical memory" in result.stderr and "Unable to allocate" not in result.stderr
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert cpu < 1.0
 
 
 class TestDispatchPlumbing:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import per_mode
-from per_mode import coarse_mean_squares, draw_modes
+from per_mode import coarse_mean_squares, draw_modes, mode_std
 from zpflab import field
 from zpflab.coil import predicted_rms
 from zpflab.errors import ConfigurationError, DomainError
@@ -30,7 +30,6 @@ from zpflab.field import (
     class_law,
     draw_mean_squares,
     fit_scaling,
-    mode_std,
     scale_plans,
     scaling_run,
     wavenumber_magnitudes,
@@ -225,21 +224,27 @@ class TestLatticeSpec:
         with pytest.raises(ConfigurationError, match="float range"):
             LatticeSpec(box_size=box, points_per_axis=16, spectrum_normalization=kappa)
 
-    def test_spectrum_larger_than_physical_memory_rejected(self):
-        if field.physical_memory_bytes() == math.inf:
-            pytest.skip("the system does not report its physical memory")
-        # sigma alone would be 4e15 bytes; the spec is refused before any array exists
-        with pytest.raises(ConfigurationError, match="physical memory"):
-            LatticeSpec(box_size=1.0, points_per_axis=100_000)
+    def test_grid_is_not_bounded_by_its_spectrum(self, monkeypatch):
+        # no run builds sigma, so a grid whose sigma alone exceeds memory is
+        # not refused for it: the spec checks only its float range
+        def no_memory_check():
+            raise AssertionError("the spec checked physical memory")
 
-    def test_memory_bound_is_the_bytes_of_sigma(self, monkeypatch):
-        n = 64
-        sigma_bytes = mode_std(LatticeSpec(box_size=1.0, points_per_axis=n)).nbytes
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: sigma_bytes)
-        LatticeSpec(box_size=1.0, points_per_axis=n)
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: sigma_bytes - 1)
-        with pytest.raises(ConfigurationError, match="physical memory"):
-            LatticeSpec(box_size=1.0, points_per_axis=n)
+        monkeypatch.setattr(field, "physical_memory_bytes", no_memory_check)
+        assert LatticeSpec(box_size=1.0, points_per_axis=2048).points_per_axis == 2048
+        LatticeSpec(box_size=1.0, points_per_axis=100_000)
+
+    def test_run_larger_than_physical_memory_rejected(self, monkeypatch):
+        # the build's block alone is 24 * 8 * 100000 * 50001 bytes, about 0.96 TB:
+        # the run is refused before any array exists
+        def no_arrays(*args):
+            raise AssertionError("built an array before checking the run's bytes")
+
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: 8.42e9)
+        monkeypatch.setattr(field, "scale_plans", no_arrays)
+        spec = LatticeSpec(box_size=1.0, points_per_axis=100_000)
+        with pytest.raises(DomainError, match="physical memory"):
+            scaling_run(spec, None, draws=1, seed=0)
 
     def test_kmax_at_fundamental_keeps_the_fundamental_modes(self):
         spec = LatticeSpec(box_size=1.0, points_per_axis=8, k_max=2 * math.pi)
@@ -369,7 +374,7 @@ class TestDrawModes:
         # the slabs kx = 0..N/2 only, at most _BLOCK_SLABS slabs at a time,
         # so its temporaries grow as N^2
         slabs, half = field._BLOCK_SLABS, n // 2 + 1
-        plan = field.ScalePlan(cells=n // 2, blocks=2, transform=np.ones(n, dtype=complex))
+        plan = field.ScalePlan(blocks=2, transform=np.ones(n, dtype=complex))
         blocks, cov = build_blocks(monkeypatch, n, plan)
         assert blocks == [(lo, min(lo + slabs, half)) for lo in range(0, half, slabs)]
         # every (x, y) lands once in its class mod 2, slab N - x as slab x:
@@ -543,7 +548,7 @@ class TestCoarseMeanSquares:
         cells = [m for m in range(1, n // 2 + 1) if n % m == 0]
         plans = scale_plans(spec, [m * spec.cell_size for m in cells], window)
         for m, plan in zip(cells, plans):
-            assert (plan.cells, plan.blocks) == (m, n // m)
+            assert plan.blocks == n // m
             if window == "tophat":
                 w = [1.0 / m] * m
             else:
@@ -602,9 +607,9 @@ class TestCoarseMeanSquares:
                 folded = field._fold_aliases(values, plan.transform, plan.blocks, axis)
                 assert np.array_equal(
                     folded, fold_aliases_by_class(values, plan.transform, plan.blocks, axis)
-                ), (name, plan.cells)
+                ), (name, plan.blocks)
                 # np.sum in coarse_mean_squares adds in memory order
-                assert folded.flags.c_contiguous, (name, plan.cells)
+                assert folded.flags.c_contiguous, (name, plan.blocks)
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws seeded from seed 1 as scaling_run seeds them
@@ -668,7 +673,7 @@ class TestStreamedFold:
                 streamed = draw_modes(mode_std(spec), seed, plans)
                 oracle = coefficient_x_folds(full_layout_draw(spec, seed), plans)
                 for plan, a, b in zip(plans, streamed, oracle):
-                    assert np.array_equal(a, b), (window, plan.cells)
+                    assert np.array_equal(a, b), (window, plan.blocks)
                 assert coarse_mean_squares(streamed, plans) == coarse_mean_squares(oracle, plans)
 
     @pytest.mark.parametrize("slabs", [1, 3, 8, 10**9])
@@ -874,21 +879,6 @@ class TestClassLaw:
         assert report.exact_fit().exponent == pytest.approx(exponent, abs=5e-6)
         assert report.exact_fit().exponent == pytest.approx(exact_exponent(spec, window), rel=1e-12)
 
-    def test_memory_bound_is_the_bytes_of_the_factor(self, monkeypatch):
-        # N = 8 at box/4 and box/2: L = 4, width S = 2, so 2 * 2 * 4^3 complex values
-        scales, factor_bytes = [1 / 4, 1 / 2], 2 * 2 * 4**3 * 16
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: factor_bytes)
-        scaling_run(SMALL, scales, draws=1, seed=0)
-
-        def no_arrays(*args):
-            raise AssertionError("built an array before checking the factor")
-
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: factor_bytes - 1)
-        monkeypatch.setattr(field, "mode_std", no_arrays)
-        monkeypatch.setattr(field, "class_law", no_arrays)
-        with pytest.raises(DomainError, match="alias-class sums.*physical memory"):
-            scaling_run(SMALL, scales, draws=1, seed=0)
-
     @pytest.mark.parametrize(
         "grid, draws, scales",
         [(64, 50, [0.0625, 0.125, 0.25, 0.5]), (128, 20, None)],
@@ -927,6 +917,25 @@ class TestFitScaling:
     def test_too_few_scales_rejected(self):
         with pytest.raises(DomainError):
             fit_scaling(self.make_report([0.25, 0.5], [2.0, 1.0]))
+
+
+# Runs on either route of the class law: the Cholesky route at 64^3, and the
+# mode-column route at 16^3 and wherever a scale is one cell (L = N).
+RUN_CASES = {
+    "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), None, "hann"),
+    "N64": (LatticeSpec(box_size=1.0, points_per_axis=64), None, "hann"),
+    "N32-one-cell": (MEDIUM, [1 / 32, 1 / 8, 1 / 4, 1 / 2], "hann"),
+    "N128-one-cell": (LatticeSpec(box_size=1.0, points_per_axis=128),
+                      [1 / 128, 1 / 16, 1 / 4, 1 / 2], "hann"),
+    "N64-box2-tophat": (LatticeSpec(box_size=2.0, points_per_axis=64), None, "tophat"),
+}
+
+
+def run_blocks(spec, scales):
+    """The cubes per axis of each scale a run of ``scales`` (None: box/16..box/2) averages over."""
+    if scales is None:
+        return [16, 8, 4, 2]
+    return [round(spec.box_size / s) for s in scales]
 
 
 class TestScalingPipeline:
@@ -1037,27 +1046,43 @@ class TestScalingPipeline:
             with pytest.raises(DomainError):
                 scaling_run(MEDIUM, scales, draws=4, seed=0)
 
-    def test_memory_bound_is_the_bytes_of_the_table(self, monkeypatch):
-        # 300 draws, so that the table (4800 bytes) outweighs the class-law
-        # factor of these scales (4096 bytes), which is bounded as well
-        draws, scales = 300, [1 / 4, 1 / 2]
-        table_bytes = 8 * draws * len(scales)
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: table_bytes)
-        scaling_run(SMALL, scales, draws=draws, seed=0)
+    @pytest.mark.parametrize("name", list(RUN_CASES))
+    def test_run_bytes_bound_the_traced_peak(self, name):
+        # _run_bytes adds terms that no phase holds at once, so it is above
+        # the peak, but by less than the peak itself
+        spec, scales, window = RUN_CASES[name]
+        scaling_run(spec, scales, draws=2, seed=0, window=window)  # one-time lazy imports
+        tracemalloc.start()
+        try:
+            scaling_run(spec, scales, draws=3, seed=1, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = field._run_bytes(spec.points_per_axis, run_blocks(spec, scales), 3)
+        assert peak <= bound <= 2 * peak
+
+    @pytest.mark.parametrize("name", list(RUN_CASES))
+    def test_memory_bound_is_the_bytes_the_run_holds(self, name, monkeypatch):
+        spec, scales, window = RUN_CASES[name]
+        bound = field._run_bytes(spec.points_per_axis, run_blocks(spec, scales), 2)
 
         def no_arrays(*args):
-            raise AssertionError("built an array before checking the table")
+            raise AssertionError("built an array before checking the run's bytes")
 
-        monkeypatch.setattr(field, "physical_memory_bytes", lambda: table_bytes - 1)
-        monkeypatch.setattr(field, "mode_std", no_arrays)
-        monkeypatch.setattr(field, "scale_plans", no_arrays)
-        with pytest.raises(DomainError, match="physical memory"):
-            scaling_run(SMALL, scales, draws=draws, seed=0)
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: bound - 1)
+        with monkeypatch.context() as stubbed:
+            stubbed.setattr(field, "scale_plans", no_arrays)
+            stubbed.setattr(field, "class_law", no_arrays)
+            with pytest.raises(DomainError, match="physical memory"):
+                scaling_run(spec, scales, draws=2, seed=0, window=window)
+        monkeypatch.setattr(field, "physical_memory_bytes", lambda: bound)
+        report, _ = scaling_run(spec, scales, draws=2, seed=0, window=window)
+        assert len(report.rms) == 4
 
-    def test_draws_in_flight_are_bounded(self, monkeypatch):
-        # Draws stubbed to their result, so only the scheduling allocates: one
-        # draw is in flight at a time, which leaves the table's 16 bytes per
-        # draw and a constant.
+    def test_the_table_costs_16_bytes_a_draw(self, monkeypatch):
+        # Draws stubbed to their result, so only the (draws, 2) table of mean
+        # squares grows with the draws: 16 bytes a draw, beside at most two
+        # columns of 8 bytes a draw that its statistics take, and a constant.
         monkeypatch.setattr(field, "draw_mean_squares", lambda law, plans, seed: [1.0, 1.0])
         draws = 4000
         scaling_run(SMALL, [1 / 4, 1 / 2], draws=2, seed=0)
@@ -1104,13 +1129,20 @@ class TestScalingPipeline:
     @pytest.mark.parametrize("n", [16, 64], ids=["mode-columns", "cholesky"])
     def test_the_run_never_builds_sigma(self, n, monkeypatch):
         # on the default scales either route of the class law computes the
-        # spectrum a block of x-slabs at a time
-        def no_sigma(*args):
-            raise AssertionError("built the whole spectrum")
+        # spectrum a block of x-slabs at a time, and the module has no
+        # function that builds it whole
+        assert not hasattr(field, "mode_std")
+        slabs = []
+        real = field._slab_std
 
-        monkeypatch.setattr(field, "mode_std", no_sigma)
+        def counted(spec, lo, hi):
+            slabs.append(hi - lo)
+            return real(spec, lo, hi)
+
+        monkeypatch.setattr(field, "_slab_std", counted)
         report, _ = scaling_run(LatticeSpec(box_size=1.0, points_per_axis=n), None, draws=2, seed=0)
         assert len(report.rms) == 4
+        assert slabs and max(slabs) <= field._BLOCK_SLABS < n
 
     def test_class_law_peak_is_a_fraction_of_sigma(self):
         # At 128^3 the build holds one (L, L) fold per pair of scales for each
@@ -1127,14 +1159,14 @@ class TestScalingPipeline:
             tracemalloc.stop()
         assert peak <= 0.6 * 8 * 128 * 128 * 65
 
-    def test_spectrum_build_peak_is_about_one_spectrum(self):
-        # sigma is built in the array of |k|, beside a boolean cutoff mask of
-        # 1/8 its size; an out-of-place build holds |k|, |k| * kappa / L^3 and
-        # sigma at once, 3x.
+    def test_a_blocks_spectrum_peak_is_about_one_block(self):
+        # a block's sigma is built in the array of |k|, beside a boolean cutoff
+        # mask of 1/8 its size, as _run_bytes counts it; an out-of-place build
+        # holds |k|, |k| * kappa / L^3 and sigma at once, 3x.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         tracemalloc.start()
         try:
-            sigma = mode_std(spec)
+            sigma = field._slab_std(spec, 0, field._BLOCK_SLABS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
