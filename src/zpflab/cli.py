@@ -3,7 +3,8 @@
 Results go to standard output; a JSON run manifest (full post-default
 parameter set, seed, unit system, constants snapshot, wall-clock
 duration, peak resident memory, Python and numpy versions, and for a
-field run its distance from the exact ensemble) goes to standard error
+field run its distance from the exact ensemble, for an oscillator run
+with ``--samples`` the z-scores of its sample moments) goes to standard error
 or to ``--manifest PATH``.  Reissuing the argv reconstructed from a
 manifest reproduces the stdout bytes exactly.
 
@@ -24,7 +25,9 @@ the exception, imported with this module: it imports nothing that
 ``units`` has not, and ``perfbench/tracer.py`` traces only the modules
 that importing this one loads.  Only the field run and the oscillator's
 ``--samples`` compute with arrays; they load numpy and run under numpy's
-raising float-error state.  The rest is pure ``math``/``decimal`` and never
+raising float-error state.  The samples are streamed a leaf of draws at a
+time, never held whole, and a count past 2**53 is refused before numpy
+loads.  The rest is pure ``math``/``decimal`` and never
 loads numpy, whose import would be most of its run time.  Its float errors
 need no such state: Python raises ``OverflowError`` or
 ``ZeroDivisionError``, and a result that overflowed to inf is refused
@@ -279,13 +282,25 @@ def _cmd_oscillator(args):
         "variance": osc_mod.position_variance(params),
     }
     if args.samples is not None:
-        if args.samples < 2:
-            raise DomainError(f"--samples must be >= 2 for a sample variance, got {args.samples}")
+        n = args.samples
+        if not 2 <= n <= osc_mod.MAX_SAMPLES:  # before numpy loads
+            raise DomainError(
+                f"--samples must be >= 2 for a sample variance and <= 2**53 for an exact "
+                f"mean, got {n}"
+            )
         with _raising_float_errors():
-            draws = osc_mod.sample_positions(params, seed=args.seed, n=args.samples)
-            payload["sample_count"] = int(args.samples)
-            payload["sample_mean"] = float(draws.mean())
-            payload["sample_variance"] = float(draws.var(ddof=1))
+            mean, variance = osc_mod.sample_moments(params, seed=args.seed, n=n)
+        payload["sample_count"] = n
+        payload["sample_mean"] = mean
+        payload["sample_variance"] = variance
+        # Each z-score is taken on a ratio to the exact variance, so no extreme
+        # m or omega overflows it; a variance that underflowed to 0 has none.
+        exact = payload["variance"]
+        z_mean = mean / math.sqrt(exact) * math.sqrt(n) if exact else None
+        z_variance = (variance / exact - 1.0) / math.sqrt(2.0 / (n - 1)) if exact else None
+        args.convergence = {
+            "oscillator": {"mean_z_score": z_mean, "variance_z_score": z_variance}
+        }
     return table.system, payload, _keyed(payload)
 
 
@@ -485,7 +500,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             "version": __version__,
             "constants_snapshot": SNAPSHOT,
             "duration_seconds": duration,
-            "convergence": vars(args).get("convergence"),  # only the field run sets it
+            "convergence": vars(args).get("convergence"),  # field runs and oscillator sampling
             "peak_rss_kb": _peak_rss_kb(),
             "versions": _versions(),
         }

@@ -6,7 +6,8 @@ The exact Gaussian variance hbar/(2 m omega) is the precise internal
 quantity; ``fluctuation_width`` keeps the conventional order-of-magnitude
 combination sqrt(hbar/(m omega)), which is larger by sqrt(2).  Width and
 variance are plain ``math``; numpy is imported only by the functions that
-make arrays, so a run that samples nothing never loads it.
+compute with arrays, so a run that samples nothing never loads it.  The
+sampling holds no more than a leaf of its draws at a time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, physical_memory_bytes
+from .errors import DomainError
 
 QUADRATURE_NODES = 2**14 + 1  # trapezoid node count
 QUADRATURE_HALF_WIDTH = 12.0  # support half-width in units of the Gaussian sigma
+MAX_SAMPLES = 2**53  # above it a sample count is not an exact float64
+_LEAF = 2**16  # draws held at once by sample_moments: 512 KiB
 
 
 @dataclass(frozen=True)
@@ -57,20 +60,46 @@ def position_variance(p: OscillatorParams) -> float:
     return p.hbar / (2.0 * p.m * p.omega)
 
 
-def sample_positions(p: OscillatorParams, seed: int, n: int) -> np.ndarray:
-    """n deterministic draws from |psi|^2 (zero-mean Gaussian)."""
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    memory = physical_memory_bytes()
-    if 16 * n > memory:  # the draws, and the copy of them that a variance makes
+def _pairwise_sum(n: int, leaf_sum):
+    """The sum of n values as numpy's add.reduce takes it over a contiguous float64 array.
+
+    numpy halves a run of more than 128 values at n // 2 rounded down to a
+    multiple of 8 and adds the halves' sums.  Splitting the same way down to
+    runs of at most _LEAF, and summing each with ``leaf_sum(k)`` over the
+    next k values in order, gives the same float bit for bit.
+    """
+    if n <= _LEAF:
+        return leaf_sum(n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
+
+
+def sample_moments(p: OscillatorParams, seed: int, n: int) -> tuple[float, float]:
+    """Mean and unbiased variance of n deterministic draws from |psi|^2 (zero-mean Gaussian).
+
+    Bit for bit ``x.mean()`` and ``x.var(ddof=1)`` of the draws
+    ``x = default_rng(seed).normal(0, sigma, n)``, with at most _LEAF of
+    them held at once: the stream is drawn twice, in _LEAF-sized pieces,
+    once for the sum and once for the squared deviations from the mean,
+    each summed in numpy's pairwise order.
+    """
+    if not 2 <= n <= MAX_SAMPLES:
         raise DomainError(
-            f"{n} samples and their variance need {16 * n:.3g} bytes, "
-            f"more than the {memory:.3g} bytes of physical memory"
+            f"sample count must be from 2 to 2**53, where it and n - 1 are exact "
+            f"float divisors, got {n}"
         )
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, math.sqrt(position_variance(p)), size=int(n))
+    sigma = math.sqrt(position_variance(p))
+
+    def summed(leaf_sum):  # one pass over the stream, drawn afresh from the seed
+        rng = np.random.default_rng(seed)
+        return float(_pairwise_sum(n, lambda k: leaf_sum(rng.normal(0.0, sigma, size=k))))
+
+    mean = summed(np.add.reduce) / n
+    squares = summed(lambda x: np.add.reduce(np.square(np.subtract(x, mean, out=x), out=x)))
+    return mean, squares / (n - 1)
 
 
 def normalization_quadrature(p: OscillatorParams) -> float:

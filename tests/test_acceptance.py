@@ -37,9 +37,10 @@ from zpflab.oscillator import (
     fluctuation_width,
     normalization_quadrature,
     position_variance,
-    sample_positions,
 )
 from zpflab.units import LENGTH, TIME, Quantity, constants_for
+
+from held_samples import sample_positions  # the oracle of oscillator.sample_moments
 
 NATURAL = constants_for("natural")
 GAUSSIAN = constants_for("gaussian")

@@ -34,6 +34,24 @@ def manifest_of(err_text):
     return json.loads(err_text.strip().splitlines()[-1])
 
 
+class Reached(Exception):
+    """Raised by a stubbed draw to show that a run got that far."""
+
+
+class StubStream:
+    """Stands in for numpy's default_rng: ``normal`` returns ``draw(size)`` and logs the size."""
+
+    def __init__(self, draw):
+        self.draw, self.sizes = draw, []
+
+    def default_rng(self, seed):
+        return self
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        return self.draw(size)
+
+
 class TestCasimirCommand:
     def test_natural_closed_form(self):
         code, out, err = run(["casimir", "--area", "1", "--sep", "1", "--units", "natural"])
@@ -220,8 +238,8 @@ class TestOscillatorCommand:
 
     def test_overflow_in_the_samples_exits_one_with_one_line(self, monkeypatch):
         # the twin of the field draw test: the float-error policy reaches this handler too
-        huge = lambda params, seed, n: np.resize([1e200, -1e200], n)
-        monkeypatch.setattr(oscillator, "sample_positions", huge)
+        draws = StubStream(lambda size: np.resize([1e200, -1e200], size))
+        monkeypatch.setattr(np.random, "default_rng", draws.default_rng)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(["oscillator", "--m", "1", "--omega", "1", "--samples", "8"])
@@ -230,17 +248,58 @@ class TestOscillatorCommand:
         assert err == "error: a number left the float range: overflow encountered in square\n"
         assert caught == []
 
-    def test_samples_beyond_physical_memory_exit_one_with_one_line(self, monkeypatch):
-        # 8 samples and the variance's copy of them are 128 bytes
-        argv = ["oscillator", "--m", "1", "--omega", "1", "--samples", "8"]
-        monkeypatch.setattr(oscillator, "physical_memory_bytes", lambda: 128)
-        assert run(argv)[0] == 0
-        monkeypatch.setattr(oscillator, "physical_memory_bytes", lambda: 127)
-        code, out, err = run(argv)
+    def test_samples_up_to_2_53_run_and_more_exit_one_with_one_line(self, monkeypatch):
+        # 2**53 samples reach the first leaf's draw, which the stub stops;
+        # one more is refused before any draw
+        def stop(size):
+            raise Reached
+
+        draws = StubStream(stop)
+        monkeypatch.setattr(np.random, "default_rng", draws.default_rng)
+        argv = ["oscillator", "--m", "1", "--omega", "1", "--samples"]
+        with pytest.raises(Reached):
+            run(argv + [str(2**53)])
+        assert draws.sizes == [oscillator._LEAF]
+        code, out, err = run(argv + [str(2**53 + 1)])
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "physical memory" in err
+        assert "2**53" in err
+        assert draws.sizes == [oscillator._LEAF]
+
+    def test_manifest_records_the_z_scores_of_the_moments(self):
+        argv = ["oscillator", "--m", "2", "--omega", "3", "--samples", "1000", "--seed", "4",
+                "--units", "natural", "--format", "json"]
+        code, out, err = run(argv)
+        assert code == 0
+        manifest = manifest_of(err)
+        moments = json.loads(out)
+        n, exact = moments["sample_count"], moments["variance"]
+        assert manifest["convergence"] == {
+            "oscillator": {
+                "mean_z_score": moments["sample_mean"] / math.sqrt(exact) * math.sqrt(n),
+                "variance_z_score":
+                    (moments["sample_variance"] / exact - 1.0) / math.sqrt(2.0 / (n - 1)),
+            }
+        }
+        assert all(abs(z) < 5 for z in manifest["convergence"]["oscillator"].values())
+        assert "convergence" not in manifest["parameters"]
+        assert run(argv_from_manifest(manifest))[1] == out
+
+    def test_extreme_masses_record_finite_or_no_z_scores(self):
+        # at m = 1e-300 the exact variance is near 5e272 and its square
+        # overflows, so only ratios to it keep the z-scores finite; at
+        # m = 1e300 it underflows to 0 and there is no z-score
+        argv = ["oscillator", "--omega", "1", "--samples", "16", "--m"]
+        code, _, err = run(argv + ["1e-300"])
+        assert code == 0
+        z_scores = manifest_of(err)["convergence"]["oscillator"].values()
+        assert all(math.isfinite(z) for z in z_scores)
+        code, _, err = run(argv + ["1e300"])
+        assert code == 0
+        assert manifest_of(err)["convergence"]["oscillator"] == {
+            "mean_z_score": None, "variance_z_score": None
+        }
 
     @pytest.mark.parametrize("samples", ["-1", "0", "1"])
     def test_fewer_than_two_samples_exit_one_with_one_line(self, samples):
@@ -433,10 +492,10 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# Each asks for more bytes than any address space holds, so nothing is
-# allocated: scaling_run refuses the first two grids, whose build's block
-# alone is 0.96 TB and 96 TB, and the third's table of 3.2e16 bytes, and
-# sample_positions the 1.39 EiB of samples and their variance's copy.
+# Each asks for more than can be run, so nothing is allocated: scaling_run
+# refuses the first two grids, whose build's block alone is 0.96 TB and
+# 96 TB, and the third's table of 3.2e16 bytes; the oscillator refuses a
+# count above 2**53, past which it is not an exact float divisor.
 OVERSIZED = [
     "field scaling-run --grid 100000 --draws 1",
     "field scaling-run --grid 1000000 --draws 1 --scales 0.25,0.5",
@@ -683,14 +742,19 @@ def test_numpy_free_subcommands_never_load_numpy(tmp_path):
 
 
 def test_oscillator_without_samples_never_loads_numpy(tmp_path):
-    # width and variance are plain math; only the sampling makes an array
+    # width and variance are plain math; only the sampling makes an array,
+    # and a sample count past 2**53 is refused before numpy loads
     path = tmp_path / "m.json"
     argv = ["oscillator", "--m", "1.5", "--omega", "0.5", "--format", "json"]
-    report = probe_fresh_interpreter([argv + ["--manifest", str(path)]])
-    assert report["runs"] == [[0, False, False]]
-    assert report["run_modules"] == [["zpflab.oscillator"]]
-    assert json.loads(path.read_text())["versions"]["numpy"] is None
-    assert json.loads(path.read_text())["parameters"]["samples"] is None
+    report = probe_fresh_interpreter(
+        [argv + ["--manifest", str(path)], argv + ["--samples", str(2**53 + 1)]]
+    )
+    assert report["runs"] == [[0, False, False], [1, False, False]]
+    assert report["run_modules"] == [["zpflab.oscillator"], []]
+    manifest = json.loads(path.read_text())
+    assert manifest["versions"]["numpy"] is None
+    assert manifest["parameters"]["samples"] is None
+    assert manifest["convergence"] is None
 
 
 @pytest.mark.parametrize(
@@ -772,7 +836,7 @@ needs_linux_smp = pytest.mark.skipif(
 @needs_linux_smp
 @pytest.mark.parametrize("subcommand", ["oscillator", "field"])
 def test_a_cli_process_starts_no_blas_thread_pool(subcommand):
-    report = probe_threads(SUBCOMMAND_RUNS[subcommand], 1, ZPFLAB_THREADS="2")
+    report = probe_threads(SUBCOMMAND_RUNS[subcommand], 1)
     assert report == {"code": 0, "threads": 1, "openblas": "1"}
 
 

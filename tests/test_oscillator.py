@@ -1,19 +1,23 @@
 """Ground-state amplitude, width, variance, and sampling."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from held_samples import sample_positions
 from zpflab.errors import DomainError
 from zpflab.oscillator import (
+    _LEAF,
+    MAX_SAMPLES,
     OscillatorParams,
     fluctuation_width,
     ground_state_psi,
     normalization_quadrature,
     position_variance,
-    sample_positions,
+    sample_moments,
 )
 
 UNIT = OscillatorParams(m=1.0, omega=1.0, hbar=1.0)
@@ -143,4 +147,40 @@ class TestSampling:
 
     def test_zero_samples_rejected(self):
         with pytest.raises(DomainError):
-            sample_positions(UNIT, seed=1, n=0)
+            sample_moments(UNIT, seed=1, n=0)
+
+
+# Counts at and beside the split points of numpy's pairwise sum (runs of 8
+# and blocks of 128) and of the leaves the streamed moments hold.
+STREAMED_COUNTS = [2, 7, 8, 9, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 8,
+                   2 * _LEAF + 3, 10**6, 10**6 + 7]
+# sigma = 1, the Gaussian-CGS sigma^2 = hbar/2, and sigma near 1e-100
+SIGMAS = [OscillatorParams(m=0.5, omega=1.0, hbar=1.0),
+          OscillatorParams(m=1.0, omega=1.0, hbar=1.0545718176461565e-27),
+          OscillatorParams(m=1e100, omega=1e100, hbar=2.0)]
+
+
+class TestStreamedMoments:
+    @pytest.mark.parametrize("n", STREAMED_COUNTS)
+    @pytest.mark.parametrize("p", SIGMAS, ids=["unit", "gaussian", "tiny"])
+    def test_equal_the_held_draws_bit_for_bit(self, p, n):
+        for seed in (0, 7, 2**40 + 3):
+            draws = sample_positions(p, seed=seed, n=n)
+            mean, variance = sample_moments(p, seed=seed, n=n)
+            assert (mean, variance) == (float(draws.mean()), float(draws.var(ddof=1)))
+
+    def test_hold_no_more_than_a_leaf(self):
+        n = 10**6
+        sample_moments(UNIT, seed=5, n=n)  # warm-up: numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            sample_moments(UNIT, seed=5, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10**6  # a leaf of 2**16 draws is 0.52 MB; the held draws were 8 MB
+
+    @pytest.mark.parametrize("n", [-1, 1, MAX_SAMPLES + 1])
+    def test_counts_outside_two_to_2_53_rejected(self, n):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            sample_moments(UNIT, seed=1, n=n)
