@@ -294,10 +294,10 @@ def _cmd_oscillator(args):
         payload["sample_mean"] = mean
         payload["sample_variance"] = variance
         # Each z-score is taken on a ratio to the exact variance, so no extreme
-        # m or omega overflows it; a variance that underflowed to 0 has none.
+        # m or omega overflows it.
         exact = payload["variance"]
-        z_mean = mean / math.sqrt(exact) * math.sqrt(n) if exact else None
-        z_variance = (variance / exact - 1.0) / math.sqrt(2.0 / (n - 1)) if exact else None
+        z_mean = mean / math.sqrt(exact) * math.sqrt(n)
+        z_variance = (variance / exact - 1.0) / math.sqrt(2.0 / (n - 1))
         args.convergence = {
             "oscillator": {"mean_z_score": z_mean, "variance_z_score": z_variance}
         }

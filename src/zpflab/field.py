@@ -40,10 +40,10 @@ complex normals per scale at the default, at any N), folds it from L
 down to each scale's nb classes, completes the Hermitian symmetry and
 takes the energy of the fold, which by Parseval is the mean square of
 the cube averages.  The trace of C gives each scale's exact ensemble mean
-square, 2 sum_r C_r[a, a], at no extra cost.  Every contraction in the
-build, the factor and a draw is elementwise numpy in a fixed order: no
-FFT, BLAS or LAPACK call is made, so the digits do not depend on how any
-of those libraries was built.
+square, 2 sum_r C_r[a, a], at no extra cost.  Every alias-class sum is
+one ``_fold``, and every contraction in the build, the factor and a draw
+is elementwise numpy in a fixed order: no FFT, BLAS or LAPACK call is
+made, so the digits do not depend on how any of those libraries was built.
 
 Coarse-graining windows
 -----------------------
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -178,7 +178,7 @@ class CoarseGrainReport:
 
     def exact_fit(self) -> ScalingFit:
         """The power law fitted to the exact ensemble RMS, as ``fit_scaling`` fits the drawn one."""
-        return fit_scaling(replace(self, rms=self.exact_rms))
+        return fit_scaling(self.scales, self.exact_rms)
 
 
 def _cells_for_scale(spec: LatticeSpec, scale: float) -> int:
@@ -209,26 +209,34 @@ def _window_weights(m: int, window: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _fold_aliases(values: np.ndarray, weights: np.ndarray, blocks: int, axis: int) -> np.ndarray:
-    """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
+def _fold(values: np.ndarray, nb: int, axes) -> np.ndarray:
+    """The sum of a complex 3-D ``values`` over the classes q = r (mod nb) of each of ``axes``.
 
-    One multiply weights the m aliases into a C-ordered, alias-major
-    (m, ..., blocks, ...) product and one reduce over its first axis sums
-    them, so the number of calls does not grow with m.  ``values`` may be
-    real and the weights complex; the result is complex and C-ordered in the
-    caller's axis order.  The reduce runs on the product's float view, whose last axis holds at least one
-    (re, im) pair, so numpy adds whole rows in increasing j, as a loop over
-    the aliases would, and never takes the pairwise sum it uses where the
-    reduced axis is the only one longer than 1.
+    Any other axis keeps its extent; the result is C-ordered.  Each class's
+    aliases are added in increasing order, in the C order of the folded
+    axes, on the float view: its last axis holds a (re, im) pair, so numpy
+    adds whole output rows and never sums the aliases pairwise.  The z
+    extent need not be whole periods (the N/2 + 1 stored kz are not): the
+    q below ``width`` have one alias more, so the two sets are summed
+    apart, each a strided view of ``values`` with no padded copy.
     """
-    shape = values.shape
-    m = shape[axis] // blocks
-    folded_shape = shape[:axis] + (blocks,) + shape[axis + 1 :]
-    aliases = np.moveaxis(values.reshape(shape[:axis] + (m, blocks) + shape[axis + 1 :]), axis, 0)
-    weights = weights.reshape((m,) + (1,) * axis + (blocks,) + (1,) * (len(shape) - axis - 1))
-    product = np.multiply(aliases, weights, out=np.empty((m, *folded_shape), dtype=np.complex128))
-    folded = np.empty(folded_shape, dtype=np.complex128)
-    np.add.reduce(product.view(np.float64), axis=0, out=folded.view(np.float64))
+    periods = np.array(values.shape)
+    periods[list(axes)] = nb
+    (lx, ly, lz), (px, py, pz) = values.shape, periods.tolist()
+    aliases = -(-lz // pz)
+    width = lz - (aliases - 1) * pz  # q < width have an alias in the last, partial period
+    parts = values[..., None].view(np.float64)  # each (re, im) pair as a last axis of 2
+    sx, sy, sz, sc = parts.strides
+    folded = np.empty((px, py, pz), dtype=np.complex128)
+    out = folded.view(np.float64).reshape(px, py, pz, 2)
+
+    def add(q, aliases, count):  # the z classes q..q + count - 1, of ``aliases`` aliases each
+        classes = as_strided(parts[:, :, q:], (lx // px, px, ly // py, py, aliases, count, 2),
+                             (px * sx, sx, py * sy, sy, pz * sz, sz, sc), writeable=False)
+        np.add.reduce(classes, axis=(0, 2, 4), out=out[:, :, q : q + count])
+
+    add(0, aliases, width)
+    add(width, aliases - 1, pz - width)
     return folded
 
 
@@ -292,8 +300,8 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     factor = s * width * grid
     if modes:  # a block's amplitude and two weighted copies; then one scale's squared columns
         build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + 3 * width * grid // 2
-    else:  # a block's s^2, y-fold product, fold and z pad; each pair's folds; C; the factoring
-        build = (8 * min(_BLOCK_SLABS, nz) * ((3 * n + 2 * period) * nz + 2 * period * kz)
+    else:  # a block's s^2, two fold products, y-fold; the folds; x slabs; C; the factoring
+        build = (8 * min(_BLOCK_SLABS, nz) * (3 * n + 4 * period) * nz + 16 * n * period**2
                  + 8 * s * (s + 1) * nz * period**2 + factor + (s + 4) * grid)
     # the normals, class sums and product term; three (nb, nb, nb) folds of the largest nb
     draw = factor + (width + 2) * grid + 48 * max(blocks) ** 3
@@ -309,6 +317,7 @@ class ClassLaw:
     ``class_covariance``.
     """
 
+    blocks: tuple[int, ...]  # nb per scale, the classes each scale's draw folds into
     factor: np.ndarray  # (S, width, L, L, Lz) complex
     mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r C_r[a, a]
 
@@ -322,15 +331,16 @@ def class_law(spec: LatticeSpec, plans) -> ClassLaw:
     Either route computes the spectrum a block of x-slabs at a time, so
     sigma is never built whole.
     """
-    period, lz, _, modes = class_layout(spec.points_per_axis, [p.blocks for p in plans])
+    blocks = tuple(p.blocks for p in plans)
+    period, lz, _, modes = class_layout(spec.points_per_axis, blocks)
     if modes:
         factor = _mode_columns(spec, plans, period, lz)
         power = [np.sum(f.real**2 + f.imag**2) for f in factor]
-        return ClassLaw(factor, 2.0 * np.array(power))
+        return ClassLaw(blocks, factor, 2.0 * np.array(power))
     factor = class_covariance(spec, plans)
     diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
     _factor_in_place(factor)
-    return ClassLaw(factor, 2.0 * diagonal)
+    return ClassLaw(blocks, factor, 2.0 * diagonal)
 
 
 def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
@@ -341,23 +351,21 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
     W_a(kz) is scale a's window transform.  s_k^2 is computed a block of
     x-slabs at a time, and only for kx = 0..N/2: slab N - x negates kx,
     which leaves s^2 bit for bit.  Each slab, weighted by P = W_a conj W_b,
-    is folded along y, then along the stored kz, zero-padded to whole
-    L-periods, into one (L, L) fold per pair of scales; then slab x times
-    P(kx) goes into class x mod L, in increasing x over all N slabs.  The
-    build holds these (N/2 + 1) L^2 folds per pair, one block's
-    temporaries and C, and no array of N^3 / 2 values.
+    is folded along y, then along the N/2 + 1 stored kz, into one (L, L)
+    fold per pair of scales; then slab x, the fold of slab min(x, N - x)
+    times P(kx), goes into class x mod L, in increasing x.  The build
+    holds these (N/2 + 1) L^2 folds per pair, one block's temporaries, one
+    pair's N weighted slabs and C, and no array of N^3 / 2 values.
     """
     n = spec.points_per_axis
     nz = half = n // 2 + 1  # the stored kz; also the slabs kx = 0..N/2 that are folded
     period = class_layout(n, [p.blocks for p in plans])[0]
-    kz = -(-nz // period) * period
     pairs = [
         (a, b, plans[a].transform * np.conj(plans[b].transform))
         for a in range(len(plans))
         for b in range(a, len(plans))
     ]
     folds = np.empty((len(pairs), half, period, period), dtype=np.complex128)
-    padded = np.zeros((min(_BLOCK_SLABS, half), period, kz), dtype=np.complex128)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
     for lo in range(0, half, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, half)
@@ -365,12 +373,17 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
         np.square(power, out=power)
         power[:, :, planes] *= 0.5
         for (_, _, weight), yz in zip(pairs, folds):
-            padded[: hi - lo, :, :nz] = _fold_aliases(power, weight, period, 1)
-            yz[lo:hi] = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
-    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
+            y = _fold(power * weight[None, :, None], period, (1,))
+            yz[lo:hi] = _fold(y * weight[None, None, :nz], period, (2,))
+    cov = np.empty((len(plans), len(plans), period, period, period), dtype=np.complex128)
+    slabs = np.empty((n, period, period), dtype=np.complex128)
+    mirror = np.minimum(np.arange(n), n - np.arange(n))  # slab N - x has the s^2 of slab x
     for (a, b, weight), yz in zip(pairs, folds):
-        for x in range(n):
-            cov[a, b, x % period] += weight[x] * yz[min(x, n - x)]
+        np.take(yz, mirror, axis=0, out=slabs)
+        # values first on y and z, the weight first on x: numpy's SIMD complex
+        # multiply can round a * b and b * a apart, and the goldens pin these bits
+        np.multiply(weight[:, None, None], slabs, out=slabs)
+        cov[a, b] = _fold(slabs, period, (0,))
         if a != b:
             cov[b, a] = np.conj(cov[a, b])
     return cov
@@ -443,8 +456,8 @@ def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
     return factor
 
 
-def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
-    """One realization's mean square of the cube averages at each planned scale.
+def draw_mean_squares(law: ClassLaw, seed) -> list[float]:
+    """One realization's mean square of the cube averages at each of the law's scales.
 
     Draws the class sums H(r) from ``law``: one ``standard_normal`` call
     fills the complex normals z_j(r), scaled by sqrt(1/2), and each scale's
@@ -466,11 +479,11 @@ def draw_mean_squares(law: ClassLaw, plans, seed) -> list[float]:
     sums = np.empty(normals.shape[1:], dtype=np.complex128)
     term = np.empty_like(sums) if len(normals) > 1 else None
     out = []
-    for plan, columns in zip(plans, factor):
+    for nb, columns in zip(law.blocks, factor):
         np.multiply(columns[0], normals[0], out=sums)
         for j in range(1, len(normals)):
             sums += np.multiply(columns[j], normals[j], out=term)
-        g = _complete(_fold_classes(sums, plan.blocks))
+        g = _complete(_fold(sums, nb, (0, 1, 2)))
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
 
@@ -482,36 +495,6 @@ def _complete(folded: np.ndarray) -> np.ndarray:
     return completed
 
 
-def _fold_classes(sums: np.ndarray, nb: int) -> np.ndarray:
-    """The sum of ``sums`` over the classes r = q (mod nb), for q < nb on each axis.
-
-    The classes of a q are added in the C order of their aliases (x, then
-    y, then z), each into its own sum.  The z extent need not be whole
-    nb-periods, as the N/2 + 1 stored kz of a class grid of Lz = N/2 + 1
-    are not: the first ``width`` q along z have one alias more than the
-    rest, so the two sets are summed apart, each as a strided view of
-    ``sums`` with no padded copy.  The sums run on the float view, whose
-    last axis holds a (re, im) pair, so numpy adds whole rows of the
-    output in alias order and never takes a pairwise sum over the aliases.
-    """
-    lx, ly, lz = sums.shape
-    periods = -(-lz // nb)
-    width = lz - (periods - 1) * nb  # q < width have an alias in the last, partial period
-    parts = sums[..., None].view(np.float64)  # each (re, im) pair as a last axis of 2
-    sx, sy, sz, sc = parts.strides
-    folded = np.empty((nb, nb, nb), dtype=np.complex128)
-    out = folded.view(np.float64).reshape(nb, nb, nb, 2)
-    for q, aliases, count in ((0, periods, width), (width, periods - 1, nb - width)):
-        classes = as_strided(
-            parts[:, :, q:],
-            shape=(lx // nb, nb, ly // nb, nb, aliases, count, 2),
-            strides=(nb * sx, sx, nb * sy, sy, nb * sz, sz, sc),
-            writeable=False,
-        )
-        np.add.reduce(classes, axis=(0, 2, 4), out=out[:, :, q : q + count])
-    return folded
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     exponent: float
@@ -520,13 +503,13 @@ class ScalingFit:
     stderr_exponent: float
 
 
-def fit_scaling(report: CoarseGrainReport) -> ScalingFit:
+def fit_scaling(scales, rms) -> ScalingFit:
     """Ordinary least squares of log(rms) on log(scale)."""
-    n = len(report.scales)
+    n = len(scales)
     if n < 3:
         raise DomainError(f"need at least 3 scales to fit a power law, got {n}")
-    x = np.log(np.asarray(report.scales))
-    y = np.log(np.asarray(report.rms))
+    x = np.log(np.asarray(scales))
+    y = np.log(np.asarray(rms))
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
@@ -602,7 +585,7 @@ def scaling_run(
     law = class_law(spec, plans)
     table = np.empty((draws, len(ordered)))
     for i in range(draws):
-        table[i] = draw_mean_squares(law, plans, SeedSequence(seed, spawn_key=(i,)))
+        table[i] = draw_mean_squares(law, SeedSequence(seed, spawn_key=(i,)))
     per_scale_ms = table.T  # one row of per-draw mean squares per scale
     exact = [float(e) for e in law.mean_squares]
     report = CoarseGrainReport(
@@ -615,5 +598,5 @@ def scaling_run(
         exact_rms=tuple(math.sqrt(e) for e in exact),
         z_scores=tuple(_z_score(ms, e) for ms, e in zip(per_scale_ms, exact)),
     )
-    fit = fit_scaling(report) if len(report.scales) >= 3 else None
+    fit = fit_scaling(report.scales, report.rms) if len(report.scales) >= 3 else None
     return report, fit

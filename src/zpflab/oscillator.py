@@ -13,6 +13,7 @@ sampling holds no more than a leaf of its draws at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -37,6 +38,12 @@ class OscillatorParams:
             object.__setattr__(self, name, float(v))
         if not 0.0 < self.m * self.omega < math.inf:
             raise DomainError(f"m*omega must be finite and > 0, got {self.m * self.omega!r}")
+        # a subnormal variance keeps too few digits to sample or compare, one of 0 none
+        variance = position_variance(self)
+        if variance < sys.float_info.min:
+            raise DomainError(
+                f"the variance hbar/(2 m omega) = {variance!r} is below the normal float range"
+            )
 
 
 def ground_state_psi(x, p: OscillatorParams):

@@ -19,6 +19,8 @@ every slab folded on its own: the oracle for ``field.class_covariance``,
 which computes each block's spectrum from the wavenumbers and folds only
 the slabs kx = 0..N/2.  ``mode_columns`` likewise weights the whole
 padded amplitude array at once, the oracle for ``field._mode_columns``.
+The oracles fold with ``fold_aliases_by_class``, one alias at a time,
+and never with the module's ``field._fold``, which they check.
 """
 
 import math
@@ -27,7 +29,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from zpflab import field
-from zpflab.field import _fold_aliases, _reflect
+from zpflab.field import _reflect
 
 # The live normals are drawn, and the oracle covariance folded, a block of
 # _BLOCK_SLABS x-slabs at a time, the last block taking what is left.
@@ -37,6 +39,25 @@ _BLOCK_SLABS = 8
 def mode_std(spec) -> np.ndarray:
     """Per-mode sigma_k on the whole half lattice; zero for DC and beyond k_max."""
     return field._slab_std(spec, 0, spec.points_per_axis)
+
+
+def fold_aliases_by_class(values, weights, blocks, axis):
+    """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
+
+    Class by class, one alias at a time in increasing j, the order in which
+    ``field._fold`` adds them and ``draw_modes`` streams its x-folds.  The
+    extent along ``axis`` need not be whole periods: a class sums the
+    aliases it has, and one with none is zero.
+    """
+    n = values.shape[axis]
+    zero = np.zeros_like(np.take(values, 0, axis=axis), dtype=np.complex128)
+    classes = []
+    for q in range(blocks):
+        total = zero
+        for x in range(q, n, blocks):
+            total = total + np.take(values, x, axis=axis) * weights[x]
+        classes.append(total)
+    return np.stack(classes, axis=axis)
 
 
 def draw_modes(sigma: np.ndarray, seed, plans) -> list[np.ndarray]:
@@ -79,7 +100,7 @@ def _add_aliases(out: np.ndarray, weighted: np.ndarray, x0: int) -> None:
     """Add the weighted slabs x0, x0 + 1, ... into class x mod nb of ``out``.
 
     A class's first alias (x < nb) writes it and later ones add to it in
-    increasing x, the order in which ``field._fold_aliases`` sums them.
+    increasing x, the order in which ``fold_aliases_by_class`` sums them.
     """
     nb = len(out)
     x, end = x0, x0 + len(weighted)
@@ -96,19 +117,14 @@ def _add_aliases(out: np.ndarray, weighted: np.ndarray, x0: int) -> None:
 def coarse_mean_squares(folded, plans) -> list[float]:
     """Mean square of the cube averages at each planned scale, from ``draw_modes``'s x-folds.
 
-    y is folded, then the stored kz, zero-padded to whole nb-periods,
-    which leaves the fold F of B; the completion G(q) = F(q) + conj F(-q)
-    commutes with every fold, and by Parseval the mean square of the cube
-    averages is sum_q |G(q)|^2.
+    y is folded, then the N/2 + 1 stored kz, which leaves the fold F of B;
+    the completion G(q) = F(q) + conj F(-q) commutes with every fold, and
+    by Parseval the mean square of the cube averages is sum_q |G(q)|^2.
     """
     out = []
     for plan, x_folded in zip(plans, folded):
-        nb = plan.blocks
-        y_folded = _fold_aliases(x_folded, plan.transform, nb, 1)
-        kz = -(-y_folded.shape[2] // nb) * nb  # the stored kz, padded to whole nb-periods
-        padded = np.zeros((nb, nb, kz), dtype=np.complex128)
-        padded[:, :, : y_folded.shape[2]] = y_folded
-        f = _fold_aliases(padded, plan.transform[:kz], nb, 2)
+        y_folded = fold_aliases_by_class(x_folded, plan.transform, plan.blocks, 1)
+        f = fold_aliases_by_class(y_folded, plan.transform, plan.blocks, 2)
         g = f + _reflect(f)
         out.append(float(np.sum(g.real**2 + g.imag**2)))
     return out
@@ -119,28 +135,26 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
 
     ``sigma`` is ``mode_std(spec)``; s_k is sigma_k, times sqrt(1/2) on the
     kz = 0 and N/2 planes.  Each block of x-slabs of s^2, weighted by
-    P = W_a conj W_b, is folded along y, then along the stored kz,
-    zero-padded to whole L-periods, then added slab by slab into class
-    x mod L, in increasing x: one pass over sigma for every pair of scales.
+    P = W_a conj W_b, is folded along y, then along the N/2 + 1 stored kz,
+    then added slab by slab into class x mod L, in increasing x: one pass
+    over sigma for every pair of scales.
     """
-    n, nz = len(sigma), sigma.shape[2]
+    n = len(sigma)
     period = field.class_layout(n, [p.blocks for p in plans])[0]
-    kz = -(-nz // period) * period
     pairs = [
         (a, b, plans[a].transform * np.conj(plans[b].transform))
         for a in range(len(plans))
         for b in range(a, len(plans))
     ]
     cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
-    padded = np.zeros((min(_BLOCK_SLABS, n), period, kz), dtype=np.complex128)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
     for lo in range(0, n, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, n)
         power = np.square(sigma[lo:hi])
         power[:, :, planes] *= 0.5
         for a, b, weight in pairs:
-            padded[: hi - lo, :, :nz] = _fold_aliases(power, weight, period, 1)
-            folded = _fold_aliases(padded[: hi - lo], weight[:kz], period, 2)
+            y_folded = fold_aliases_by_class(power, weight, period, 1)
+            folded = fold_aliases_by_class(y_folded, weight, period, 2)
             for x in range(lo, hi):
                 cov[a, b, x % period] += weight[x] * folded[x - lo]
     for a, b, _ in pairs:

@@ -289,17 +289,12 @@ class TestOscillatorCommand:
     def test_extreme_masses_record_finite_or_no_z_scores(self):
         # at m = 1e-300 the exact variance is near 5e272 and its square
         # overflows, so only ratios to it keep the z-scores finite; at
-        # m = 1e300 it underflows to 0 and there is no z-score
+        # m = 1e300 it underflows to 0 and the run exits 1 (OUT_OF_FLOAT_RANGE)
         argv = ["oscillator", "--omega", "1", "--samples", "16", "--m"]
         code, _, err = run(argv + ["1e-300"])
         assert code == 0
         z_scores = manifest_of(err)["convergence"]["oscillator"].values()
         assert all(math.isfinite(z) for z in z_scores)
-        code, _, err = run(argv + ["1e300"])
-        assert code == 0
-        assert manifest_of(err)["convergence"]["oscillator"] == {
-            "mean_z_score": None, "variance_z_score": None
-        }
 
     @pytest.mark.parametrize("samples", ["-1", "0", "1"])
     def test_fewer_than_two_samples_exit_one_with_one_line(self, samples):
@@ -341,7 +336,7 @@ class TestFieldCommand:
 
         def huge(spec, plans):  # a factor of 1e200: the class sums' folds square to inf
             law = class_law(spec, plans)
-            return field.ClassLaw(np.full_like(law.factor, 1e200), law.mean_squares)
+            return field.ClassLaw(law.blocks, np.full_like(law.factor, 1e200), law.mean_squares)
 
         monkeypatch.setattr(field, "class_law", huge)
         with warnings.catch_warnings(record=True) as caught:
@@ -468,6 +463,8 @@ OUT_OF_FLOAT_RANGE = [
     "lamb --jitter 1e308",
     "lamb --n 2 --jitter 1e-320",
     "oscillator --m 2.3e-308 --omega 1 --units natural --samples 64",
+    "oscillator --omega 1 --samples 16 --m 1e300",
+    "oscillator --m 1e300 --omega 1",
 ]
 
 

@@ -4,6 +4,7 @@ import ast
 import cmath
 import functools
 import inspect
+import itertools
 import math
 import os
 import re
@@ -18,13 +19,12 @@ import numpy as np
 import pytest
 
 import per_mode
-from per_mode import coarse_mean_squares, draw_modes, mode_std
+from per_mode import coarse_mean_squares, draw_modes, fold_aliases_by_class, mode_std
 from zpflab import field
 from zpflab.coil import predicted_rms
 from zpflab.errors import ConfigurationError, DomainError
 from zpflab.field import (
     WINDOWS,
-    CoarseGrainReport,
     LatticeSpec,
     class_covariance,
     class_law,
@@ -103,23 +103,6 @@ def hermitian(one_sided):
     for z in (0, one_sided.shape[0] // 2):
         coeff[:, :, z] += at_minus_k(one_sided[:, :, z])
     return coeff
-
-
-def fold_aliases_by_class(values, weights, blocks, axis):
-    """sum_j values[j*blocks + q] * weights[j*blocks + q] along ``axis``, for q < blocks.
-
-    Class by class, one alias at a time in increasing j: the oracle for
-    ``field._fold_aliases``, whose order of addition is the one
-    ``draw_modes`` streams its x-folds in.
-    """
-    n = values.shape[axis]
-    classes = []
-    for q in range(blocks):
-        total = 0.0
-        for x in range(q, n, blocks):
-            total = total + np.take(values, x, axis=axis) * weights[x]
-        classes.append(total)
-    return np.stack(classes, axis=axis)
 
 
 def coefficient_x_folds(coefficients, plans):
@@ -514,11 +497,7 @@ def expected_mean_squares(spec, scales, window):
 
 def exact_exponent(spec, window):
     scales = [spec.box_size / d for d in (16, 8, 4, 2)]
-    rms = np.sqrt(expected_mean_squares(spec, scales, window))
-    report = CoarseGrainReport(
-        scales=tuple(scales), rms=tuple(rms), draws=1, estimate_variance=(0.0,) * 4
-    )
-    return fit_scaling(report).exponent
+    return fit_scaling(scales, np.sqrt(expected_mean_squares(spec, scales, window))).exponent
 
 
 class TestCoarseMeanSquares:
@@ -568,7 +547,7 @@ class TestCoarseMeanSquares:
         functions = (
             field.class_law, class_covariance, field._factor_in_place, field._mode_columns,
             field._slab_std, field.wavenumber_magnitudes, draw_mean_squares, field._complete,
-            field._fold_classes, field._fold_aliases, field._reflect,
+            field._fold, field._reflect,
         )
         banned = r"@|\bdot\b|vdot|inner|matmul|tensordot|einsum|linalg|fft"
         for fn in functions:
@@ -577,7 +556,7 @@ class TestCoarseMeanSquares:
     def test_fold_calls_do_not_grow_with_the_aliases(self):
         # each numpy call holds the GIL for its set-up, so a Python loop over
         # the m aliases (m = 32 at box/2 of 64^3) serializes the draw workers
-        tree = ast.parse(textwrap.dedent(inspect.getsource(field._fold_aliases)))
+        tree = ast.parse(textwrap.dedent(inspect.getsource(field._fold)))
         loops = (ast.For, ast.While, ast.comprehension)
         assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
 
@@ -602,14 +581,40 @@ class TestCoarseMeanSquares:
         }
         assert not inputs["transposed"].flags.c_contiguous
         cells = [m for m in range(1, n + 1) if n % m == 0]
+        along = [1, 1]
+        along.insert(axis, n)  # the transform broadcast along the folded axis
         for plan in scale_plans(spec, [m * spec.cell_size for m in cells], window):
+            weights = plan.transform.reshape(along)
             for name, values in inputs.items():
-                folded = field._fold_aliases(values, plan.transform, plan.blocks, axis)
+                folded = field._fold(values * weights, plan.blocks, (axis,))
                 assert np.array_equal(
                     folded, fold_aliases_by_class(values, plan.transform, plan.blocks, axis)
                 ), (name, plan.blocks)
                 # np.sum in coarse_mean_squares adds in memory order
                 assert folded.flags.c_contiguous, (name, plan.blocks)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(8, 8, 5), (16, 16, 9), (24, 24, 13), (12, 12, 12), (16, 16, 16)],
+        ids=["N8-half", "N16-half", "N24-half", "L12", "L16"],
+    )
+    def test_fold_over_every_axis_is_the_class_by_class_sum(self, shape):
+        # a draw's fold of its class sums down to nb: the N/2 + 1 stored kz
+        # of a class grid of L = N are not whole nb-periods, an (L, L, L)
+        # grid is; the zero slab makes classes whose every alias is -0
+        rng = np.random.default_rng(shape[2])
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[0] = complex(-0.0, -0.0)
+        for nb in [b for b in range(1, shape[0] + 1) if shape[0] % b == 0]:
+            folded = np.zeros((nb, nb, nb), dtype=complex)
+            for q in np.ndindex(folded.shape):  # the aliases in C order, from a zero sum
+                total = np.complex128(0.0)
+                for r in itertools.product(*(range(i, n, nb) for i, n in zip(q, shape))):
+                    total = total + values[r]
+                folded[q] = total
+            assert np.array_equal(
+                field._fold(values, nb, (0, 1, 2)).view(np.int64), folded.view(np.int64)
+            ), nb
 
     def test_pooled_mean_square_matches_the_exact_ensemble(self):
         # 64^3, 50 draws seeded from seed 1 as scaling_run seeds them
@@ -619,7 +624,7 @@ class TestCoarseMeanSquares:
         for window in WINDOWS:
             plans = scale_plans(spec, scales, window)
             law = class_law(spec, plans)
-            per_draw = np.array([draw_mean_squares(law, plans, c) for c in children])
+            per_draw = np.array([draw_mean_squares(law, c) for c in children])
             pooled = per_draw.mean(axis=0)
             se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(children))
             z = (pooled - expected_mean_squares(spec, scales, window)) / se
@@ -642,11 +647,11 @@ class TestCoarseMeanSquares:
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         small = scale_plans(SMALL, [1 / 4, 1 / 2], "hann")
-        draw_mean_squares(class_law(SMALL, small), small, 0)  # one-time lazy imports
+        draw_mean_squares(class_law(SMALL, small), 0)  # one-time lazy imports
         tracemalloc.start()
         try:
             law = class_law(spec, plans)
-            rows = [draw_mean_squares(law, plans, s) for s in (3, 4)]
+            rows = [draw_mean_squares(law, s) for s in (3, 4)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -850,7 +855,7 @@ class TestClassLaw:
             for c in np.random.SeedSequence(1).spawn(draws)
         ])
         class_ms = np.array([
-            draw_mean_squares(law, plans, c) for c in np.random.SeedSequence(2).spawn(draws)
+            draw_mean_squares(law, c) for c in np.random.SeedSequence(2).spawn(draws)
         ])
         means = [ms.mean(axis=0) for ms in (per_mode_ms, class_ms)]
         sds = [ms.std(axis=0, ddof=1) for ms in (per_mode_ms, class_ms)]
@@ -869,8 +874,8 @@ class TestClassLaw:
         plans = scale_plans(MEDIUM, [1 / 8, 1 / 4, 1 / 2], "hann")
         law = class_law(MEDIUM, plans)
         child = np.random.SeedSequence(5).spawn(3)[2]
-        assert draw_mean_squares(law, plans, child) == draw_mean_squares(law, plans, child)
-        assert draw_mean_squares(law, plans, 5) != draw_mean_squares(law, plans, 6)
+        assert draw_mean_squares(law, child) == draw_mean_squares(law, child)
+        assert draw_mean_squares(law, 5) != draw_mean_squares(law, 6)
 
     @pytest.mark.parametrize("window, exponent", [("hann", -2.00151), ("tophat", -1.85654)])
     def test_exact_exponent_at_64_cubed(self, window, exponent):
@@ -894,16 +899,10 @@ class TestClassLaw:
 
 
 class TestFitScaling:
-    def make_report(self, scales, rms):
-        return CoarseGrainReport(
-            scales=tuple(scales), rms=tuple(rms), draws=1,
-            estimate_variance=(0.0,) * len(scales),
-        )
-
     def test_exact_inverse_square_power_law(self):
         scales = [0.125, 0.25, 0.5, 1.0]
         rms = [3.0 * s**-2 for s in scales]
-        fit = fit_scaling(self.make_report(scales, rms))
+        fit = fit_scaling(scales, rms)
         assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
         assert fit.amplitude == pytest.approx(3.0, rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -911,12 +910,12 @@ class TestFitScaling:
 
     def test_flat_law(self):
         scales = [0.125, 0.25, 0.5]
-        fit = fit_scaling(self.make_report(scales, [4.0, 4.0, 4.0]))
+        fit = fit_scaling(scales, [4.0, 4.0, 4.0])
         assert fit.exponent == pytest.approx(0.0, abs=1e-14)
 
     def test_too_few_scales_rejected(self):
         with pytest.raises(DomainError):
-            fit_scaling(self.make_report([0.25, 0.5], [2.0, 1.0]))
+            fit_scaling([0.25, 0.5], [2.0, 1.0])
 
 
 # Runs on either route of the class law: the Cholesky route at 64^3, and the
@@ -1013,7 +1012,7 @@ class TestScalingPipeline:
             grid_ms.append(
                 grid_route_mean_squares(hermitian(amplitude * normals), spec, scales, "hann")
             )
-            assert draw_mean_squares(law, plans, child) == pytest.approx(grid_ms[-1], rel=1e-12)
+            assert draw_mean_squares(law, child) == pytest.approx(grid_ms[-1], rel=1e-12)
         per_scale_ms = np.array(grid_ms).T
         report, _ = scaling_run(spec, scales, draws=draws, seed=seed)
         assert report.scales == tuple(scales)
@@ -1083,7 +1082,7 @@ class TestScalingPipeline:
         # Draws stubbed to their result, so only the (draws, 2) table of mean
         # squares grows with the draws: 16 bytes a draw, beside at most two
         # columns of 8 bytes a draw that its statistics take, and a constant.
-        monkeypatch.setattr(field, "draw_mean_squares", lambda law, plans, seed: [1.0, 1.0])
+        monkeypatch.setattr(field, "draw_mean_squares", lambda law, seed: [1.0, 1.0])
         draws = 4000
         scaling_run(SMALL, [1 / 4, 1 / 2], draws=2, seed=0)
         tracemalloc.start()
@@ -1115,11 +1114,11 @@ class TestScalingPipeline:
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         law = class_law(spec, plans)
-        draw_mean_squares(law, plans, 0)  # the first draw's lazy imports are a one-time cost
+        draw_mean_squares(law, 0)  # the first draw's lazy imports are a one-time cost
         tracemalloc.start()
         try:
             for seed in (5, 6, 7):
-                draw_mean_squares(law, plans, seed)
+                draw_mean_squares(law, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

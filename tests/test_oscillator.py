@@ -1,6 +1,7 @@
 """Ground-state amplitude, width, variance, and sampling."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -67,6 +68,16 @@ class TestAmplitude:
             kwargs = dict(m=1.0, omega=1.0, hbar=1.0)
             kwargs.update(bad)
             with pytest.raises(DomainError):
+                OscillatorParams(**kwargs)
+
+    def test_variance_below_the_normal_floats_rejected(self):
+        tiny = sys.float_info.min
+        assert position_variance(OscillatorParams(m=0.5, omega=1.0, hbar=tiny)) == tiny
+        subnormal, zero = dict(hbar=tiny / 2), dict(m=1e300, hbar=1.0545718176461565e-27)
+        for bad in (subnormal, zero):
+            kwargs = dict(m=0.5, omega=1.0)
+            kwargs.update(bad)
+            with pytest.raises(DomainError, match="variance"):
                 OscillatorParams(**kwargs)
 
 
