@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError, frozen_record
 from .units import AREA, FORCE, LENGTH, ConstantsTable, Quantity
 
 DEFAULT_EPSILONS = (0.4, 0.2, 0.1, 0.05)
@@ -25,7 +24,7 @@ RESIDUAL_TOLERANCE = 1e-3
 _SUM_DPS = 30  # working digits at eps >= 1; regulated_cubic_sum adds 5 per decade below
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CasimirConfig:
     plate_area: float
     separation: float
@@ -56,7 +55,7 @@ def _checked_ladder(epsilons) -> tuple[float, ...]:
     return eps
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CasimirDiagnostics:
     epsilons: tuple[float, ...]
     regulated_values: tuple[float, ...]
@@ -64,7 +63,7 @@ class CasimirDiagnostics:
     residuals: tuple[float, ...]  # relative change between successive extrapolants
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CasimirResult:
     force_closed: Quantity
     energy_coefficient: float  # c_E in E/A = -c_E hbar c / l^3

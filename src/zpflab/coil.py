@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, frozen_record
 from .units import (
     AREA,
     LENGTH,
@@ -29,7 +28,7 @@ from .units import (
 RATIO_GUARD_REL = 1e-10
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CoilSpec:
     turns: int
     area: float
@@ -44,7 +43,7 @@ class CoilSpec:
             raise DomainError(f"resistance must be > 0, got {self.resistance}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TapEstimate:
     current_via_charge: Quantity  # (N A / R) e / (l^2 tau)
     current_exact: Quantity  # N B A / (R tau) with B = sqrt(hbar c)/l^2

@@ -65,18 +65,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.random import SeedSequence, default_rng
 
-from .errors import ConfigurationError, DomainError, physical_memory_bytes
+from .errors import ConfigurationError, DomainError, frozen_record, physical_memory_bytes
 
 WINDOWS = ("tophat", "hann")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LatticeSpec:
     box_size: float
     points_per_axis: int
@@ -162,7 +161,7 @@ def _reflect(folded: np.ndarray) -> np.ndarray:
     return np.conjugate(reflected, out=reflected)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CoarseGrainReport:
     scales: tuple[float, ...]
     rms: tuple[float, ...]
@@ -240,7 +239,7 @@ def _fold(values: np.ndarray, nb: int, axes) -> np.ndarray:
     return folded
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScalePlan:
     """What coarse-graining at one scale needs, fixed for a run."""
 
@@ -308,7 +307,7 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     return 8 * draws * (s + 2) + max(build, draw)  # the table and two columns of its statistics
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ClassLaw:
     """The joint law of one draw's alias-class sums, fixed for a run.
 
@@ -495,7 +494,7 @@ def _complete(folded: np.ndarray) -> np.ndarray:
     return completed
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScalingFit:
     exponent: float
     amplitude: float

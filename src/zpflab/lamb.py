@@ -17,13 +17,12 @@ breakdown m c^2 / hbar).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, frozen_record
 from .units import AREA, ENERGY, VOLUME, ConstantsTable, Quantity
 
 
-@dataclass(frozen=True)
+@frozen_record
 class JitterVariance:
     """Per-component mean-square displacement <(dr)^2>, length^2 units."""
 
@@ -44,7 +43,7 @@ class JitterVariance:
         return f"{self.source}(omega_min={self.omega_min!r}, omega_max={self.omega_max!r})"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HydrogenState:
     n: int
     ell: int = 0

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, frozen_record
 
 QUADRATURE_NODES = 2**14 + 1  # trapezoid node count
 QUADRATURE_HALF_WIDTH = 12.0  # support half-width in units of the Gaussian sigma
@@ -24,7 +23,7 @@ MAX_SAMPLES = 2**53  # above it a sample count is not an exact float64
 _LEAF = 2**16  # draws held at once by sample_moments: 512 KiB
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OscillatorParams:
     m: float
     omega: float

@@ -14,15 +14,18 @@ Constant values come from a pinned CODATA-2018 snapshot shipped as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
-from .errors import ConfigurationError, DimensionError, DomainError, InvariantError
+from .errors import ConfigurationError, DimensionError, DomainError, InvariantError, frozen_record
 
 SYSTEMS = ("gaussian", "si", "natural")
 SNAPSHOT = "codata2018"
+# setuptools installs package data as plain files beside the modules
+SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data", f"{SNAPSHOT}.txt")
+# the snapshot's mass entry for each particle a run can name
+PARTICLES = {"electron": "m_e", "proton": "m_p"}
 
 # 1 eV in erg (from the exact SI elementary charge); display conversion only.
 ERG_PER_EV = 1.602176634e-12
@@ -36,7 +39,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"dimension exponents must be int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Dimension:
     """Exponents of length, mass, time and (SI-only) charge, as exact rationals."""
 
@@ -110,7 +113,7 @@ def resistance_dimension(system: str) -> Dimension:
     return TIME / LENGTH  # s/cm
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Quantity:
     """A real value with a Dimension, tagged by the unit system it lives in.
 
@@ -185,7 +188,7 @@ class Quantity:
         return self ** Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ConstantsTable:
     """Pinned physical constants for one unit system.
 
@@ -205,7 +208,7 @@ class ConstantsTable:
     lambda_C: Quantity
     tau_C: Quantity
     epsilon0: Quantity | None = None
-    labels: dict = field(default_factory=dict, repr=False)
+    labels: dict  # name -> unit label; required, so no instance shares a mutable default
 
     @property
     def h(self) -> Quantity:
@@ -235,13 +238,21 @@ def _parse_snapshot(text: str) -> dict:
         system, dot, name = key.strip().partition(".")
         if not dot:
             raise InvariantError(f"missing system prefix on constants line {lineno}: {raw!r}")
-        entries[(system, name)] = (float(value.strip()), comment.strip())
+        try:
+            number = float(value)
+        except ValueError:
+            raise InvariantError(f"non-numeric value on constants line {lineno}: {raw!r}") from None
+        entries[(system, name)] = (number, comment.strip())
     return entries
 
 
 @lru_cache(maxsize=1)
 def _snapshot_entries() -> dict:
-    text = resources.files("zpflab").joinpath("data/codata2018.txt").read_text(encoding="utf-8")
+    try:
+        with open(SNAPSHOT_PATH, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvariantError(f"cannot read the constants snapshot {SNAPSHOT_PATH}: {exc}") from exc
     return _parse_snapshot(text)
 
 
@@ -313,9 +324,9 @@ def constants_for(system: str) -> ConstantsTable:
 def particle_mass(name: str, system: str) -> Quantity:
     """Mass of a named particle (electron or proton) in the given system."""
     _require_system(system)
-    key = {"electron": "m_e", "proton": "m_p"}.get(name)
+    key = PARTICLES.get(name)
     if key is None:
-        raise DomainError(f"unknown particle {name!r}; expected electron or proton")
+        raise DomainError(f"unknown particle {name!r}; expected {' or '.join(PARTICLES)}")
     entries = _snapshot_entries()
     return Quantity(entries[(system, key)][0], MASS, system)
 

@@ -19,7 +19,7 @@ except ImportError:  # not on every platform
     resource = None
 
 import zpflab.cli as cli
-from zpflab import field, oscillator
+from zpflab import field, oscillator, units
 from zpflab.cli import argv_from_manifest, dispatch
 from zpflab.errors import InvariantError
 
@@ -204,6 +204,38 @@ class TestConstantsCommand:
         code, _, err = run(["constants", "--system", "imperial"])
         assert code == 1
         assert err.startswith("error: zpflab constants: ") and err.count("\n") == 1
+
+    @pytest.fixture
+    def snapshot_at(self, monkeypatch):
+        """Point the snapshot at a path, with the tables read from it afresh."""
+        def clear():
+            units._snapshot_entries.cache_clear()
+            units.constants_for.cache_clear()
+
+        def point(path):
+            monkeypatch.setattr(units, "SNAPSHOT_PATH", str(path))
+            clear()
+
+        yield point
+        clear()  # the next test reads the shipped snapshot again
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read the constants snapshot {path}: "),
+         ("gaussian.hbar = abc # erg s\n",
+          "non-numeric value on constants line 1: 'gaussian.hbar = abc # erg s'"),
+         ("gaussian.hbar 1.0\n", "malformed constants line 1: 'gaussian.hbar 1.0'")],
+        ids=["missing", "non-numeric", "no-equals"],
+    )
+    def test_a_bad_snapshot_exits_two_with_one_line(self, snapshot_at, tmp_path, text, message):
+        path = tmp_path / "codata2018.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        snapshot_at(path)
+        code, out, err = run(["constants"])
+        assert code == 2 and out == ""
+        assert err.startswith("internal error: " + message.format(path=path))
+        assert err.count("\n") == 1
 
 
 class TestOscillatorCommand:
@@ -681,10 +713,11 @@ class TestManifest:
 
 
 # Runs argv lists through dispatch in one fresh interpreter and reports, as one
-# JSON line: the non-stdlib top-level packages and the zpflab modules that
-# importing zpflab.cli and building its parser loaded; after each run, its exit
-# code, whether numpy or platform is loaded and the zpflab modules it added; and
-# the OPENBLAS_NUM_THREADS the process ends with.
+# JSON line: the non-stdlib top-level packages, the zpflab modules and every
+# module that importing zpflab.cli and building its parser loaded; after each
+# run, its exit code, whether numpy or platform is loaded, the zpflab modules
+# it added and every module it added; and the OPENBLAS_NUM_THREADS the process
+# ends with.
 IMPORT_PROBE = """
 import io, json, os, sys
 before = set(sys.modules)
@@ -693,12 +726,14 @@ zpflab.cli.build_parser()
 added = {m.split('.')[0] for m in set(sys.modules) - before}
 own = lambda: {m for m in sys.modules if m.startswith('zpflab.')}
 report = {'loaded': sorted(added - set(sys.stdlib_module_names) - {'zpflab'}),
-          'modules': sorted(own()), 'runs': [], 'run_modules': []}
+          'modules': sorted(own()), 'start_added': sorted(set(sys.modules) - before),
+          'runs': [], 'run_modules': [], 'run_added': []}
 for argv in json.loads(sys.argv[1]):
-    modules = own()
+    modules, every = own(), set(sys.modules)
     code = zpflab.cli.dispatch(argv, io.StringIO(), io.StringIO())
     report['runs'].append([code, 'numpy' in sys.modules, 'platform' in sys.modules])
     report['run_modules'].append(sorted(own() - modules))
+    report['run_added'].append(sorted(set(sys.modules) - every))
 report['openblas'] = os.environ.get('OPENBLAS_NUM_THREADS')
 print(json.dumps(report))
 """
@@ -711,9 +746,9 @@ def probe_env(**preset):
     return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **preset}
 
 
-def probe_fresh_interpreter(argvs):
+def probe_fresh_interpreter(argvs, *flags):
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        [sys.executable, *flags, "-c", IMPORT_PROBE, json.dumps(argvs)],
         env=probe_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(result.stdout)
@@ -791,6 +826,40 @@ def test_each_subcommand_module_loads_only_with_its_run():
         "field": ["zpflab.field"],
     }
     assert report["openblas"] is None  # dispatch leaves a library caller's environment alone
+
+
+# stdlib modules that cost a pure run more than its computation: dataclasses
+# (with inspect, ast, dis and tokenize) and importlib.resources
+HEAVY_STARTUP_IMPORTS = ("dataclasses", "inspect", "importlib.resources")
+
+
+def heavy(modules):
+    return sorted(m for m in modules if m.startswith(HEAVY_STARTUP_IMPORTS))
+
+
+def test_pure_runs_load_none_of_the_heavy_imports_and_json_runs_no_csv():
+    # -S: no site-packages .pth file can import one of them first and hide it
+    argvs = {
+        "constants": ["constants"],
+        "lamb": ["lamb"],
+        "casimir": ["casimir", "--area", "1", "--sep", "1", "--modesum"],
+        "coil": ["coil", "--turns", "100", "--area", "10", "--resistance", "1e-12", "--scale", "1"],
+        "oscillator": ["oscillator", "--m", "1", "--omega", "1"],
+    }
+    report = probe_fresh_interpreter(list(argvs.values()), "-S")
+    assert report["runs"] == [[0, False, False]] * len(argvs)
+    assert heavy(report["start_added"]) == []
+    added = dict(zip(argvs, report["run_added"]))
+    assert {name: heavy(modules) for name, modules in added.items()} == dict.fromkeys(argvs, [])
+    # casimir and coil print JSON by default; only a CSV table needs csv
+    assert "csv" not in report["start_added"] + added["casimir"] + added["coil"]
+    assert "csv" in added["constants"]
+
+
+def test_array_runs_load_no_dataclasses():
+    report = probe_fresh_interpreter([SUBCOMMAND_RUNS["field"], SUBCOMMAND_RUNS["oscillator"]])
+    assert [run[:2] for run in report["runs"]] == [[0, True]] * 2
+    assert "dataclasses" not in report["start_added"] + sum(report["run_added"], [])
 
 
 # Runs zpflab.cli.main() on an argv in a fresh interpreter, waits up to 2 s for
