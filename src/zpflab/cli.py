@@ -41,8 +41,11 @@ the bare interpreter takes about 58 ms.
 No zpflab code calls BLAS, so ``main`` sets ``OPENBLAS_NUM_THREADS=1``
 unless the caller has set it, before any handler loads numpy: OpenBLAS
 then starts no worker threads, which would otherwise each spin for a
-tenth of a second at load and never be used.  ``dispatch`` leaves the
-environment alone, so library callers keep their own BLAS settings.
+tenth of a second at load and never be used.  Once the run is rendered
+and recorded, ``main`` freezes the garbage collector, so the
+interpreter's exit collects none of the objects numpy's import made: the
+OS reclaims them anyway.  ``dispatch`` leaves the environment and the
+collector alone, so library callers keep their own BLAS and GC settings.
 """
 
 from __future__ import annotations
@@ -517,7 +520,11 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler loads numpy
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    import gc  # here, so only a finished run loads it, past its peak RSS
+
+    gc.freeze()  # the exit's collections would only free what the OS reclaims anyway
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,17 +33,20 @@ so a draw of the H(r) from that law is a draw of every scale's cube
 averages at once, with their exact joint law.  ``class_law`` builds C once
 per run, computing s_k^2 from the wavenumbers a block of x-slabs at a
 time, and only for kx = 0..N/2, since slab N - x has the s^2 of slab x;
-it holds one (L, L) fold per slab and pair of scales, and no N^3 array.
+each slab is folded into C, and into C again as slab N - x, as soon as
+it is made, so the build holds C, one block of s^2 and two (block, L,
+N/2 + 1) buffers, and no N^3 array.
 It then factors every class with a diagonal-scaled semidefinite
 Cholesky; ``draw_mean_squares`` draws H from the factor (about 4 k
 complex normals per scale at the default, at any N), folds it from L
 down to each scale's nb classes, completes the Hermitian symmetry and
 takes the energy of the fold, which by Parseval is the mean square of
 the cube averages.  The trace of C gives each scale's exact ensemble mean
-square, 2 sum_r C_r[a, a], at no extra cost.  Every alias-class sum is
-one ``_fold``, and every contraction in the build, the factor and a draw
-is elementwise numpy in a fixed order: no FFT, BLAS or LAPACK call is
-made, so the digits do not depend on how any of those libraries was built.
+square, 2 sum_r C_r[a, a], at no extra cost.  The build adds its y- and
+x-aliases one at a time, every other alias-class sum is one ``_fold``,
+and every contraction in the build, the factor and a draw is elementwise
+numpy in a fixed order: no FFT, BLAS or LAPACK call is made, so the
+digits do not depend on how any of those libraries was built.
 
 Coarse-graining windows
 -----------------------
@@ -230,6 +233,8 @@ def _fold(values: np.ndarray, nb: int, axes) -> np.ndarray:
     out = folded.view(np.float64).reshape(px, py, pz, 2)
 
     def add(q, aliases, count):  # the z classes q..q + count - 1, of ``aliases`` aliases each
+        if count == 0:  # whole periods: no partial last one
+            return
         classes = as_strided(parts[:, :, q:], (lx // px, px, ly // py, py, aliases, count, 2),
                              (px * sx, sx, py * sy, sy, pz * sz, sz, sc), writeable=False)
         np.add.reduce(classes, axis=(0, 2, 4), out=out[:, :, q : q + count])
@@ -299,9 +304,8 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     factor = s * width * grid
     if modes:  # a block's amplitude and two weighted copies; then one scale's squared columns
         build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + 3 * width * grid // 2
-    else:  # a block's s^2, two fold products, y-fold; the folds; x slabs; C; the factoring
-        build = (8 * min(_BLOCK_SLABS, nz) * (3 * n + 4 * period) * nz + 16 * n * period**2
-                 + 8 * s * (s + 1) * nz * period**2 + factor + (s + 4) * grid)
+    else:  # a block's s^2 and cutoff mask, y, its product term and z-fold; C; the factoring
+        build = min(_BLOCK_SLABS, nz) * nz * (9 * n + 48 * period) + factor + (s + 4) * grid
     # the normals, class sums and product term; three (nb, nb, nb) folds of the largest nb
     draw = factor + (width + 2) * grid + 48 * max(blocks) ** 3
     return 8 * draws * (s + 2) + max(build, draw)  # the table and two columns of its statistics
@@ -313,12 +317,14 @@ class ClassLaw:
 
     For class r mod L, H(r) = sum_j factor[:, j, r] z_j(r), with z_j(r)
     independent complex normals of E|z|^2 = 1, has the covariance C_r of
-    ``class_covariance``.
+    ``class_covariance``.  A Cholesky factor is lower triangular,
+    factor[a, j] = 0 for j > a, and the mode columns are not.
     """
 
     blocks: tuple[int, ...]  # nb per scale, the classes each scale's draw folds into
     factor: np.ndarray  # (S, width, L, L, Lz) complex
     mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r C_r[a, a]
+    triangular: bool = False  # the Cholesky route: scale a's draw sums the columns j <= a
 
 
 def class_law(spec: LatticeSpec, plans) -> ClassLaw:
@@ -339,7 +345,7 @@ def class_law(spec: LatticeSpec, plans) -> ClassLaw:
     factor = class_covariance(spec, plans)
     diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
     _factor_in_place(factor)
-    return ClassLaw(blocks, factor, 2.0 * diagonal)
+    return ClassLaw(blocks, factor, 2.0 * diagonal, triangular=True)
 
 
 def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
@@ -349,12 +355,16 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
     one-sided amplitude of the half layout, and W_a(k) = W_a(kx) W_a(ky)
     W_a(kz) is scale a's window transform.  s_k^2 is computed a block of
     x-slabs at a time, and only for kx = 0..N/2: slab N - x negates kx,
-    which leaves s^2 bit for bit.  Each slab, weighted by P = W_a conj W_b,
-    is folded along y, then along the N/2 + 1 stored kz, into one (L, L)
-    fold per pair of scales; then slab x, the fold of slab min(x, N - x)
-    times P(kx), goes into class x mod L, in increasing x.  The build
-    holds these (N/2 + 1) L^2 folds per pair, one block's temporaries, one
-    pair's N weighted slabs and C, and no array of N^3 / 2 values.
+    which leaves s^2 bit for bit.  For each pair of scales, a block's s^2
+    is folded along y, adding P = W_a conj W_b times each y-alias in
+    increasing order, then times P(kz) along the N/2 + 1 stored kz, which
+    leaves one (L, L) fold per slab.  Each slab's fold goes into C as soon
+    as it is made: slab x, times P(kx), into class x mod L, then for
+    0 < x < N/2 its mirror, times P(k_{N-x}), into class (N - x) mod L.
+    Slab by slab in increasing x, so a class adds its aliases in the order
+    x = 0, 1, N - 1, 2, N - 2, ..., N/2 at any block size.  The build holds
+    C, one block of s^2 and two (block, L, N/2 + 1) buffers, and no array
+    of N^3 / 2 values.
     """
     n = spec.points_per_axis
     nz = half = n // 2 + 1  # the stored kz; also the slabs kx = 0..N/2 that are folded
@@ -364,25 +374,31 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
         for a in range(len(plans))
         for b in range(a, len(plans))
     ]
-    folds = np.empty((len(pairs), half, period, period), dtype=np.complex128)
+    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
+    y_buf = np.empty((min(_BLOCK_SLABS, half), period, nz), dtype=np.complex128)
+    term_buf = np.empty_like(y_buf)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
     for lo in range(0, half, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, half)
         power = _slab_std(spec, lo, hi)
         np.square(power, out=power)
         power[:, :, planes] *= 0.5
-        for (_, _, weight), yz in zip(pairs, folds):
-            y = _fold(power * weight[None, :, None], period, (1,))
-            yz[lo:hi] = _fold(y * weight[None, None, :nz], period, (2,))
-    cov = np.empty((len(plans), len(plans), period, period, period), dtype=np.complex128)
-    slabs = np.empty((n, period, period), dtype=np.complex128)
-    mirror = np.minimum(np.arange(n), n - np.arange(n))  # slab N - x has the s^2 of slab x
-    for (a, b, weight), yz in zip(pairs, folds):
-        np.take(yz, mirror, axis=0, out=slabs)
-        # values first on y and z, the weight first on x: numpy's SIMD complex
-        # multiply can round a * b and b * a apart, and the goldens pin these bits
-        np.multiply(weight[:, None, None], slabs, out=slabs)
-        cov[a, b] = _fold(slabs, period, (0,))
+        y, term = y_buf[: hi - lo], term_buf[: hi - lo]
+        for a, b, weight in pairs:
+            # y's aliases one at a time, in increasing order, as ``_fold`` adds them
+            np.multiply(power[:, :period], weight[None, :period, None], out=y)
+            for y0 in range(period, n, period):
+                y += np.multiply(power[:, y0 : y0 + period],
+                                 weight[None, y0 : y0 + period, None], out=term)
+            yz = _fold(np.multiply(y, weight[None, None, :nz], out=term), period, (2,))
+            # values first on y and z, the weight first on x: numpy's SIMD complex
+            # multiply can round a * b and b * a apart, and the goldens pin these bits
+            for x in range(lo, hi):
+                cov[a, b, x % period] += weight[x] * yz[x - lo]
+                if 0 < x < n // 2:  # slab N - x has the s^2 of slab x
+                    cov[a, b, (n - x) % period] += weight[n - x] * yz[x - lo]
+        del power  # before the next block's s^2 is built, not after
+    for a, b, _ in pairs:
         if a != b:
             cov[b, a] = np.conj(cov[a, b])
     return cov
@@ -461,11 +477,13 @@ def draw_mean_squares(law: ClassLaw, seed) -> list[float]:
     Draws the class sums H(r) from ``law``: one ``standard_normal`` call
     fills the complex normals z_j(r), scaled by sqrt(1/2), and each scale's
     H_a is their sum over j times its factor columns, in increasing j, so
-    one scale's sums are held at a time.  Each scale folds H_a from L down
-    to its nb classes, which is the fold F of the one-sided amplitudes; the
-    coefficients are B(k) + conj B(-k) and a real window has W(-k) =
-    conj W(k), so G(q) = F(q) + conj F(-q), and by Parseval the mean
-    square of the cube averages is sum_q |G(q)|^2.
+    one scale's sums are held at a time; a triangular factor's columns
+    j > a are zero and are skipped, which leaves every sum's bits alone.
+    Each scale folds H_a from L down to its nb classes, which is the fold F
+    of the one-sided amplitudes; the coefficients are B(k) + conj B(-k)
+    and a real window has W(-k) = conj W(k), so G(q) = F(q) + conj F(-q),
+    and by Parseval the mean square of the cube averages is
+    sum_q |G(q)|^2.
     Deterministic in (law, seed); seed may be an int or a numpy
     SeedSequence.  Every contraction is a fixed-order sum, so no FFT or
     BLAS call is made.
@@ -478,9 +496,9 @@ def draw_mean_squares(law: ClassLaw, seed) -> list[float]:
     sums = np.empty(normals.shape[1:], dtype=np.complex128)
     term = np.empty_like(sums) if len(normals) > 1 else None
     out = []
-    for nb, columns in zip(law.blocks, factor):
+    for a, (nb, columns) in enumerate(zip(law.blocks, factor)):
         np.multiply(columns[0], normals[0], out=sums)
-        for j in range(1, len(normals)):
+        for j in range(1, a + 1 if law.triangular else len(normals)):
             sums += np.multiply(columns[j], normals[j], out=term)
         g = _complete(_fold(sums, nb, (0, 1, 2)))
         out.append(float(np.sum(g.real**2 + g.imag**2)))

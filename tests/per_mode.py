@@ -31,8 +31,8 @@ from numpy.random import default_rng
 from zpflab import field
 from zpflab.field import _reflect
 
-# The live normals are drawn, and the oracle covariance folded, a block of
-# _BLOCK_SLABS x-slabs at a time, the last block taking what is left.
+# The live normals are drawn a block of _BLOCK_SLABS x-slabs at a time, the
+# last block taking what is left.
 _BLOCK_SLABS = 8
 
 
@@ -134,10 +134,10 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
     """C_r[a, b] = sum over k = r (mod L) of s_k^2 W_a(k) conj W_b(k), shape (S, S, L, L, L).
 
     ``sigma`` is ``mode_std(spec)``; s_k is sigma_k, times sqrt(1/2) on the
-    kz = 0 and N/2 planes.  Each block of x-slabs of s^2, weighted by
-    P = W_a conj W_b, is folded along y, then along the N/2 + 1 stored kz,
-    then added slab by slab into class x mod L, in increasing x: one pass
-    over sigma for every pair of scales.
+    kz = 0 and N/2 planes.  Each x-slab of s^2, weighted by P = W_a conj W_b,
+    is folded along y, then along the N/2 + 1 stored kz, then added into
+    class x mod L, in the slab order x = 0, 1, N - 1, 2, N - 2, ..., N/2:
+    one pass over sigma for every pair of scales, each slab folded on its own.
     """
     n = len(sigma)
     period = field.class_layout(n, [p.blocks for p in plans])[0]
@@ -148,15 +148,14 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
     ]
     cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
     planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
-    for lo in range(0, n, _BLOCK_SLABS):
-        hi = min(lo + _BLOCK_SLABS, n)
-        power = np.square(sigma[lo:hi])
+    order = [0] + [x for k in range(1, n // 2) for x in (k, n - k)] + [n // 2]
+    for x in order:
+        power = np.square(sigma[x : x + 1])
         power[:, :, planes] *= 0.5
         for a, b, weight in pairs:
             y_folded = fold_aliases_by_class(power, weight, period, 1)
             folded = fold_aliases_by_class(y_folded, weight, period, 2)
-            for x in range(lo, hi):
-                cov[a, b, x % period] += weight[x] * folded[x - lo]
+            cov[a, b, x % period] += weight[x] * folded[0]
     for a, b, _ in pairs:
         if a != b:
             cov[b, a] = np.conj(cov[a, b])

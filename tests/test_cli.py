@@ -1,6 +1,7 @@
 """CLI dispatch: outputs, exit codes, manifests, and replay."""
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -659,6 +660,27 @@ class TestManifest:
         manifest = manifest_of(err)
         assert manifest["parameters"]["n"] == 2
         assert manifest["parameters"]["omega_min"] is not None
+
+    def test_dispatch_leaves_the_collector_unfrozen(self):
+        # only main freezes it, at exit; a library caller keeps its own GC
+        frozen = gc.get_freeze_count()
+        assert run(["constants", "--system", "si"])[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_process_writes_what_dispatch_writes(self, tmp_path):
+        # main freezes the collector before the exit, after the manifest is
+        # closed, and the exit still flushes stdout
+        argv = ["constants", "--system", "si"]
+        path = tmp_path / "m.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "zpflab.cli", *argv, "--manifest", str(path)],
+            env=probe_env(), capture_output=True, text=True, check=True,
+        )
+        code, out, err = run(argv)
+        assert code == 0
+        assert result.stdout == out
+        assert result.stderr == ""
+        assert json.loads(path.read_text()).keys() == manifest_of(err).keys()
 
     @pytest.mark.parametrize(
         "argv",

@@ -735,6 +735,7 @@ LAW_SPECS = {
 
 ORACLE_SPECS = {
     "N8": (SMALL, [1 / 4, 1 / 2]),  # L = 4
+    "N8-one-cell": (SMALL, [1 / 8, 1 / 4, 1 / 2]),  # L = N = 8, above the N/2 + 1 slabs folded
     "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 16, 1 / 8, 1 / 4, 1 / 2]),
     # a cutoff that keeps only the fundamental's modes
     "N32-kmax7": (LatticeSpec(box_size=1.0, points_per_axis=32, k_max=7.0),
@@ -808,6 +809,21 @@ class TestClassLaw:
         # the exact mean squares are the trace of C, before any pivot is dropped
         trace = [2 * float(cov[a, a].real.sum()) for a in range(4)]
         assert list(class_law(spec, plans).mean_squares) == trace
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_a_draw_skips_only_the_factors_zero_columns(self, window):
+        # the Cholesky factor's columns j > a are exactly zero, so scale a's
+        # sums over j <= a are the sums over every column, bit for bit
+        spec = LatticeSpec(box_size=1.0, points_per_axis=64)
+        law = class_law(spec, scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window))
+        assert law.triangular
+        for a, j in itertools.combinations(range(len(law.blocks)), 2):
+            assert not np.any(law.factor[a, j]), (a, j)
+        every_column = field.ClassLaw(law.blocks, law.factor, law.mean_squares)
+        for seed in (3, *np.random.SeedSequence(4).spawn(2)):
+            assert draw_mean_squares(law, seed) == draw_mean_squares(every_column, seed)
+        spec, scales = LAW_SPECS["N16-one-cell"]  # the mode columns are not triangular
+        assert not class_law(spec, scale_plans(spec, scales, window)).triangular
 
     @pytest.mark.parametrize("slabs", [1, 3, 8, 10**9])
     @pytest.mark.parametrize("window", WINDOWS)
@@ -923,6 +939,7 @@ class TestFitScaling:
 RUN_CASES = {
     "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), None, "hann"),
     "N64": (LatticeSpec(box_size=1.0, points_per_axis=64), None, "hann"),
+    "N128": (LatticeSpec(box_size=1.0, points_per_axis=128), None, "hann"),
     "N32-one-cell": (MEDIUM, [1 / 32, 1 / 8, 1 / 4, 1 / 2], "hann"),
     "N128-one-cell": (LatticeSpec(box_size=1.0, points_per_axis=128),
                       [1 / 128, 1 / 16, 1 / 4, 1 / 2], "hann"),
@@ -1144,9 +1161,9 @@ class TestScalingPipeline:
         assert slabs and max(slabs) <= field._BLOCK_SLABS < n
 
     def test_class_law_peak_is_a_fraction_of_sigma(self):
-        # At 128^3 the build holds one (L, L) fold per pair of scales for each
-        # slab kx = 0..N/2 (2.7 MB), one block's spectrum and alias product and
-        # C itself (1 MB): about half the 8.5 MB that sigma alone would take.
+        # At 128^3 the build holds C itself (1 MB), one block's spectrum
+        # (0.5 MB) and two (block, L, N/2 + 1) buffers (0.27 MB): about a
+        # quarter of the 8.5 MB that sigma alone would take.
         spec = LatticeSpec(box_size=1.0, points_per_axis=128)
         plans = scale_plans(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], "hann")
         class_law(MEDIUM, scale_plans(MEDIUM, [1 / 16, 1 / 2], "hann"))  # one-time lazy imports

@@ -72,7 +72,7 @@ GOLDEN = {
         # 64^3 on the default scales: the class grid L = 16 is below N, so the
         # law is the Cholesky factor of the class covariance, as in a benchmark run
         ["field", "scaling-run", "--grid", "64", "--draws", "3", "--seed", "13"],
-        "bf47f074b97d28f0d2c181d097cd59f8b573dc3cfec7a2ef90d0770926cab86a",
+        "448465641aeacc4808f46794bf7a70e45fdacbbbdf448f4b134a32a5c06ab6ff",
         {"box": 1.0, "draws": 3, "format": None, "grid": 64, "k_max": 201.06192982974676,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -87,7 +87,7 @@ GOLDEN = {
     "field-cholesky-128": (
         # the scale target's grid, with the arguments of the field_scale benchmark
         ["field", "scaling-run", "--grid", "128", "--draws", "2", "--seed", "5"],
-        "bf397ec1e45a6bea69a3314d706c9d8d354fa58f1d20f6455ddc1c8832031a24",
+        "037c7eb3073bcbd5c66ebe9d39f1f4f5ec8d8fa55c088677f2c539f1bcd3b1aa",
         {"box": 1.0, "draws": 2, "format": None, "grid": 128, "k_max": 402.1238596594935,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 5, "window": "hann"},
     ),
