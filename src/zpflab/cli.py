@@ -327,7 +327,6 @@ def _cmd_field_scaling(args):
         report, fit = field_mod.scaling_run(
             spec, args.scales, draws=args.draws, seed=args.seed, window=args.window
         )
-        exact = report.exact_fit() if fit else None
     args.k_max = spec.k_max
     args.scales = list(report.scales)
     args.convergence = {
@@ -336,12 +335,10 @@ def _cmd_field_scaling(args):
                 {"scale": s, "exact_rms": e, "z_score": z}
                 for s, e, z in zip(report.scales, report.exact_rms, report.z_scores)
             ],
-            "exact_exponent": exact.exponent if exact else None,
+            "exact_exponent": report.exact_exponent,
         }
     }
-    rows = [("scale", "rms", "stderr")] + [
-        (report.scales[i], report.rms[i], report.stderr(i)) for i in range(len(report.scales))
-    ]
+    rows = [("scale", "rms", "stderr"), *zip(report.scales, report.rms, report.stderr)]
     summary = {
         "exponent": fit.exponent if fit else None,
         "stderr_exponent": fit.stderr_exponent if fit else None,

@@ -10,16 +10,26 @@ with B zero for kz < 0, so Hermitian symmetry holds by construction.
 B(k) = s_k xi_k, xi_k an independent complex normal with E|xi_k|^2 = 1,
 and s_k = sigma_k, times sqrt(1/2) on the self-conjugate planes kz = 0
 and kz = N/2, which store both members of a pair.  sigma_k = 0 at DC
-(|k| = 0) and beyond k_max.  ``LatticeSpec`` checks its float range.  A
-run computes sigma a block of x-slabs at a time and never holds it whole;
-``scaling_run`` checks the bytes it does hold, ``_run_bytes``, against
-physical memory once.  The coefficients describe a real
-field, their inverse real transform, whose cube-averaged RMS falls as
-l^-2 with the averaging scale l, which is the scaling this module exists
-to measure.
+(|k| = 0) and beyond k_max.  A run computes sigma a block of x-slabs at a
+time and never holds it whole; ``scaling_run`` checks the bytes it does
+hold, ``_run_bytes``, against physical memory once.  The coefficients
+describe a real field, their inverse real transform, whose cube-averaged
+RMS falls as l^-2 with the averaging scale l, which is the scaling this
+module exists to measure.
 The dimensioned form of that law, sqrt(hbar c) / l^2, is
 ``coil.predicted_rms``: the coil estimate needs it and no arrays, so it
 lives there and only ``field scaling-run`` imports this module.
+
+With k = 2 pi n / L, every mean square a run takes is kappa / L^4 times
+its value at box 1 and kappa 1, a function of the grid, the cells, the
+window, k_max L and the seed alone.  So the law, the draws and the fit
+are all computed in these lattice units.  L enters the inputs only, as
+each scale's cells and as the cut k_max L, and kappa and L enter the
+results only at the end of ``scaling_run``, which multiplies the
+RMS-like outputs by sqrt(kappa) / L^2 and maps the fit's amplitude in
+logs.  The exponent, r^2, z-scores and exact exponent
+are the same floats at every kappa and box, and a reported value that is
+not a normal float is refused.
 
 A scaling run draws neither the field nor its modes.  A cube average at
 the scale of nb cubes per axis is a linear functional of the modes that
@@ -76,6 +86,9 @@ from numpy.random import SeedSequence, default_rng
 from .errors import ConfigurationError, DomainError, frozen_record, physical_memory_bytes
 
 WINDOWS = ("tophat", "hann")
+# k_max may exceed Nyquist by this factor, and the cut keeps every shell up
+# to k_max L times it: k_max L rounds within it of the shell it names.
+_K_MAX_SLACK = 1.0 + 1e-12
 
 
 @frozen_record
@@ -86,16 +99,19 @@ class LatticeSpec:
     spectrum_normalization: float = 1.0  # kappa
 
     def __post_init__(self):
-        if not self.box_size > 0:
-            raise ConfigurationError(f"box_size must be > 0, got {self.box_size}")
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
+        # 2 pi / L and pi N / L finite and non-zero, so a default k_max can be replayed
+        if not (0 < self.box_size < math.inf and math.isfinite(self.nyquist)):
+            raise ConfigurationError(
+                f"box_size must be > 0 with pi*N/L in the float range, got {self.box_size}"
+            )
         if self.k_max is None:
             object.__setattr__(self, "k_max", self.nyquist)
         if not self.k_max >= self.fundamental:
             raise ConfigurationError(f"k_max {self.k_max} is below 2*pi/L = {self.fundamental}")
-        if self.k_max > self.nyquist * (1.0 + 1e-12):
+        if self.k_max > self.nyquist * _K_MAX_SLACK:
             raise ConfigurationError(
                 f"k_max {self.k_max} exceeds the Nyquist wavenumber {self.nyquist}"
             )
@@ -103,23 +119,6 @@ class LatticeSpec:
             raise ConfigurationError(
                 f"spectrum_normalization must be > 0, got {self.spectrum_normalization}"
             )
-        # sigma_k^2 = density * |k|: the fundamental's must stay N^3 above the
-        # smallest normal float, and the sum of N^3 squared grid values, about
-        # N^6 * density * k_max, below the largest.
-        density = self.variance_per_wavenumber
-        if not (
-            density * self.fundamental >= sys.float_info.min * n**3
-            and density * self.k_max * n**6 < sys.float_info.max
-        ):
-            raise ConfigurationError(
-                f"kappa {self.spectrum_normalization}, box {self.box_size}, grid {n} and "
-                f"k_max {self.k_max} put the spectrum outside the normal float range"
-            )
-
-    @property
-    def variance_per_wavenumber(self) -> float:
-        """kappa / L^3, by chained division, which cannot raise as L**3 can."""
-        return self.spectrum_normalization / self.box_size / self.box_size / self.box_size
 
     @property
     def fundamental(self) -> float:
@@ -134,25 +133,27 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
-def wavenumber_magnitudes(spec: LatticeSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """|k| on the half lattice's x-slabs lo..hi - 1, all N by default: (hi - lo, N, N/2 + 1)."""
-    n = spec.points_per_axis
-    k = spec.fundamental * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
-    kz = spec.fundamental * np.arange(n // 2 + 1)
+def wavenumber_magnitudes(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """|k| at box 1, 2 pi times the integer wavevector's length, on the half lattice's x-slabs.
+
+    Slabs lo..hi - 1 of an N^3 grid, all N by default: (hi - lo, N, N/2 + 1).
+    """
+    k = 2.0 * math.pi * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
+    kz = 2.0 * math.pi * np.arange(n // 2 + 1)
     kmag = k[lo:hi, None, None] ** 2 + k[None, :, None] ** 2 + kz**2
     return np.sqrt(kmag, out=kmag)
 
 
 def _slab_std(spec: LatticeSpec, lo: int, hi: int) -> np.ndarray:
-    """sigma_k on the half lattice's x-slabs lo..hi - 1; zero for DC and beyond k_max.
+    """sigma_k = sqrt(|k|) at box 1 and kappa 1 on the half lattice's x-slabs lo..hi - 1.
 
-    sqrt(|k| * kappa / L^3) is built in the array of |k| itself, so the
-    build holds one array and the cutoff mask, not three arrays.  Every
-    operation is elementwise, so no slab's values depend on the others.
+    Zero for DC and beyond k_max, which is k_max L at box 1, with the slack
+    that keeps the shell it names at every box.  sqrt(|k|) is built in the
+    array of |k| itself, so the build holds one array and the cutoff mask.
+    Every operation is elementwise, so no slab's values depend on the others.
     """
-    sigma = wavenumber_magnitudes(spec, lo, hi)
-    beyond = sigma > spec.k_max
-    np.multiply(sigma, spec.variance_per_wavenumber, out=sigma)
+    sigma = wavenumber_magnitudes(spec.points_per_axis, lo, hi)
+    beyond = sigma > spec.k_max * spec.box_size * _K_MAX_SLACK
     np.sqrt(sigma, out=sigma)
     sigma[beyond] = 0.0
     return sigma
@@ -169,18 +170,11 @@ class CoarseGrainReport:
     scales: tuple[float, ...]
     rms: tuple[float, ...]
     draws: int
-    estimate_variance: tuple[float, ...]  # variance of the per-draw RMS at each scale
+    stderr: tuple[float, ...]  # standard error of the pooled RMS at each scale across draws
     exact_rms: tuple[float, ...] = ()  # the exact ensemble RMS at each scale
     # (pooled mean square - its exact mean) / its standard error; None below 2 draws
     z_scores: tuple[float | None, ...] = ()
-
-    def stderr(self, i: int) -> float:
-        """Standard error of the pooled RMS at scale index i across draws."""
-        return math.sqrt(self.estimate_variance[i] / self.draws)
-
-    def exact_fit(self) -> ScalingFit:
-        """The power law fitted to the exact ensemble RMS, as ``fit_scaling`` fits the drawn one."""
-        return fit_scaling(self.scales, self.exact_rms)
+    exact_exponent: float | None = None  # fitted to the exact RMS; None below 3 scales
 
 
 def _cells_for_scale(spec: LatticeSpec, scale: float) -> int:
@@ -302,8 +296,8 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     s, nz = len(blocks), n // 2 + 1
     kz, grid = -(-nz // lz) * lz, 16 * period * period * lz  # padded kz; a class-grid array
     factor = s * width * grid
-    if modes:  # a block's amplitude and two weighted copies; then one scale's squared columns
-        build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + 3 * width * grid // 2
+    if modes:  # a block's amplitude and two weighted copies; then |columns|^2 and a temporary
+        build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + width * grid
     else:  # a block's s^2 and cutoff mask, y, its product term and z-fold; C; the factoring
         build = min(_BLOCK_SLABS, nz) * nz * (9 * n + 48 * period) + factor + (s + 4) * grid
     # the normals, class sums and product term; three (nb, nb, nb) folds of the largest nb
@@ -340,7 +334,8 @@ def class_law(spec: LatticeSpec, plans) -> ClassLaw:
     period, lz, _, modes = class_layout(spec.points_per_axis, blocks)
     if modes:
         factor = _mode_columns(spec, plans, period, lz)
-        power = [np.sum(f.real**2 + f.imag**2) for f in factor]
+        sq = np.empty(factor.shape[1:])  # one scale's |f|^2, beside one temporary
+        power = [np.sum(np.add(np.square(f.real, out=sq), f.imag**2, out=sq)) for f in factor]
         return ClassLaw(blocks, factor, 2.0 * np.array(power))
     factor = class_covariance(spec, plans)
     diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
@@ -410,12 +405,12 @@ def _factor_in_place(cov: np.ndarray) -> None:
     Every class at once, in elementwise numpy with loops over the scales
     only.  Each class is scaled to its correlation matrix first, dividing
     C_r[a, b] by sqrt(C_r[a, a]) and by sqrt(C_r[b, b]) one at a time:
-    |C_r[a, b]| <= sqrt(C_r[a, a] C_r[b, b]) bounds each quotient, where
-    the product of the two reciprocals overflows for a subnormal diagonal
-    entry.  A pivot at or below ``_PIVOT_FLOOR`` leaves its column zero, so
-    a rank-deficient class (the tophat's transform has exact zeros) gets a
-    semidefinite factor; a diagonal entry of 0 is such a pivot, and the
-    scale it restores at the end zeroes its row.
+    |C_r[a, b]| <= sqrt(C_r[a, a] C_r[b, b]) bounds each quotient, whatever
+    the size of the diagonal entries.  A pivot at or below ``_PIVOT_FLOOR``
+    leaves its column zero, so a rank-deficient class (the tophat's
+    transform has exact zeros) gets a semidefinite factor; a diagonal
+    entry of 0 is such a pivot, and the scale it restores at the end
+    zeroes its row.
     """
     s = len(cov)
     scale = np.sqrt(np.stack([cov[a, a].real for a in range(s)]))
@@ -520,8 +515,15 @@ class ScalingFit:
     stderr_exponent: float
 
 
-def fit_scaling(scales, rms) -> ScalingFit:
-    """Ordinary least squares of log(rms) on log(scale)."""
+def fit_scaling(scales, rms, kappa: float = 1.0, box: float = 1.0) -> ScalingFit:
+    """Ordinary least squares of log(rms) on log(scale).
+
+    For a fit at box 1 and kappa 1, ``kappa`` and ``box`` give the amplitude
+    in a box's units: its RMS at scale l is sqrt(kappa) / L^2 times the
+    lattice RMS at l / L, so A = exp(intercept + ln(kappa) / 2 - (2 + p) ln L),
+    which raises ``OverflowError`` only if A overflows.  The other fields do
+    not depend on them.
+    """
     n = len(scales)
     if n < 3:
         raise DomainError(f"need at least 3 scales to fit a power law, got {n}")
@@ -538,7 +540,7 @@ def fit_scaling(scales, rms) -> ScalingFit:
     stderr = math.sqrt(ss_res / (n - 2) / sxx)
     return ScalingFit(
         exponent=slope,
-        amplitude=math.exp(intercept),
+        amplitude=math.exp(intercept + 0.5 * math.log(kappa) - (2.0 + slope) * math.log(box)),
         r_squared=r_squared,
         stderr_exponent=stderr,
     )
@@ -548,13 +550,31 @@ def _z_score(mean_squares: np.ndarray, exact: float) -> float | None:
     """(pooled mean square - exact) / its standard error, None if that error is 0 or undefined.
 
     Taken on the mean squares over their exact mean, which are of order 1,
-    so squaring them cannot overflow for any spectrum ``LatticeSpec`` accepts.
+    so squaring them cannot overflow; both are in lattice units, so the
+    score is the same at every kappa and box.
     """
     if len(mean_squares) < 2 or not exact > 0:
         return None
     ratio = mean_squares / exact
     spread = float(np.std(ratio, ddof=1))
     return (float(np.mean(ratio)) - 1.0) * math.sqrt(len(ratio)) / spread if spread > 0 else None
+
+
+def _reported(lattice: float, value: float) -> float:
+    """``value``, refused unless it is a normal float, or 0 where its ``lattice`` value is."""
+    if lattice and not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        raise DomainError(f"kappa and box put a result at {value!r}, outside the normal floats")
+    return value
+
+
+def _in_box(spec: LatticeSpec, values) -> tuple[float, ...]:
+    """Lattice RMS-like ``values`` times sqrt(kappa) / L^2, each a ``_reported`` float.
+
+    Multiplied one factor at a time: the lattice values are well inside the
+    float range, so no intermediate leaves it unless the result does.
+    """
+    root_kappa, box = math.sqrt(spec.spectrum_normalization), spec.box_size
+    return tuple(_reported(v, v * root_kappa / box / box) for v in values)
 
 
 def scaling_run(
@@ -576,7 +596,12 @@ def scaling_run(
     one preallocated (draws, scales) table, so memory does not grow with
     the draws beyond that table.  A run whose peak (``_run_bytes``: the
     law's build, or its factor with one draw, and the table) exceeds
-    physical memory is refused before any array is built.
+    physical memory is refused before any array is built.  Everything up
+    to the fit is computed at box 1 and kappa 1, on the lattice scales m/N,
+    and ``_in_box`` then puts the rms, stderr and exact RMS in the box's
+    units.  A reported value, the amplitude too, that is not a normal float
+    where its lattice value is not 0 raises ``DomainError``; an amplitude
+    past the largest float raises ``OverflowError``.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -604,16 +629,21 @@ def scaling_run(
     for i in range(draws):
         table[i] = draw_mean_squares(law, SeedSequence(seed, spawn_key=(i,)))
     per_scale_ms = table.T  # one row of per-draw mean squares per scale
-    exact = [float(e) for e in law.mean_squares]
-    report = CoarseGrainReport(
+    rms = [float(np.sqrt(np.mean(ms))) for ms in per_scale_ms]
+    stderr = [math.sqrt(float(np.var(np.sqrt(ms), ddof=1)) / draws) if draws > 1 else 0.0
+              for ms in per_scale_ms]
+    exact_rms = [math.sqrt(e) for e in law.mean_squares]
+    lattice_scales = [m / n for m in cells]
+    kappa, box = spec.spectrum_normalization, spec.box_size
+    fit = fit_scaling(lattice_scales, rms, kappa, box) if len(cells) >= 3 else None
+    if fit:
+        _reported(1.0, fit.amplitude)
+    return CoarseGrainReport(
         scales=tuple(ordered),
-        rms=tuple(float(np.sqrt(np.mean(ms))) for ms in per_scale_ms),
+        rms=_in_box(spec, rms),
         draws=draws,
-        estimate_variance=tuple(
-            float(np.var(np.sqrt(ms), ddof=1)) if draws > 1 else 0.0 for ms in per_scale_ms
-        ),
-        exact_rms=tuple(math.sqrt(e) for e in exact),
-        z_scores=tuple(_z_score(ms, e) for ms, e in zip(per_scale_ms, exact)),
-    )
-    fit = fit_scaling(report.scales, report.rms) if len(report.scales) >= 3 else None
-    return report, fit
+        stderr=_in_box(spec, stderr),
+        exact_rms=_in_box(spec, exact_rms),
+        z_scores=tuple(_z_score(ms, e) for ms, e in zip(per_scale_ms, law.mean_squares)),
+        exact_exponent=fit_scaling(lattice_scales, exact_rms).exponent if fit else None,
+    ), fit

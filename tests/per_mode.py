@@ -37,7 +37,10 @@ _BLOCK_SLABS = 8
 
 
 def mode_std(spec) -> np.ndarray:
-    """Per-mode sigma_k on the whole half lattice; zero for DC and beyond k_max."""
+    """Per-mode sigma_k at box 1 and kappa 1, as a run builds it, on the whole half lattice.
+
+    Zero for DC and beyond k_max.
+    """
     return field._slab_std(spec, 0, spec.points_per_axis)
 
 

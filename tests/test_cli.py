@@ -471,19 +471,15 @@ class TestFieldCommand:
                 {"scale": s, "exact_rms": e, "z_score": z}
                 for s, e, z in zip(report.scales, report.exact_rms, report.z_scores)
             ],
-            "exact_exponent": report.exact_fit().exponent,
+            "exact_exponent": report.exact_exponent,
         }
         assert all(math.isfinite(row["z_score"]) for row in convergence["scales"])
         # the record leaves the printed table alone
-        row = (report.scales[0], report.rms[0], report.stderr(0))
+        row = (report.scales[0], report.rms[0], report.stderr[0])
         assert out.splitlines()[1] == ",".join(cli._fmt(v) for v in row)
 
 
 OUT_OF_FLOAT_RANGE = [
-    "field scaling-run --grid 16 --draws 2 --kappa 1e308",
-    "field scaling-run --grid 16 --draws 2 --kappa 1e300",
-    "field scaling-run --grid 16 --draws 2 --kappa 1e-320",
-    "field scaling-run --grid 16 --draws 2 --box 1e-100",
     "field scaling-run --grid 16 --draws 2 --box 1e-200",
     "field scaling-run --grid 16 --draws 2 --box 1e200 --scales 6.25e198,1.25e199,2.5e199,5e199",
     "casimir --area 1e-300 --sep 1e10",
@@ -511,7 +507,36 @@ def test_tiny_kappa_on_the_cholesky_route_draws_the_unit_exponent(grid, kappa, w
     code, out, err = run(argv + ["--kappa", kappa])
     assert code == 0, err
     unit = json.loads(run(argv)[1].splitlines()[-1])
-    assert json.loads(out.splitlines()[-1])["exponent"] == pytest.approx(unit["exponent"], abs=1e-9)
+    assert json.loads(out.splitlines()[-1])["exponent"] == unit["exponent"]
+
+
+@pytest.mark.parametrize("flags", ["--kappa 1e308", "--kappa 1e300", "--kappa 1e-320",
+                                   "--box 1e-100", "--box 1e70", "--box 0.7 --kappa 1e-320"])
+def test_extreme_kappa_or_box_with_a_representable_result_draws_the_unit_exponent(flags):
+    # the run is computed at box 1 and kappa 1, so these print the unit
+    # run's exponent bit for bit, and their RMS values are normal floats;
+    # the default k_max, pi N / L, goes through the manifest as a float and
+    # its replay keeps the Nyquist shell, so it prints the same bytes
+    argv = ["field", "scaling-run", "--grid", "16", "--draws", "2"]
+    code, out, err = run(argv + flags.split())
+    assert code == 0, err
+    unit = run(argv + ["--format", "json"])[1]
+    assert json.loads(out.splitlines()[-1])["exponent"] == json.loads(unit)["exponent"]
+    manifest = manifest_of(err)
+    assert manifest["parameters"]["k_max"] == math.pi * 16 / manifest["parameters"]["box"]
+    assert run(argv_from_manifest(manifest))[1] == out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "csv,json"])
+@pytest.mark.parametrize("argv", [a for a in OUT_OF_FLOAT_RANGE if a.startswith("field")])
+def test_field_result_past_the_float_range_exits_one_under_every_format(argv, fmt):
+    # the run checks its reported values itself, not by rendering them
+    formats = [] if fmt == "csv,json" else ["--format", fmt]
+    code, out, err = run(argv.split() + formats)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: kappa and box put a result at ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", OUT_OF_FLOAT_RANGE)

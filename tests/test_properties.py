@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zpflab import field
 from zpflab.cli import dispatch
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
@@ -117,6 +118,7 @@ def assert_strict_output(text):
 
 
 def check_dispatch(argv):
+    """Run argv, check it ended in a documented way, and return (code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     code = dispatch(argv, out, err)
     assert code in (0, 1, 2), (argv, code)
@@ -125,6 +127,7 @@ def check_dispatch(argv):
     else:
         assert out.getvalue() == "", argv
         assert err.getvalue().strip() and err.getvalue().count("\n") == 1, argv
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
@@ -138,3 +141,61 @@ def check_dispatch(argv):
 @given(data=st.data())
 def test_every_input_ends_in_a_documented_way(subcommand, data):
     check_dispatch(data.draw(SUBCOMMANDS[subcommand], label="argv"))
+
+
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def cholesky_runs(draw):
+    """A field run on a grid of 32 to 96 cells a side, where box/16..box/2 take the Cholesky route.
+
+    1-5 scales box/d with d dividing N, box and kappa log-uniform over
+    [1e-300, 1e300], k_max between the fundamental and Nyquist or the
+    default, either window and 1-3 draws.
+    """
+    n = draw(st.sampled_from([32, 48, 64, 96]), label="grid")
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    blocks = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5, unique=True))
+    box, kappa = draw(LOG_UNIFORM, label="box"), draw(LOG_UNIFORM, label="kappa")
+    harmonic = draw(st.one_of(st.none(), st.floats(1.0, n / 2)), label="k_max / (2 pi / L)")
+    args = {"grid": n, "box": box, "kappa": kappa, "scales": [box / d for d in blocks],
+            "window": draw(st.sampled_from(["hann", "tophat"])),
+            "draws": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2**32))}
+    if harmonic is not None:
+        args["k-max"] = 2 * math.pi * harmonic / box
+    return args, blocks
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=cholesky_runs())
+def test_cholesky_route_ends_in_a_documented_way_with_the_unit_exponent(run):
+    # every kappa and box is the lattice run at kappa 1 and box 1, scaled
+    # after the fit, so an exit-0 run prints that run's exponent bit for bit
+    args, blocks = run
+    argv = ["field", "scaling-run", "--format=json"] + [flag(k, v) for k, v in args.items()]
+    code, out, err = check_dispatch(argv)
+    if code != 0:
+        return
+    manifest = json.loads(err.splitlines()[-1])
+    # the run's cut in lattice units, clamped to the unit box's [2 pi, pi N]: it
+    # rounds within the cut's slack of them, so the same shells are kept
+    k_max = manifest["parameters"]["k_max"] * args["box"]
+    unit = field.LatticeSpec(box_size=1.0, points_per_axis=args["grid"],
+                             k_max=min(max(k_max, 2 * math.pi), math.pi * args["grid"]))
+    _, fit = field.scaling_run(unit, [1 / d for d in blocks], args["draws"], args["seed"],
+                               args["window"])
+    assert json.loads(out)["exponent"] == (fit.exponent if fit else None)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reordering_the_scales_leaves_stdout_alone(data):
+    # a run reports its scales in increasing order, whatever order they came in
+    args, _ = data.draw(cholesky_runs(), label="run")
+    shuffled = {**args, "scales": data.draw(st.permutations(args["scales"]), label="order")}
+    code, out, _ = check_dispatch(["field", "scaling-run"] + [flag(k, v) for k, v in args.items()])
+    again = check_dispatch(["field", "scaling-run"] + [flag(k, v) for k, v in shuffled.items()])
+    assert again[:2] == (code, out)

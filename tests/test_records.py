@@ -36,8 +36,7 @@ def _samples():
         coil.zpf_tap_estimate(coil_spec, Quantity(1.0, LENGTH), tau, table),
         oscillator.OscillatorParams(m=1.0, omega=2.0, hbar=1.0),
         spec,
-        field.CoarseGrainReport(scales=(0.25, 0.5), rms=(1.0, 0.5), draws=2,
-                                estimate_variance=(0.1, 0.2)),
+        field.CoarseGrainReport(scales=(0.25, 0.5), rms=(1.0, 0.5), draws=2, stderr=(0.1, 0.2)),
         plans[0],
         field.class_law(spec, plans),
         field.fit_scaling([0.125, 0.25, 0.5], [4.0, 1.0, 0.25]),
