@@ -37,26 +37,31 @@ reads them only through their sums over the alias classes k = q
 (mod nb), weighted by the window's transform W(k).  With L the lcm of
 the scales' nb (16 for box/16..box/2 at any N), each class r mod L of the
 half layout has the S-vector of class sums H(r) = (sum_{k = r} W_a(k)
-B(k))_a, one entry per scale.  The H(r) are independent circular complex
-Gaussians with covariance C_r[a, b] = sum_{k = r} s_k^2 W_a(k) conj W_b(k),
-so a draw of the H(r) from that law is a draw of every scale's cube
-averages at once, with their exact joint law.  ``class_law`` builds C once
-per run, computing s_k^2 from the wavenumbers a block of x-slabs at a
-time, and only for kx = 0..N/2, since slab N - x has the s^2 of slab x;
-each slab is folded into C, and into C again as slab N - x, as soon as
-it is made, so the build holds C, one block of s^2 and two (block, L,
-N/2 + 1) buffers, and no N^3 array.
+B(k))_a, one entry per scale.  The cube averages read H only through
+K(r) = H(r) + conj H(-r), a real field's class sums: K(-r) = conj K(r),
+so K is stored one-sidedly on the class grid (L, L, L/2 + 1), as the
+modes are: K(r) = J(r) + conj J(-r), with the J(r) of rz = 0..L/2
+independent circular complex Gaussians of covariance Cov K_r[a, b] =
+sum_{k = r} sigma_k^2 W_a(k) conj W_b(k) over the whole lattice, halved
+on the self-conjugate planes rz = 0 and L/2.  A draw of J from that law
+is a draw of every scale's cube averages at once, with their exact joint
+law.  ``class_law`` builds Cov K once per run, keeping only the pairs of
+scales b <= a, computing s_k^2 from the wavenumbers a block of x-slabs at
+a time, and only for kx and ky = 0..N/2: sigma^2 is even in each, and
+W(-k) = conj W(k).  Each slab is folded into Cov K, and again as slab
+N - x, as soon as it is made, so the build holds Cov K, one block of s^2
+and two (block, L, N/2 + 1) buffers, and no N^3 array.
 It then factors every class with a diagonal-scaled semidefinite
-Cholesky; ``draw_mean_squares`` draws H from the factor (about 4 k
+Cholesky; ``draw_mean_squares`` draws J from the factor (about 2.3 k
 complex normals per scale at the default, at any N), folds it from L
 down to each scale's nb classes, completes the Hermitian symmetry and
 takes the energy of the fold, which by Parseval is the mean square of
-the cube averages.  The trace of C gives each scale's exact ensemble mean
-square, 2 sum_r C_r[a, a], at no extra cost.  The build adds its y- and
-x-aliases one at a time, every other alias-class sum is one ``_fold``,
-and every contraction in the build, the factor and a draw is elementwise
-numpy in a fixed order: no FFT, BLAS or LAPACK call is made, so the
-digits do not depend on how any of those libraries was built.
+the cube averages.  The trace of Cov K gives each scale's exact ensemble
+mean square, 2 sum_r Cov K_r[a, a], at no extra cost.  The build adds
+its y- and x-aliases one at a time, every other alias-class sum is one
+``_fold``, and every contraction in the build, the factor and a draw is
+elementwise numpy in a fixed order: no FFT, BLAS or LAPACK call is made,
+so the digits do not depend on how any of those libraries was built.
 
 Coarse-graining windows
 -----------------------
@@ -133,26 +138,30 @@ class LatticeSpec:
         return self.box_size / self.points_per_axis
 
 
-def wavenumber_magnitudes(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def wavenumber_magnitudes(
+    n: int, lo: int = 0, hi: int | None = None, ny: int | None = None
+) -> np.ndarray:
     """|k| at box 1, 2 pi times the integer wavevector's length, on the half lattice's x-slabs.
 
-    Slabs lo..hi - 1 of an N^3 grid, all N by default: (hi - lo, N, N/2 + 1).
+    Slabs lo..hi - 1 of an N^3 grid, all N by default, at the first ``ny``
+    ky in FFT order, all N by default: (hi - lo, ny, N/2 + 1).
     """
     k = 2.0 * math.pi * np.r_[0 : n // 2, -(n // 2) : 0]  # FFT order along x and y
     kz = 2.0 * math.pi * np.arange(n // 2 + 1)
-    kmag = k[lo:hi, None, None] ** 2 + k[None, :, None] ** 2 + kz**2
+    kmag = k[lo:hi, None, None] ** 2 + k[None, :ny, None] ** 2 + kz**2
     return np.sqrt(kmag, out=kmag)
 
 
-def _slab_std(spec: LatticeSpec, lo: int, hi: int) -> np.ndarray:
+def _slab_std(spec: LatticeSpec, lo: int, hi: int, ny: int | None = None) -> np.ndarray:
     """sigma_k = sqrt(|k|) at box 1 and kappa 1 on the half lattice's x-slabs lo..hi - 1.
 
-    Zero for DC and beyond k_max, which is k_max L at box 1, with the slack
-    that keeps the shell it names at every box.  sqrt(|k|) is built in the
-    array of |k| itself, so the build holds one array and the cutoff mask.
-    Every operation is elementwise, so no slab's values depend on the others.
+    At the first ``ny`` ky in FFT order, all N by default.  Zero for DC
+    and beyond k_max, which is k_max L at box 1, with the slack that keeps
+    the shell it names at every box.  sqrt(|k|) is built in the array of
+    |k| itself, so the build holds one array and the cutoff mask.  Every
+    operation is elementwise, so no slab's values depend on the others.
     """
-    sigma = wavenumber_magnitudes(spec.points_per_axis, lo, hi)
+    sigma = wavenumber_magnitudes(spec.points_per_axis, lo, hi, ny)
     beyond = sigma > spec.k_max * spec.box_size * _K_MAX_SLACK
     np.sqrt(sigma, out=sigma)
     sigma[beyond] = 0.0
@@ -246,12 +255,14 @@ class ScalePlan:
     transform: np.ndarray  # W(k) = sum_i w_i exp(2 pi i k i / N) at the N FFT-ordered k
 
 
-def scale_plans(spec: LatticeSpec, scales, window: str) -> tuple[ScalePlan, ...]:
-    """One ``ScalePlan`` per scale, by elementwise numpy only."""
-    n = spec.points_per_axis
+def scale_plans(n: int, cells, window: str) -> tuple[ScalePlan, ...]:
+    """One ``ScalePlan`` per scale of ``cells`` lattice cells on an N^3 lattice.
+
+    The cells are those ``scaling_run`` resolved and checked, each a
+    divisor of N.  By elementwise numpy only.
+    """
     plans = []
-    for scale in scales:
-        m = _cells_for_scale(spec, scale)
+    for m in cells:
         w = _window_weights(m, window)
         phase = np.outer(np.arange(n), np.arange(m)) % n  # k * i, reduced mod N in integers
         w_k = (np.exp(2j * math.pi / n * phase) * w).sum(axis=1)
@@ -270,55 +281,64 @@ def class_layout(n: int, blocks) -> tuple[int, int, int, bool]:
     """(L, Lz, width, modes) for scales of ``blocks`` cubes per axis on an N^3 lattice.
 
     L is the lcm of the blocks, so every scale's alias classes mod nb are
-    unions of the classes mod L.  The class grid is (L, L, Lz), Lz =
-    min(L, N/2 + 1), since the half layout stores kz = 0..N/2 only.  A
-    class holds at most M = (N/L)^2 ceil((N/2 + 1)/Lz) modes; where M is
-    at most S, the number of scales, ``modes`` is True and the factor's
-    columns are those modes, so its width is M, and otherwise it is the
-    Cholesky factor, of width S.  The factor is (S, width, L, L, Lz).
+    unions of the classes mod L.  A class of the half layout's modes, on
+    the grid (L, L, min(L, N/2 + 1)), holds at most M = (N/L)^2
+    ceil((N/2 + 1) / min(L, N/2 + 1)) of them.  Where M is at most S, the
+    number of scales, ``modes`` is True: the factor's columns are those
+    modes, M to a scale, on that grid.  Otherwise the law is that of K on
+    the one-sided class grid (L, L, L//2 + 1), and its Cholesky factor
+    gives scale a the a + 1 columns of its row, of S normals in all.  The
+    class grid is (L, L, Lz); the width is the normals a class draws.
     """
     period = math.lcm(*blocks)
     nz = n // 2 + 1
     lz = min(period, nz)
     per_class = (n // period) ** 2 * -(-nz // lz)
-    modes = per_class <= len(blocks)
-    return period, lz, per_class if modes else len(blocks), modes
+    if per_class <= len(blocks):
+        return period, lz, per_class, True
+    return period, period // 2 + 1, len(blocks), False
 
 
 def _run_bytes(n: int, blocks, draws: int) -> int:
     """The bytes of the arrays a scaling run holds at its peak, bounded from the layout alone.
 
     The table, plus the larger of the law's build and the factor with one
-    draw, adding terms one phase does not hold at once; in Python ints, which
-    cannot overflow.  numpy's ufunc buffers, a few hundred KB, are not counted.
+    draw, adding terms one phase does not hold at once, plus the buffers
+    numpy's iterator allocates for one ufunc call that broadcasts or reads
+    a strided view, one of ``np.getbufsize()`` floats for each of three
+    operands; in Python ints, which cannot overflow.
     """
     period, lz, width, modes = class_layout(n, blocks)
     s, nz = len(blocks), n // 2 + 1
-    kz, grid = -(-nz // lz) * lz, 16 * period * period * lz  # padded kz; a class-grid array
-    factor = s * width * grid
+    grid = 16 * period * period * lz  # a complex class-grid array
     if modes:  # a block's amplitude and two weighted copies; then |columns|^2 and a temporary
-        build = factor + 40 * min(_BLOCK_SLABS, n) * n * kz + width * grid
-    else:  # a block's s^2 and cutoff mask, y, its product term and z-fold; C; the factoring
-        build = min(_BLOCK_SLABS, nz) * nz * (9 * n + 48 * period) + factor + (s + 4) * grid
-    # the normals, class sums and product term; three (nb, nb, nb) folds of the largest nb
-    draw = factor + (width + 2) * grid + 48 * max(blocks) ** 3
-    return 8 * draws * (s + 2) + max(build, draw)  # the table and two columns of its statistics
+        factor = s * width * grid
+        build = factor + 40 * min(_BLOCK_SLABS, n) * n * -(-nz // lz) * lz + width * grid
+    else:  # a block's s^2 and cutoff mask, y and its product term; Cov K; the factoring
+        factor = s * (s + 1) // 2 * grid
+        build = min(_BLOCK_SLABS, nz) * nz * (9 * nz + 32 * period) + factor + (s + 4) * grid
+    # the normals, class sums and product term; at the largest nb, the (nb, nb, nb) fold,
+    # its completion and the three float arrays of its squares and their sum
+    draw = factor + (width + 2) * grid + 56 * max(blocks) ** 3
+    buffers = 3 * 8 * np.getbufsize()
+    return 8 * draws * (s + 2) + max(build, draw) + buffers  # table, two statistics columns
 
 
 @frozen_record
 class ClassLaw:
     """The joint law of one draw's alias-class sums, fixed for a run.
 
-    For class r mod L, H(r) = sum_j factor[:, j, r] z_j(r), with z_j(r)
-    independent complex normals of E|z|^2 = 1, has the covariance C_r of
-    ``class_covariance``.  A Cholesky factor is lower triangular,
-    factor[a, j] = 0 for j > a, and the mode columns are not.
+    For each class r of the law's grid, scale a's sum is sum_j
+    columns[a][j, r] z_j(r), with z_j(r) independent complex normals of
+    E|z|^2 = 1, shared by the scales.  Mode columns are (M, L, L, Lz) for
+    every scale.  A Cholesky factor's are row a of the lower factor, its
+    a + 1 columns j <= a, one slice of the packed array
+    ``class_covariance`` is factored in.
     """
 
     blocks: tuple[int, ...]  # nb per scale, the classes each scale's draw folds into
-    factor: np.ndarray  # (S, width, L, L, Lz) complex
-    mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r C_r[a, a]
-    triangular: bool = False  # the Cholesky route: scale a's draw sums the columns j <= a
+    columns: tuple[np.ndarray, ...]  # per scale, its factor's (width, L, L, Lz) complex columns
+    mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r Cov_r[a, a]
 
 
 def class_law(spec: LatticeSpec, plans) -> ClassLaw:
@@ -326,9 +346,9 @@ def class_law(spec: LatticeSpec, plans) -> ClassLaw:
 
     Where a class holds at most S modes, the factor is its modes' columns
     s_k W(k); otherwise it is the semidefinite Cholesky factor of
-    ``class_covariance``.  ``class_layout`` picks the route and the width.
-    Either route computes the spectrum a block of x-slabs at a time, so
-    sigma is never built whole.
+    ``class_covariance``, built in its packed array.  ``class_layout``
+    picks the route and the width.  Either route computes the spectrum a
+    block of x-slabs at a time, so sigma is never built whole.
     """
     blocks = tuple(p.blocks for p in plans)
     period, lz, _, modes = class_layout(spec.points_per_axis, blocks)
@@ -336,103 +356,123 @@ def class_law(spec: LatticeSpec, plans) -> ClassLaw:
         factor = _mode_columns(spec, plans, period, lz)
         sq = np.empty(factor.shape[1:])  # one scale's |f|^2, beside one temporary
         power = [np.sum(np.add(np.square(f.real, out=sq), f.imag**2, out=sq)) for f in factor]
-        return ClassLaw(blocks, factor, 2.0 * np.array(power))
-    factor = class_covariance(spec, plans)
-    diagonal = np.array([factor[a, a].real.sum() for a in range(len(plans))])
-    _factor_in_place(factor)
-    return ClassLaw(blocks, factor, 2.0 * diagonal, triangular=True)
+        return ClassLaw(blocks, tuple(factor), 2.0 * np.array(power))
+    cov = class_covariance(spec, plans)  # row a: the entries (a, 0..a)
+    rows = tuple(cov[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2] for a in range(len(plans)))
+    diagonal = np.array([row[a].real.sum() for a, row in enumerate(rows)])
+    _factor_in_place(rows)
+    return ClassLaw(blocks, rows, 2.0 * diagonal)
 
 
 def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
-    """C_r[a, b] = sum over k = r (mod L) of s_k^2 W_a(k) conj W_b(k), shape (S, S, L, L, L).
+    """Cov K_r[a, b] for b <= a on the one-sided class grid, packed: (S(S + 1)/2, L, L, L//2 + 1).
 
-    s_k is sigma_k, times sqrt(1/2) on the kz = 0 and N/2 planes, the
-    one-sided amplitude of the half layout, and W_a(k) = W_a(kx) W_a(ky)
-    W_a(kz) is scale a's window transform.  s_k^2 is computed a block of
-    x-slabs at a time, and only for kx = 0..N/2: slab N - x negates kx,
-    which leaves s^2 bit for bit.  For each pair of scales, a block's s^2
-    is folded along y, adding P = W_a conj W_b times each y-alias in
-    increasing order, then times P(kz) along the N/2 + 1 stored kz, which
-    leaves one (L, L) fold per slab.  Each slab's fold goes into C as soon
-    as it is made: slab x, times P(kx), into class x mod L, then for
-    0 < x < N/2 its mirror, times P(k_{N-x}), into class (N - x) mod L.
-    Slab by slab in increasing x, so a class adds its aliases in the order
-    x = 0, 1, N - 1, 2, N - 2, ..., N/2 at any block size.  The build holds
-    C, one block of s^2 and two (block, L, N/2 + 1) buffers, and no array
-    of N^3 / 2 values.
+    Cov K_r[a, b] = C_r[a, b] + conj C_-r[a, b], with C_r the class sum of
+    s_k^2 W_a(k) conj W_b(k) over the half layout's k = r (mod L), s_k
+    sigma_k times sqrt(1/2) on its kz = 0 and N/2 planes.  That is the sum
+    of sigma_k^2 W_a(k) conj W_b(k) over the whole lattice's k = r; it is
+    kept for rz = 0..L//2, times 1/2 on the self-conjugate planes rz = 0
+    and, for even L, L/2, which store both members of a pair.  The pair
+    (a, b) is at a(a + 1)/2 + b, so row a is one slice.  W_a(k) = W_a(kx)
+    W_a(ky) W_a(kz) is scale a's window transform, and P = W_a conj W_b
+    has P(-k) = conj P(k) on each axis.  s_k^2 is computed a block of
+    x-slabs at a time, for kx and ky = 0..N/2 alone, where it is even.
+
+    For each pair of scales, a block's s^2 is folded along its ky, which
+    are halved at ky = 0 and N/2 like the kz planes: each y-alias in
+    increasing order, as two real products, s^2 Re P and s^2 Im P, each
+    into its own float fold.  The fold y over every ky is y(ry) +
+    conj y(-ry) of those, which is multiplied by P(kz) along the N/2 + 1
+    stored kz and folded into c(ry, rz), and the fold over every kz is
+    c(r) + conj c(-r), one (L, L//2 + 1) fold per slab.  Each slab's fold goes
+    in as soon as it is made: slab x, times P(kx), into class x mod L,
+    then for 0 < x < N/2 its mirror, times P(k_{N-x}), into class (N - x)
+    mod L.  Slab by slab in increasing x, so a class adds its aliases in
+    the order x = 0, 1, N - 1, 2, N - 2, ..., N/2 at any block size.  The
+    build holds the packed array, one block of s^2 and two (block, L,
+    N/2 + 1) complex-sized buffers, and no array of N^3 / 2 values.
     """
     n = spec.points_per_axis
-    nz = half = n // 2 + 1  # the stored kz; also the slabs kx = 0..N/2 that are folded
-    period = class_layout(n, [p.blocks for p in plans])[0]
-    pairs = [
-        (a, b, plans[a].transform * np.conj(plans[b].transform))
-        for a in range(len(plans))
-        for b in range(a, len(plans))
-    ]
-    cov = np.zeros((len(plans), len(plans), period, period, period), dtype=np.complex128)
-    y_buf = np.empty((min(_BLOCK_SLABS, half), period, nz), dtype=np.complex128)
-    term_buf = np.empty_like(y_buf)
-    planes = slice(None, None, n // 2)  # kz = 0 and N/2 store both members of a pair
+    half = n // 2 + 1  # the stored kz; also the kx and ky = 0..N/2 whose s^2 is computed
+    period = math.lcm(*(p.blocks for p in plans))
+    minus = -np.arange(period) % period  # the class -r of each r along an axis
+    pairs = [plans[a].transform * np.conj(plans[b].transform)
+             for a in range(len(plans)) for b in range(a + 1)]
+    cov = np.zeros((len(pairs), period, period, period // 2 + 1), dtype=np.complex128)
+    folds = np.empty((2, min(_BLOCK_SLABS, half), period, half))  # of s^2 Re P and s^2 Im P
+    y_buf = np.empty(folds.shape[1:], dtype=np.complex128)  # an alias's products, then y
+    edges = slice(None, None, n // 2)  # k = 0 and N/2 along an axis, each its own -k
     for lo in range(0, half, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, half)
-        power = _slab_std(spec, lo, hi)
+        power = _slab_std(spec, lo, hi, half)
         np.square(power, out=power)
-        power[:, :, planes] *= 0.5
-        y, term = y_buf[: hi - lo], term_buf[: hi - lo]
-        for a, b, weight in pairs:
+        power[:, edges] *= 0.5
+        power[:, :, edges] *= 0.5
+        fold, y = folds[:, : hi - lo], y_buf[: hi - lo]
+        products = y.reshape(-1).view(np.float64).reshape(fold.shape)
+        for p, weight in enumerate(pairs):
+            parts = np.stack((weight.real[:half], weight.imag[:half]))[:, None, :, None]
             # y's aliases one at a time, in increasing order, as ``_fold`` adds them
-            np.multiply(power[:, :period], weight[None, :period, None], out=y)
-            for y0 in range(period, n, period):
-                y += np.multiply(power[:, y0 : y0 + period],
-                                 weight[None, y0 : y0 + period, None], out=term)
-            yz = _fold(np.multiply(y, weight[None, None, :nz], out=term), period, (2,))
+            np.multiply(power[:, :period], parts[:, :, :period], out=fold[:, :, :half])
+            fold[:, :, half:] = 0.0  # classes of no ky, where L > N/2 + 1
+            for y0 in range(period, half, period):
+                ys = min(period, half - y0)
+                fold[:, :, :ys] += np.multiply(power[:, y0 : y0 + ys], parts[:, :, y0 : y0 + ys],
+                                               out=products[:, :, :ys])
+            # every ky: y(ry) + conj y(-ry), where -ry is 0 for 0 and L - ry for the rest
+            re, im = fold
+            np.add(re[:, 1:], re[:, :0:-1], out=y.real[:, 1:])
+            np.subtract(im[:, 1:], im[:, :0:-1], out=y.imag[:, 1:])
+            np.add(re[:, 0], re[:, 0], out=y.real[:, 0])
+            y.imag[:, 0] = 0.0
+            yz = _fold(np.multiply(y, weight[None, None, :half], out=y), period, (2,))
+            whole = yz[:, :, : period // 2 + 1]
+            whole += np.conjugate(yz[:, minus[:, None], minus[: period // 2 + 1]])  # every kz
             # values first on y and z, the weight first on x: numpy's SIMD complex
             # multiply can round a * b and b * a apart, and the goldens pin these bits
             for x in range(lo, hi):
-                cov[a, b, x % period] += weight[x] * yz[x - lo]
+                cov[p, x % period] += weight[x] * whole[x - lo]
                 if 0 < x < n // 2:  # slab N - x has the s^2 of slab x
-                    cov[a, b, (n - x) % period] += weight[n - x] * yz[x - lo]
+                    cov[p, (n - x) % period] += weight[n - x] * whole[x - lo]
         del power  # before the next block's s^2 is built, not after
-    for a, b, _ in pairs:
-        if a != b:
-            cov[b, a] = np.conj(cov[a, b])
+    cov[..., [0, period // 2] if period % 2 == 0 else [0]] *= 0.5
     return cov
 
 
-def _factor_in_place(cov: np.ndarray) -> None:
-    """Overwrite each class's covariance C_r with a lower factor F_r, F_r F_r^H = C_r.
+def _factor_in_place(rows) -> None:
+    """Overwrite each class's covariance with a lower factor F_r, F_r F_r^H = Cov_r.
 
-    Every class at once, in elementwise numpy with loops over the scales
-    only.  Each class is scaled to its correlation matrix first, dividing
-    C_r[a, b] by sqrt(C_r[a, a]) and by sqrt(C_r[b, b]) one at a time:
-    |C_r[a, b]| <= sqrt(C_r[a, a] C_r[b, b]) bounds each quotient, whatever
-    the size of the diagonal entries.  A pivot at or below ``_PIVOT_FLOOR``
-    leaves its column zero, so a rank-deficient class (the tophat's
-    transform has exact zeros) gets a semidefinite factor; a diagonal
-    entry of 0 is such a pivot, and the scale it restores at the end
-    zeroes its row.
+    ``rows`` are the packed rows of ``class_covariance``: rows[a][b] is
+    entry (a, b), b <= a, and becomes F_r[a, b].  Every class at once, in
+    elementwise numpy with loops over the scales only.  Each class is
+    scaled to its correlation matrix first, dividing entry (a, b) by
+    sqrt(Cov_r[a, a]) and by sqrt(Cov_r[b, b]) one at a time:
+    |Cov_r[a, b]| <= sqrt(Cov_r[a, a] Cov_r[b, b]) bounds each quotient,
+    whatever the size of the diagonal entries.  A pivot at or below
+    ``_PIVOT_FLOOR`` leaves its column zero, so a rank-deficient class (the
+    tophat's transform has exact zeros) gets a semidefinite factor; a
+    diagonal entry of 0 is such a pivot, and the scale it restores at the
+    end zeroes its row.
     """
-    s = len(cov)
-    scale = np.sqrt(np.stack([cov[a, a].real for a in range(s)]))
+    s = len(rows)
+    scale = np.sqrt(np.stack([row[a].real for a, row in enumerate(rows)]))
     divisor = np.where(scale > 0, scale, 1.0)
-    for a in range(s):
-        cov[a] /= divisor[a]
-    for b in range(s):
-        cov[:, b] /= divisor[b]
+    for a, row in enumerate(rows):
+        row /= divisor[a]
+        row /= divisor[: a + 1]
     for j in range(s):
-        pivot = cov[j, j].real.copy()
+        pivot = rows[j][j].real.copy()
         for k in range(j):
-            pivot -= cov[j, k].real ** 2 + cov[j, k].imag ** 2
+            pivot -= rows[j][k].real ** 2 + rows[j][k].imag ** 2
         live = pivot > _PIVOT_FLOOR
         root = np.sqrt(np.where(live, pivot, 1.0))
-        cov[j, j] = np.where(live, root, 0.0)
+        rows[j][j] = np.where(live, root, 0.0)
         for i in range(j + 1, s):
             for k in range(j):
-                cov[i, j] -= cov[i, k] * np.conj(cov[j, k])
-            cov[i, j] = np.where(live, cov[i, j] / root, 0.0)
-        cov[:j, j] = 0.0
-    for a in range(s):
-        cov[a] *= scale[a]
+                rows[i][j] -= rows[i][k] * np.conj(rows[j][k])
+            rows[i][j] = np.where(live, rows[i][j] / root, 0.0)
+    for a, row in enumerate(rows):
+        row *= scale[a]
 
 
 def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
@@ -469,31 +509,31 @@ def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
 def draw_mean_squares(law: ClassLaw, seed) -> list[float]:
     """One realization's mean square of the cube averages at each of the law's scales.
 
-    Draws the class sums H(r) from ``law``: one ``standard_normal`` call
-    fills the complex normals z_j(r), scaled by sqrt(1/2), and each scale's
-    H_a is their sum over j times its factor columns, in increasing j, so
-    one scale's sums are held at a time; a triangular factor's columns
-    j > a are zero and are skipped, which leaves every sum's bits alone.
-    Each scale folds H_a from L down to its nb classes, which is the fold F
-    of the one-sided amplitudes; the coefficients are B(k) + conj B(-k)
-    and a real window has W(-k) = conj W(k), so G(q) = F(q) + conj F(-q),
-    and by Parseval the mean square of the cube averages is
-    sum_q |G(q)|^2.
+    Draws the class sums from ``law``: one ``standard_normal`` call fills
+    the complex normals z_j(r), scaled by sqrt(1/2), and each scale's sums
+    are z times its factor columns, summed over its columns in increasing
+    j, so one scale's sums are held at a time.  Each scale folds its sums
+    from L down to its nb classes, which is the fold F of one-sided
+    amplitudes: the modes' B(k), whose coefficients are B(k) + conj B(-k),
+    on the mode route, and on the Cholesky route the J(r) of K(r) = J(r) +
+    conj J(-r) on the class grid's rz = 0..L/2.  A real window has W(-k) =
+    conj W(k), so either way G(q) = F(q) + conj F(-q), and by Parseval the
+    mean square of the cube averages is sum_q |G(q)|^2.
     Deterministic in (law, seed); seed may be an int or a numpy
     SeedSequence.  Every contraction is a fixed-order sum, so no FFT or
     BLAS call is made.
     """
-    factor = law.factor
-    normals = np.empty(factor.shape[1:], dtype=np.complex128)
+    grid = law.columns[0].shape[1:]
+    normals = np.empty((max(len(c) for c in law.columns), *grid), dtype=np.complex128)
     parts = normals.view(np.float64)  # each (re, im) pair read as one normal
     default_rng(seed).standard_normal(out=parts)
     parts *= math.sqrt(0.5)
-    sums = np.empty(normals.shape[1:], dtype=np.complex128)
+    sums = np.empty(grid, dtype=np.complex128)
     term = np.empty_like(sums) if len(normals) > 1 else None
     out = []
-    for a, (nb, columns) in enumerate(zip(law.blocks, factor)):
+    for nb, columns in zip(law.blocks, law.columns):
         np.multiply(columns[0], normals[0], out=sums)
-        for j in range(1, a + 1 if law.triangular else len(normals)):
+        for j in range(1, len(columns)):
             sums += np.multiply(columns[j], normals[j], out=term)
         g = _complete(_fold(sums, nb, (0, 1, 2)))
         out.append(float(np.sum(g.real**2 + g.imag**2)))
@@ -520,9 +560,10 @@ def fit_scaling(scales, rms, kappa: float = 1.0, box: float = 1.0) -> ScalingFit
 
     For a fit at box 1 and kappa 1, ``kappa`` and ``box`` give the amplitude
     in a box's units: its RMS at scale l is sqrt(kappa) / L^2 times the
-    lattice RMS at l / L, so A = exp(intercept + ln(kappa) / 2 - (2 + p) ln L),
-    which raises ``OverflowError`` only if A overflows.  The other fields do
-    not depend on them.
+    lattice RMS at l / L, so A = exp(intercept + ln(kappa) / 2 - (2 + p) ln L).
+    Its log is checked before the exp, and an A that is not a normal float
+    raises the ``DomainError`` of every other reported value.  The other
+    fields do not depend on them.
     """
     n = len(scales)
     if n < 3:
@@ -538,9 +579,12 @@ def fit_scaling(scales, rms, kappa: float = 1.0, box: float = 1.0) -> ScalingFit
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot < 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     stderr = math.sqrt(ss_res / (n - 2) / sxx)
+    log_amplitude = intercept + 0.5 * math.log(kappa) - (2.0 + slope) * math.log(box)
+    if log_amplitude > _LOG_FLOAT_MAX:  # past the largest float, where math.exp overflows
+        raise _outside_the_floats(f"exp({log_amplitude!r})")
     return ScalingFit(
         exponent=slope,
-        amplitude=math.exp(intercept + 0.5 * math.log(kappa) - (2.0 + slope) * math.log(box)),
+        amplitude=_reported(1.0, math.exp(log_amplitude)),
         r_squared=r_squared,
         stderr_exponent=stderr,
     )
@@ -560,10 +604,18 @@ def _z_score(mean_squares: np.ndarray, exact: float) -> float | None:
     return (float(np.mean(ratio)) - 1.0) * math.sqrt(len(ratio)) / spread if spread > 0 else None
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # whose exp is still a float
+
+
+def _outside_the_floats(value: str) -> DomainError:
+    """The one refusal of a reported value, ``value`` as the message shows it."""
+    return DomainError(f"kappa and box put a result at {value}, outside the normal floats")
+
+
 def _reported(lattice: float, value: float) -> float:
     """``value``, refused unless it is a normal float, or 0 where its ``lattice`` value is."""
     if lattice and not sys.float_info.min <= abs(value) <= sys.float_info.max:
-        raise DomainError(f"kappa and box put a result at {value!r}, outside the normal floats")
+        raise _outside_the_floats(repr(value))
     return value
 
 
@@ -600,8 +652,7 @@ def scaling_run(
     to the fit is computed at box 1 and kappa 1, on the lattice scales m/N,
     and ``_in_box`` then puts the rms, stderr and exact RMS in the box's
     units.  A reported value, the amplitude too, that is not a normal float
-    where its lattice value is not 0 raises ``DomainError``; an amplitude
-    past the largest float raises ``OverflowError``.
+    where its lattice value is not 0 raises ``DomainError``.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
@@ -623,7 +674,7 @@ def scaling_run(
             f"{draws} draws at scales of {cells} cells on a {n}^3 grid need {need} bytes for "
             f"the class law, a draw and the table, over the {memory:.3g} bytes of physical memory"
         )
-    plans = scale_plans(spec, ordered, window)
+    plans = scale_plans(n, cells, window)
     law = class_law(spec, plans)
     table = np.empty((draws, len(ordered)))
     for i in range(draws):
@@ -636,8 +687,6 @@ def scaling_run(
     lattice_scales = [m / n for m in cells]
     kappa, box = spec.spectrum_normalization, spec.box_size
     fit = fit_scaling(lattice_scales, rms, kappa, box) if len(cells) >= 3 else None
-    if fit:
-        _reported(1.0, fit.amplitude)
     return CoarseGrainReport(
         scales=tuple(ordered),
         rms=_in_box(spec, rms),

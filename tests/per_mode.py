@@ -14,11 +14,14 @@ The coefficients B(k) + conj B(-k) then have E|c_k|^2 = sigma_k^2.
 ``draw_modes`` streams the amplitudes into each scale's x-fold and
 ``coarse_mean_squares`` folds y and z and returns the energy of the
 completed fold, which by Parseval is the mean square of the cube averages.
-``class_covariance`` builds the law's covariance from the whole of sigma,
-every slab folded on its own: the oracle for ``field.class_covariance``,
-which computes each block's spectrum from the wavenumbers and folds only
-the slabs kx = 0..N/2.  ``mode_columns`` likewise weights the whole
-padded amplitude array at once, the oracle for ``field._mode_columns``.
+``class_covariance`` builds the class sums' covariance C on the whole
+(L, L, L) class grid from the whole of sigma, every slab folded on its
+own: through C_r + conj C_-r, the oracle for ``field.class_covariance``,
+which computes each block's spectrum from the wavenumbers for kx and
+ky = 0..N/2 only and keeps the one-sided class grid.  ``mode_columns``
+likewise weights the whole padded amplitude array at once, the oracle
+for ``field._mode_columns``.  ``plans_for`` resolves scales to cells as
+``scaling_run`` does, for ``field.scale_plans``.
 The oracles fold with ``fold_aliases_by_class``, one alias at a time,
 and never with the module's ``field._fold``, which they check.
 """
@@ -34,6 +37,12 @@ from zpflab.field import _reflect
 # The live normals are drawn a block of _BLOCK_SLABS x-slabs at a time, the
 # last block taking what is left.
 _BLOCK_SLABS = 8
+
+
+def plans_for(spec, scales, window):
+    """The run's plans for ``scales``, each resolved to its cells as ``scaling_run`` does."""
+    cells = [field._cells_for_scale(spec, scale) for scale in scales]
+    return field.scale_plans(spec.points_per_axis, cells, window)
 
 
 def mode_std(spec) -> np.ndarray:

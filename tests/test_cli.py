@@ -369,7 +369,8 @@ class TestFieldCommand:
 
         def huge(spec, plans):  # a factor of 1e200: the class sums' folds square to inf
             law = class_law(spec, plans)
-            return field.ClassLaw(law.blocks, np.full_like(law.factor, 1e200), law.mean_squares)
+            columns = tuple(np.full_like(c, 1e200) for c in law.columns)
+            return field.ClassLaw(law.blocks, columns, law.mean_squares)
 
         monkeypatch.setattr(field, "class_law", huge)
         with warnings.catch_warnings(record=True) as caught:

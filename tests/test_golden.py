@@ -61,10 +61,11 @@ GOLDEN = {
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
     "field-tophat-box2-csv": (
-        # tophat window, csv only, a box other than 1 and scales given out of order
+        # tophat window, csv only, a box other than 1 and scales given out of order;
+        # its scales' L = 8 is below N, so it takes the Cholesky route
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "1b75fd1113d1a9eeadebe191ee2e5a6d58145eed162c790199fcb6543e2616dc",
+        "c428a2f6ff753dd435e1310ce47bcace7ff03dcf3e15ae140453567404d88b61",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
@@ -72,7 +73,7 @@ GOLDEN = {
         # 64^3 on the default scales: the class grid L = 16 is below N, so the
         # law is the Cholesky factor of the class covariance, as in a benchmark run
         ["field", "scaling-run", "--grid", "64", "--draws", "3", "--seed", "13"],
-        "448465641aeacc4808f46794bf7a70e45fdacbbbdf448f4b134a32a5c06ab6ff",
+        "b694a3a40d87a6ed2dc15b915760ae85039883625f1fd4e73def6f5ae7ddc143",
         {"box": 1.0, "draws": 3, "format": None, "grid": 64, "k_max": 201.06192982974676,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -80,14 +81,14 @@ GOLDEN = {
         # the Cholesky route with the tophat window and a cutoff far below Nyquist
         ["field", "scaling-run", "--grid", "32", "--window", "tophat", "--box", "2",
          "--k-max", "6.3", "--draws", "3", "--format", "csv"],
-        "3b234e0d0a6151e55c2a59eeccf499afd210c83d00470150c628d14a6150c10b",
+        "2eb0fc308ad98f62018b0f4c9b1e3ae78441fe08aa0a841512200301985947bb",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 32, "k_max": 6.3, "kappa": 1.0,
          "scales": [0.125, 0.25, 0.5, 1.0], "seed": 0, "window": "tophat"},
     ),
     "field-cholesky-128": (
         # the scale target's grid, with the arguments of the field_scale benchmark
         ["field", "scaling-run", "--grid", "128", "--draws", "2", "--seed", "5"],
-        "037c7eb3073bcbd5c66ebe9d39f1f4f5ec8d8fa55c088677f2c539f1bcd3b1aa",
+        "7aee5ecd9e88b72294498b27f55841628740927ba76e8db423c7e7cfa75f11ab",
         {"box": 1.0, "draws": 2, "format": None, "grid": 128, "k_max": 402.1238596594935,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 5, "window": "hann"},
     ),

@@ -10,8 +10,10 @@ import io
 import json
 import math
 
+import numpy as np
+import per_mode
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from zpflab import field
@@ -199,3 +201,30 @@ def test_reordering_the_scales_leaves_stdout_alone(data):
     code, out, _ = check_dispatch(["field", "scaling-run"] + [flag(k, v) for k, v in args.items()])
     again = check_dispatch(["field", "scaling-run"] + [flag(k, v) for k, v in shuffled.items()])
     assert again[:2] == (code, out)
+
+
+@pytest.mark.parametrize("route", ["modes", "cholesky"])
+@settings(max_examples=50, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exact_rms_is_the_per_mode_oracles(route, data):
+    # the law's exact RMS, on the route a layout takes, against twice the
+    # trace of the class covariance the oracle sums slab by slab from the
+    # whole of sigma.  A one-cell scale makes L = N, one mode a class, and
+    # the modes are the factor; without one, unless the lcm L of the cubes
+    # per axis is N, L <= N/2, at least 8 modes a class, and 1-4 scales take
+    # the Cholesky route.
+    n = data.draw(st.sampled_from([8, 12, 16, 24, 32]), label="grid")
+    divisors = [m for m in range(2, n // 2 + 1) if n % m == 0]
+    cells = data.draw(st.lists(st.sampled_from(divisors), min_size=route == "cholesky",
+                               max_size=3 if route == "modes" else 4, unique=True), label="cells")
+    cells = sorted(cells + [1] if route == "modes" else cells)
+    harmonic = data.draw(st.floats(1.0, n / 2), label="k_max / (2 pi)")
+    window = data.draw(st.sampled_from(field.WINDOWS), label="window")
+    spec = field.LatticeSpec(box_size=1.0, points_per_axis=n, k_max=2 * math.pi * harmonic)
+    plans = field.scale_plans(n, cells, window)
+    assume(field.class_layout(n, [p.blocks for p in plans])[3] == (route == "modes"))
+    law = field.class_law(spec, plans)
+    cov = per_mode.class_covariance(per_mode.mode_std(spec), plans)
+    oracle = [2 * float(cov[a, a].real.sum()) for a in range(len(plans))]
+    assert np.sqrt(law.mean_squares) == pytest.approx(np.sqrt(oracle), rel=1e-12, abs=0)

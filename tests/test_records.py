@@ -14,7 +14,7 @@ def _samples():
     """One instance of each record class, its fields given by keyword."""
     table = constants_for("gaussian")
     spec = field.LatticeSpec(box_size=1.0, points_per_axis=8)
-    plans = field.scale_plans(spec, [0.25, 0.5], "hann")
+    plans = field.scale_plans(8, [2, 4], "hann")
     coil_spec = coil.CoilSpec(turns=3, area=1.0, resistance=2.0)
     diagnostics = casimir.CasimirDiagnostics(
         epsilons=(0.4, 0.2), regulated_values=(1.0, 2.0), extrapolants=(3.0,), residuals=(0.5,)
