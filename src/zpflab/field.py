@@ -45,7 +45,10 @@ independent circular complex Gaussians of covariance Cov K_r[a, b] =
 sum_{k = r} sigma_k^2 W_a(k) conj W_b(k) over the whole lattice, halved
 on the self-conjugate planes rz = 0 and L/2.  A draw of J from that law
 is a draw of every scale's cube averages at once, with their exact joint
-law.  ``class_law`` builds Cov K once per run, keeping only the pairs of
+law.  Where L = N (a scale of one cell, or cubes per axis whose lcm is N),
+each class is one mode of the half layout, and ``class_law`` takes the
+modes as the factor, s_k W_a(k), one column a scale: the mode route.
+Otherwise it builds Cov K once per run, keeping only the pairs of
 scales b <= a, computing s_k^2 from the wavenumbers a block of x-slabs at
 a time, and only for kx and ky = 0..N/2: sigma^2 is even in each, and
 W(-k) = conj W(k).  Each slab is folded into Cov K, and again as slab
@@ -277,26 +280,20 @@ _BLOCK_SLABS = 8
 _PIVOT_FLOOR = 1e-12  # a pivot of a class's correlation matrix at or below this is rank lost
 
 
-def class_layout(n: int, blocks) -> tuple[int, int, int, bool]:
-    """(L, Lz, width, modes) for scales of ``blocks`` cubes per axis on an N^3 lattice.
+def class_layout(n: int, blocks) -> tuple[int, bool]:
+    """(L, modes) for scales of ``blocks`` cubes per axis on an N^3 lattice.
 
     L is the lcm of the blocks, so every scale's alias classes mod nb are
-    unions of the classes mod L.  A class of the half layout's modes, on
-    the grid (L, L, min(L, N/2 + 1)), holds at most M = (N/L)^2
-    ceil((N/2 + 1) / min(L, N/2 + 1)) of them.  Where M is at most S, the
-    number of scales, ``modes`` is True: the factor's columns are those
-    modes, M to a scale, on that grid.  Otherwise the law is that of K on
-    the one-sided class grid (L, L, L//2 + 1), and its Cholesky factor
-    gives scale a the a + 1 columns of its row, of S normals in all.  The
-    class grid is (L, L, Lz); the width is the normals a class draws.
+    unions of the classes mod L, and the law lives on the one-sided class
+    grid (L, L, L//2 + 1).  Where L = N, ``modes`` is True: each class is
+    one mode of the half layout, and the factor is that mode's s_k W_a(k),
+    one column a scale.  Otherwise L <= N/2, each class sums (N/L)^3 >= 8
+    modes of the whole lattice, and the Cholesky factor of their
+    covariance gives scale a the a + 1 columns of its row, of S normals in
+    all.
     """
     period = math.lcm(*blocks)
-    nz = n // 2 + 1
-    lz = min(period, nz)
-    per_class = (n // period) ** 2 * -(-nz // lz)
-    if per_class <= len(blocks):
-        return period, lz, per_class, True
-    return period, period // 2 + 1, len(blocks), False
+    return period, period == n
 
 
 def _run_bytes(n: int, blocks, draws: int) -> int:
@@ -308,14 +305,14 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     a strided view, one of ``np.getbufsize()`` floats for each of three
     operands; in Python ints, which cannot overflow.
     """
-    period, lz, width, modes = class_layout(n, blocks)
+    period, modes = class_layout(n, blocks)
     s, nz = len(blocks), n // 2 + 1
-    grid = 16 * period * period * lz  # a complex class-grid array
-    if modes:  # a block's amplitude and two weighted copies; then |columns|^2 and a temporary
-        factor = s * width * grid
-        build = factor + 40 * min(_BLOCK_SLABS, n) * n * -(-nz // lz) * lz + width * grid
+    grid = 16 * period * period * (period // 2 + 1)  # a complex class-grid array
+    if modes:  # L = N: a block's amplitude and two weighted copies; |column|^2 and a temporary
+        width, factor = 1, s * grid
+        build = factor + 40 * min(_BLOCK_SLABS, n) * n * nz + grid
     else:  # a block's s^2 and cutoff mask, y and its product term; Cov K; the factoring
-        factor = s * (s + 1) // 2 * grid
+        width, factor = s, s * (s + 1) // 2 * grid
         build = min(_BLOCK_SLABS, nz) * nz * (9 * nz + 32 * period) + factor + (s + 4) * grid
     # the normals, class sums and product term; at the largest nb, the (nb, nb, nb) fold,
     # its completion and the three float arrays of its squares and their sum
@@ -330,30 +327,30 @@ class ClassLaw:
 
     For each class r of the law's grid, scale a's sum is sum_j
     columns[a][j, r] z_j(r), with z_j(r) independent complex normals of
-    E|z|^2 = 1, shared by the scales.  Mode columns are (M, L, L, Lz) for
-    every scale.  A Cholesky factor's are row a of the lower factor, its
-    a + 1 columns j <= a, one slice of the packed array
-    ``class_covariance`` is factored in.
+    E|z|^2 = 1, shared by the scales.  On the mode route, at L = N, each
+    scale has one column, (1, L, L, L//2 + 1): its modes' s_k W(k).  A
+    Cholesky factor's are row a of the lower factor, its a + 1 columns
+    j <= a, one slice of the packed array ``class_covariance`` is factored
+    in.
     """
 
     blocks: tuple[int, ...]  # nb per scale, the classes each scale's draw folds into
-    columns: tuple[np.ndarray, ...]  # per scale, its factor's (width, L, L, Lz) complex columns
+    columns: tuple[np.ndarray, ...]  # per scale, its (width, L, L, L//2 + 1) complex columns
     mean_squares: np.ndarray  # exact ensemble mean square per scale, 2 sum_r Cov_r[a, a]
 
 
 def class_law(spec: LatticeSpec, plans) -> ClassLaw:
     """The factor of the class sums' covariance, and the exact mean squares it gives.
 
-    Where a class holds at most S modes, the factor is its modes' columns
-    s_k W(k); otherwise it is the semidefinite Cholesky factor of
-    ``class_covariance``, built in its packed array.  ``class_layout``
-    picks the route and the width.  Either route computes the spectrum a
-    block of x-slabs at a time, so sigma is never built whole.
+    Where L = N, so that each class is one mode, the factor is that
+    mode's s_k W(k), one column a scale; otherwise it is the semidefinite
+    Cholesky factor of ``class_covariance``, built in its packed array.
+    ``class_layout`` picks the route.  Either route computes the spectrum
+    a block of x-slabs at a time, so sigma is never built whole.
     """
     blocks = tuple(p.blocks for p in plans)
-    period, lz, _, modes = class_layout(spec.points_per_axis, blocks)
-    if modes:
-        factor = _mode_columns(spec, plans, period, lz)
+    if class_layout(spec.points_per_axis, blocks)[1]:
+        factor = _mode_columns(spec, plans)
         sq = np.empty(factor.shape[1:])  # one scale's |f|^2, beside one temporary
         power = [np.sum(np.add(np.square(f.real, out=sq), f.imag**2, out=sq)) for f in factor]
         return ClassLaw(blocks, tuple(factor), 2.0 * np.array(power))
@@ -475,34 +472,29 @@ def _factor_in_place(rows) -> None:
         row *= scale[a]
 
 
-def _mode_columns(spec: LatticeSpec, plans, period: int, lz: int) -> np.ndarray:
-    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz).
+def _mode_columns(spec: LatticeSpec, plans) -> np.ndarray:
+    """The half layout's modes as the factor's columns s_k W(k), shape (S, 1, N, N, N/2 + 1).
 
-    Filled a block of x-slabs at a time, each slab x into the columns of
-    its x-alias x // L and its class x mod L.
+    The mode route's factor, at L = N, where the half layout is the class
+    grid and each class one mode.  Filled a block of x-slabs at a time in
+    one reused amplitude buffer, each scale's column as s_k W(kx), then
+    times W(ky), then times W(kz).
     """
     n = spec.points_per_axis
     nz = n // 2 + 1
-    kz = -(-nz // lz) * lz
-    reps = n // period
-    factor = np.empty((len(plans), reps * reps * (kz // lz), period, period, lz), np.complex128)
-    columns = factor.reshape(len(plans), reps, -1, period, period, lz)  # x-alias apart
-    amplitude = np.zeros((min(_BLOCK_SLABS, n), n, kz))
+    factor = np.empty((len(plans), 1, n, n, nz), np.complex128)
+    amplitude = np.empty((min(_BLOCK_SLABS, n), n, nz))
     for lo in range(0, n, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, n)
         block = amplitude[: hi - lo]
-        block[:, :, :nz] = _slab_std(spec, lo, hi)
-        block[:, :, : nz : n // 2] *= math.sqrt(0.5)
-        for plan, out in zip(plans, columns):
+        block[...] = _slab_std(spec, lo, hi)
+        block[:, :, :: n // 2] *= math.sqrt(0.5)
+        for plan, out in zip(plans, factor):
             w = plan.transform
             weighted = block * w[lo:hi, None, None]
             weighted *= w[None, :, None]
-            weighted *= w[None, None, :kz]
-            by_class = weighted.reshape(hi - lo, reps, period, kz // lz, lz)
-            for x in range(lo, hi):  # (y-alias, z-alias) columns of each (ry, rz) class
-                out[x // period, :, x % period] = (
-                    by_class[x - lo].transpose(0, 2, 1, 3).reshape(-1, period, lz)
-                )
+            weighted *= w[None, None, :nz]
+            out[0, lo:hi] = weighted
     return factor
 
 

@@ -19,8 +19,8 @@ completed fold, which by Parseval is the mean square of the cube averages.
 own: through C_r + conj C_-r, the oracle for ``field.class_covariance``,
 which computes each block's spectrum from the wavenumbers for kx and
 ky = 0..N/2 only and keeps the one-sided class grid.  ``mode_columns``
-likewise weights the whole padded amplitude array at once, the oracle
-for ``field._mode_columns``.  ``plans_for`` resolves scales to cells as
+likewise weights the whole amplitude array at once, the oracle for
+``field._mode_columns`` at L = N.  ``plans_for`` resolves scales to cells as
 ``scaling_run`` does, for ``field.scale_plans``.
 The oracles fold with ``fold_aliases_by_class``, one alias at a time,
 and never with the module's ``field._fold``, which they check.
@@ -174,20 +174,16 @@ def class_covariance(sigma: np.ndarray, plans) -> np.ndarray:
     return cov
 
 
-def mode_columns(sigma: np.ndarray, plans, period: int, lz: int) -> np.ndarray:
-    """Each class's modes k = r + L j as the factor's columns s_k W(k), shape (S, M, L, L, Lz)."""
-    n, nz = len(sigma), sigma.shape[2]
-    kz = -(-nz // lz) * lz
-    amplitude = np.zeros((n, n, kz))
-    amplitude[:, :, :nz] = sigma
-    amplitude[:, :, : nz : n // 2] *= math.sqrt(0.5)
-    reps = n // period
-    factor = np.empty((len(plans), reps * reps * (kz // lz), period, period, lz), np.complex128)
+def mode_columns(sigma: np.ndarray, plans) -> np.ndarray:
+    """The half layout's modes as the factor's columns s_k W(k), shape (S, 1, N, N, N/2 + 1)."""
+    n = len(sigma)
+    amplitude = sigma.copy()
+    amplitude[:, :, :: n // 2] *= math.sqrt(0.5)
+    factor = np.empty((len(plans), 1, *sigma.shape), np.complex128)
     for plan, out in zip(plans, factor):
         w = plan.transform
         weighted = amplitude * w[:, None, None]
         weighted *= w[None, :, None]
-        weighted *= w[None, None, :kz]
-        by_class = weighted.reshape(reps, period, reps, period, kz // lz, lz)
-        out[...] = by_class.transpose(0, 2, 4, 1, 3, 5).reshape(out.shape)
+        weighted *= w[None, None, : n // 2 + 1]
+        out[0] = weighted
     return factor

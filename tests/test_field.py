@@ -780,6 +780,12 @@ def rebuilt_from(rows):
                      for a in range(len(rows)) for b in range(a + 1)])
 
 
+# Eight scales whose lcm L = 36 is below N = 72: at most S modes a class,
+# but on the Cholesky route, as every layout of L < N is.
+EIGHT_SCALES = (LatticeSpec(box_size=1.0, points_per_axis=72),
+                [m / 72 for m in (2, 4, 6, 8, 12, 18, 24, 36)])
+
+
 LAW_SPECS = {
     "N8": (SMALL, [1 / 4, 1 / 2]),  # L = 4
     "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), [1 / 8, 1 / 4, 1 / 2]),  # L = 8
@@ -805,6 +811,8 @@ ORACLE_SPECS = {
     "N130": (LatticeSpec(box_size=1.0, points_per_axis=130), [0.1, 0.2, 0.5]),
     # odd L = 15: rz = 0 is the one self-conjugate plane of the one-sided grid
     "N30-odd-L": (LatticeSpec(box_size=1.0, points_per_axis=30), [1 / 15, 1 / 5, 1 / 3]),
+    # eight scales of L = 36 < N: 8 modes a class, two aliases along each axis
+    "N72-eight-scales": EIGHT_SCALES,
 }
 
 
@@ -901,22 +909,55 @@ class TestClassLaw:
         "spec, cells",
         [
             (LatticeSpec(box_size=1.0, points_per_axis=16), [1, 2, 8]),  # L = N
-            # eight scales of L = 36 < N: 8 modes a class, two x-aliases each
-            (LatticeSpec(box_size=1.0, points_per_axis=72), [2, 4, 6, 8, 12, 18, 24, 36]),
+            (LatticeSpec(box_size=1.0, points_per_axis=24), [3, 8]),  # L = N, no one-cell scale
         ],
-        ids=["N16-one-cell", "N72-eight-scales"],
+        ids=["N16-one-cell", "N24-lcm-is-N"],
     )
     def test_mode_columns_are_the_ones_built_from_sigma(self, spec, cells, window, slabs,
                                                          monkeypatch):
         plans = scale_plans(spec.points_per_axis, cells, window)
-        blocks = [p.blocks for p in plans]
-        period, lz, width, modes = field.class_layout(spec.points_per_axis, blocks)
-        assert modes
-        oracle = per_mode.mode_columns(mode_std(spec), plans, period, lz)
+        assert field.class_layout(spec.points_per_axis, [p.blocks for p in plans])[1]
+        oracle = per_mode.mode_columns(mode_std(spec), plans)
         monkeypatch.setattr(field, "_BLOCK_SLABS", slabs)
         factor = np.stack(class_law(spec, plans).columns)
-        assert factor.shape[1] == width
         assert np.array_equal(factor.view(np.int64), oracle.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "spec, scales, modes",
+        [
+            (LatticeSpec(box_size=1.0, points_per_axis=16), None, True),
+            (MEDIUM, [1 / 32, 1 / 8, 1 / 4, 1 / 2], True),
+            (LatticeSpec(box_size=1.0, points_per_axis=24), [3 / 24, 8 / 24], True),
+            EIGHT_SCALES + (False,),
+        ],
+        ids=["N16-default", "N32-one-cell", "N24-lcm-is-N", "N72-eight-scales"],
+    )
+    def test_the_modes_are_the_factor_exactly_where_l_is_n(self, spec, scales, modes):
+        # at L = N each class is one mode and the factor is one column a
+        # scale; below it a class sums at least 8 modes, and even where
+        # that is at most S, as for eight scales of L = 36, the packed
+        # Cholesky rows of a + 1 columns are smaller than the modes
+        n = spec.points_per_axis
+        blocks = run_blocks(spec, scales)
+        period, on_modes = field.class_layout(n, blocks)
+        assert on_modes == modes == (period == n)
+        law = class_law(spec, plans_for(spec, scales or [1 / b for b in blocks], "hann"))
+        widths = [1] * len(blocks) if modes else list(range(1, len(blocks) + 1))
+        assert [len(columns) for columns in law.columns] == widths
+        assert {c.shape[1:] for c in law.columns} == {(period, period, period // 2 + 1)}
+
+    def test_eight_scales_below_l_is_n_peak_under_30_mb(self):
+        # on the Cholesky route three draws trace about 20 MB; the 8 modes a
+        # class of this L = 36 < N layout, taken as the factor, trace 57 MB
+        spec, scales = EIGHT_SCALES
+        scaling_run(spec, scales, draws=2, seed=0)  # one-time lazy imports
+        tracemalloc.start()
+        try:
+            scaling_run(spec, scales, draws=3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_one_mode_classes_take_their_modes_as_the_factor(self, window):
@@ -1018,8 +1059,8 @@ class TestFitScaling:
             fit_scaling(scales, [s**-4 for s in scales], box=1e200)
 
 
-# Runs on either route of the class law: the Cholesky route at 64^3, and the
-# mode-column route at 16^3 and wherever a scale is one cell (L = N).
+# Runs on either route of the class law: the mode-column route where L = N,
+# at 16^3 and wherever a scale is one cell, and the Cholesky route elsewhere.
 RUN_CASES = {
     "N16": (LatticeSpec(box_size=1.0, points_per_axis=16), None, "hann"),
     "N64": (LatticeSpec(box_size=1.0, points_per_axis=64), None, "hann"),
@@ -1031,6 +1072,7 @@ RUN_CASES = {
     # the Cholesky route with a draw's (36, 36, 36) folds as large as its factor
     "N72-wide-fold": (LatticeSpec(box_size=1.0, points_per_axis=72),
                       [2 / 72, 4 / 72, 6 / 72, 24 / 72], "hann"),
+    "N72-eight-scales": EIGHT_SCALES + ("hann",),
 }
 
 
@@ -1231,7 +1273,7 @@ class TestScalingPipeline:
                 scaling_run(spec, scales, draws=2, seed=0, window=window)
         monkeypatch.setattr(field, "physical_memory_bytes", lambda: bound)
         report, _ = scaling_run(spec, scales, draws=2, seed=0, window=window)
-        assert len(report.rms) == 4
+        assert len(report.rms) == len(run_blocks(spec, scales))
 
     def test_the_table_costs_16_bytes_a_draw(self, monkeypatch):
         # Draws stubbed to their result, so only the (draws, 2) table of mean

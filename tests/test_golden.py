@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from zpflab import field
 from zpflab.cli import dispatch
 
 GOLDEN = {
@@ -152,6 +153,19 @@ GOLDEN = {
     ),
 }
 
+# The route of the class law each field golden takes, as its name or
+# comment states: the mode route at L = N, the Cholesky route below it.
+# A digest pins its route's random stream, so a run moved to the other
+# route fails here by name, not only as an unexplained digest move.
+FIELD_ROUTES = {
+    "field-default-scales": "modes",
+    "field-json": "modes",
+    "field-tophat-box2-csv": "cholesky",
+    "field-cholesky-route": "cholesky",
+    "field-cholesky-tophat-box2-kmax-csv": "cholesky",
+    "field-cholesky-128": "cholesky",
+}
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -176,3 +190,17 @@ def test_csv_rows_match_header_width(name):
     table = [line for line in out.splitlines() if not line.startswith(("{", "["))]
     rows = list(csv.reader(table, strict=True))
     assert all(len(row) == len(rows[0]) for row in rows), rows
+
+
+def test_every_field_golden_names_its_route():
+    assert set(FIELD_ROUTES) == {name for name, (argv, _, _) in GOLDEN.items()
+                                 if argv[0] == "field"}
+
+
+@pytest.mark.parametrize("name", list(FIELD_ROUTES))
+def test_field_golden_takes_the_route_it_names(name):
+    # the layout from the run's parameters, which the digest test pins to its argv
+    parameters = GOLDEN[name][2]
+    blocks = [round(parameters["box"] / scale) for scale in parameters["scales"]]
+    modes = field.class_layout(parameters["grid"], blocks)[1]
+    assert ("modes" if modes else "cholesky") == FIELD_ROUTES[name]

@@ -210,10 +210,10 @@ def test_reordering_the_scales_leaves_stdout_alone(data):
 def test_exact_rms_is_the_per_mode_oracles(route, data):
     # the law's exact RMS, on the route a layout takes, against twice the
     # trace of the class covariance the oracle sums slab by slab from the
-    # whole of sigma.  A one-cell scale makes L = N, one mode a class, and
-    # the modes are the factor; without one, unless the lcm L of the cubes
-    # per axis is N, L <= N/2, at least 8 modes a class, and 1-4 scales take
-    # the Cholesky route.
+    # whole of sigma.  The modes are the factor exactly where the lcm L of
+    # the cubes per axis is N, one mode a class, as a one-cell scale makes
+    # it; without one, unless L is N, L <= N/2, at least 8 modes a class,
+    # and the layout takes the Cholesky route.
     n = data.draw(st.sampled_from([8, 12, 16, 24, 32]), label="grid")
     divisors = [m for m in range(2, n // 2 + 1) if n % m == 0]
     cells = data.draw(st.lists(st.sampled_from(divisors), min_size=route == "cholesky",
@@ -223,7 +223,7 @@ def test_exact_rms_is_the_per_mode_oracles(route, data):
     window = data.draw(st.sampled_from(field.WINDOWS), label="window")
     spec = field.LatticeSpec(box_size=1.0, points_per_axis=n, k_max=2 * math.pi * harmonic)
     plans = field.scale_plans(n, cells, window)
-    assume(field.class_layout(n, [p.blocks for p in plans])[3] == (route == "modes"))
+    assume(field.class_layout(n, [p.blocks for p in plans])[1] == (route == "modes"))
     law = field.class_law(spec, plans)
     cov = per_mode.class_covariance(per_mode.mode_std(spec), plans)
     oracle = [2 * float(cov[a, a].real.sum()) for a in range(len(plans))]
