@@ -46,6 +46,16 @@ and recorded, ``main`` freezes the garbage collector, so the
 interpreter's exit collects none of the objects numpy's import made: the
 OS reclaims them anyway.  ``dispatch`` leaves the environment and the
 collector alone, so library callers keep their own BLAS and GC settings.
+
+Importing ``numpy.random`` imports ``secrets``, for the entropy of an
+unseeded generator, and with it ``hmac`` and ``hashlib``, which load
+OpenSSL's ``_hashlib`` and libcrypto: 3.4 MB of the 36 MB of peak RSS a
+field run would otherwise take.  No zpflab run uses them: every seed is
+given, and ``SeedSequence`` hashes with its own code.  So ``main`` hides
+``_hashlib`` unless the caller has loaded it, and ``hashlib`` takes the
+interpreter's built-in digests instead; an interpreter built without
+them would log each missing one to standard error, so there ``main``
+leaves it loadable.  ``dispatch`` leaves ``sys.modules`` alone too.
 """
 
 from __future__ import annotations
@@ -85,6 +95,11 @@ _VALIDATION_ERRORS = (DomainError, ConfigurationError, MemoryError)
 _INTERNAL_ERRORS = (InvariantError, ConvergenceError)
 # parsed or set by a handler, not replayed
 _NOT_PARAMETERS = {"subcommand", "field_command", "manifest", "run", "convergence"}
+# the built-in digest modules hashlib loads in place of OpenSSL's _hashlib (it
+# loads _blake2 either way)
+_BUILTIN_DIGESTS = ("_md5", "_sha1", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
 
 
 def _fmt(value) -> str:
@@ -517,6 +532,10 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any handler loads numpy
+    from importlib.util import find_spec
+
+    if all(find_spec(name) for name in _BUILTIN_DIGESTS):  # else hashlib logs each one missing
+        sys.modules.setdefault("_hashlib", None)  # numpy.random's import of secrets loads it
     code = dispatch(sys.argv[1:])
     import gc  # here, so only a finished run loads it, past its peak RSS
 

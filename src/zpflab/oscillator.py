@@ -81,14 +81,17 @@ def _pairwise_sum(n: int, leaf_sum):
     return _pairwise_sum(half, leaf_sum) + _pairwise_sum(n - half, leaf_sum)
 
 
-def sample_moments(p: OscillatorParams, seed: int, n: int) -> tuple[float, float]:
-    """Mean and unbiased variance of n deterministic draws from |psi|^2 (zero-mean Gaussian).
+def sample_moments(p: OscillatorParams, seed: int | None, n: int) -> tuple[float, float]:
+    """Mean and unbiased variance of n draws from |psi|^2 (zero-mean Gaussian).
 
     Bit for bit ``x.mean()`` and ``x.var(ddof=1)`` of the draws
     ``x = default_rng(seed).normal(0, sigma, n)``, with at most _LEAF of
     them held at once: the stream is drawn twice, in _LEAF-sized pieces,
     once for the sum and once for the squared deviations from the mean,
-    each summed in numpy's pairwise order.
+    each summed in numpy's pairwise order.  Both passes are seeded from one
+    ``SeedSequence(seed)``, so they read the same stream even for a seed
+    of None, whose OS entropy is drawn once; a ``Generator``, whose stream
+    a second pass could only continue, raises TypeError.
     """
     if not 2 <= n <= MAX_SAMPLES:
         raise DomainError(
@@ -98,9 +101,10 @@ def sample_moments(p: OscillatorParams, seed: int, n: int) -> tuple[float, float
     import numpy as np
 
     sigma = math.sqrt(position_variance(p))
+    seeds = np.random.SeedSequence(seed)  # an int seed's stream, bit for bit
 
     def summed(leaf_sum):  # one pass over the stream, drawn afresh from the seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seeds)
         return float(_pairwise_sum(n, lambda k: leaf_sum(rng.normal(0.0, sigma, size=k))))
 
     mean = summed(np.add.reduce) / n

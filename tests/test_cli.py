@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -764,8 +765,8 @@ class TestManifest:
 # JSON line: the non-stdlib top-level packages, the zpflab modules and every
 # module that importing zpflab.cli and building its parser loaded; after each
 # run, its exit code, whether numpy or platform is loaded, the zpflab modules
-# it added and every module it added; and the OPENBLAS_NUM_THREADS the process
-# ends with.
+# it added and every module it added; the OPENBLAS_NUM_THREADS the process
+# ends with; and whether OpenSSL's hash module _hashlib is loaded then.
 IMPORT_PROBE = """
 import io, json, os, sys
 before = set(sys.modules)
@@ -783,6 +784,7 @@ for argv in json.loads(sys.argv[1]):
     report['run_modules'].append(sorted(own() - modules))
     report['run_added'].append(sorted(set(sys.modules) - every))
 report['openblas'] = os.environ.get('OPENBLAS_NUM_THREADS')
+report['openssl'] = sys.modules.get('_hashlib') is not None
 print(json.dumps(report))
 """
 # BLAS thread settings, dropped from a probe's environment unless a test sets one
@@ -874,6 +876,8 @@ def test_each_subcommand_module_loads_only_with_its_run():
         "field": ["zpflab.field"],
     }
     assert report["openblas"] is None  # dispatch leaves a library caller's environment alone
+    # nor does it hide OpenSSL: numpy.random's import of secrets loads it where it exists
+    assert report["openssl"] == (importlib.util.find_spec("_hashlib") is not None)
 
 
 # stdlib modules that cost a pure run more than its computation: dataclasses
@@ -961,3 +965,81 @@ def test_a_preset_openblas_thread_count_is_kept():
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     if "openblas" in blas.get("name", ""):  # the probe sees the pool that the cap prevents
         assert report["threads"] == 2
+
+
+# In a fresh interpreter, hides each module named with a leading "!" as a
+# Python built without it would, imports the other named modules, runs
+# zpflab.cli.main() on an argv and reports, as the last stdout line, the exit
+# code, whether a real _hashlib is loaded and whether /proc/self/maps names
+# libcrypto (null where there is no such file).
+OPENSSL_PROBE = """
+import json, os, sys
+for name in sys.argv[2:]:
+    if name.startswith('!'):
+        sys.modules[name[1:]] = None
+    else:
+        __import__(name)
+import zpflab.cli
+sys.argv = ['zpflab', *json.loads(sys.argv[1])]
+try:
+    zpflab.cli.main()
+except SystemExit as exc:
+    code = exc.code
+maps = '/proc/self/maps'
+libcrypto = any('libcrypto' in line for line in open(maps)) if os.path.exists(maps) else None
+print(json.dumps({'code': code, 'openssl': sys.modules.get('_hashlib') is not None,
+                  'libcrypto': libcrypto}))
+"""
+
+
+def probe_openssl(argv, *modules):
+    """The probe's report and its stderr."""
+    result = subprocess.run(
+        [sys.executable, "-c", OPENSSL_PROBE, json.dumps(argv), *modules],
+        env=probe_env(), capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1]), result.stderr
+
+
+# Without them main leaves _hashlib loadable, and hashlib would use OpenSSL.
+needs_builtin_digests = pytest.mark.skipif(
+    not all(importlib.util.find_spec(name) for name in cli._BUILTIN_DIGESTS),
+    reason="this Python has no built-in digests for hashlib to fall back to",
+)
+
+
+@needs_builtin_digests
+@pytest.mark.parametrize("subcommand", ["oscillator", "field"])
+def test_a_cli_process_never_loads_openssl(subcommand):
+    # numpy.random imports secrets, whose hmac and hashlib would load libcrypto
+    report, _ = probe_openssl(SUBCOMMAND_RUNS[subcommand])
+    assert report["code"] == 0
+    assert report["openssl"] is False
+    if sys.platform.startswith("linux"):
+        assert report["libcrypto"] is False
+
+
+def test_openssl_loaded_before_main_is_kept():
+    report, _ = probe_openssl(SUBCOMMAND_RUNS["oscillator"], "hashlib")
+    assert report["code"] == 0
+    assert report["openssl"] == (importlib.util.find_spec("_hashlib") is not None)
+
+
+@pytest.mark.parametrize("digest", cli._BUILTIN_DIGESTS)
+def test_a_python_without_a_built_in_digest_keeps_openssl(digest):
+    # hiding _hashlib there would leave hashlib to log the digest as missing
+    report, err = probe_openssl(SUBCOMMAND_RUNS["oscillator"], "!" + digest)
+    assert report["code"] == 0
+    assert report["openssl"] == (importlib.util.find_spec("_hashlib") is not None)
+    assert err.count("\n") == 1 and json.loads(err)["subcommand"] == "oscillator"
+
+
+@pytest.mark.parametrize("subcommand", ["oscillator", "field"])
+def test_an_array_cli_process_writes_only_its_manifest_to_stderr(subcommand):
+    # hashlib would log a traceback there for each digest it could not find
+    result = subprocess.run(
+        [sys.executable, "-m", "zpflab.cli", *SUBCOMMAND_RUNS[subcommand]],
+        env=probe_env(), capture_output=True, text=True, check=True,
+    )
+    assert result.stderr.count("\n") == 1
+    assert json.loads(result.stderr)["subcommand"].startswith(subcommand)

@@ -191,6 +191,24 @@ class TestStreamedMoments:
             tracemalloc.stop()
         assert peak <= 10**6  # a leaf of 2**16 draws is 0.52 MB; the held draws were 8 MB
 
+    def test_a_seed_of_none_reads_one_stream_in_both_passes(self, monkeypatch):
+        # the mean and the squared deviations must come from the same draws
+        states, default_rng = [], np.random.default_rng
+
+        def spy(seed):
+            rng = default_rng(seed)
+            states.append(rng.bit_generator.state)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        sample_moments(UNIT, seed=None, n=100)
+        assert len(states) == 2 and states[0] == states[1]
+
+    def test_a_generator_seed_is_refused(self):
+        # a second pass would continue its stream, not read it again
+        with pytest.raises(TypeError):
+            sample_moments(UNIT, seed=np.random.default_rng(7), n=100)
+
     @pytest.mark.parametrize("n", [-1, 1, MAX_SAMPLES + 1])
     def test_counts_outside_two_to_2_53_rejected(self, n):
         with pytest.raises(DomainError, match="2\\*\\*53"):
