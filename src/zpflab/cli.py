@@ -15,28 +15,32 @@ first.  ``dispatch`` renders and records them; only it reads the format.
 Exit codes: 0 success, 1 usage or domain/validation error, a request too
 large to allocate or a number outside the float range, 2 internal
 invariant or convergence failure.  Every failure is one line on standard
-error.  Stdout is written only on exit 0.
+error, a manifest or result that cannot be written too.  Stdout is written
+only on exit 0.
 
 Each handler imports the module it runs, so a process loads no other
 subcommand's code: ``_cmd_oscillator`` imports ``oscillator``,
 ``_cmd_field_scaling`` ``field``, ``_cmd_casimir`` ``casimir`` and
-``_cmd_coil`` ``coil``.  ``constants`` needs only ``units``.  ``lamb`` is
-the exception, imported with this module: it imports nothing that
-``units`` has not, and ``perfbench/tracer.py`` traces only the modules
-that importing this one loads.  Only the field run and the oscillator's
-``--samples`` compute with arrays; they load numpy and run under numpy's
-raising float-error state.  The samples are streamed a leaf of draws at a
-time, never held whole, and a count past 2**53 is refused before numpy
-loads.  The rest is pure ``math``/``decimal`` and never
-loads numpy, whose import would be most of its run time.  Its float errors
-need no such state: Python raises ``OverflowError`` or
-``ZeroDivisionError``, and a result that overflowed to inf is refused
-when it is rendered.  Start-up is most of such a run, so it loads no
-``dataclasses`` (the value classes are ``errors.frozen_record`` ones) and
-no ``importlib.resources`` (``units`` reads its snapshot with ``open``),
-and ``_csv`` imports ``csv`` only for a CSV table.  Such a process takes
-92-97 ms of CPU on a shared 2-CPU Linux machine under Python 3.11, of which
-the bare interpreter takes about 58 ms.
+``_cmd_coil`` ``coil``.  ``units``, and with it ``fractions`` and
+``decimal``, is imported only by the handlers that build quantities; the
+parser's choice lists and the manifest's snapshot name come from the
+package root.  So importing this module and building its parser loads
+only ``zpflab``, ``errors``, ``lamb`` and this module, and a field run,
+which computes in lattice units, adds only ``field`` and numpy.  ``lamb``
+is imported with this module, because ``perfbench/tracer.py`` traces only
+the modules that importing this one loads; it imports ``units`` inside
+its functions.  Only the field run and the oscillator's ``--samples``
+compute with arrays; they load numpy and run under numpy's raising
+float-error state.  The samples are streamed a leaf of draws at a time,
+never held whole, and a count past 2**53 is refused before numpy loads.
+The rest is pure ``math``/``decimal`` and never loads numpy, whose import
+would be most of its run time.  Its float errors need no such state:
+Python raises ``OverflowError`` or ``ZeroDivisionError``, and a result
+that overflowed to inf is refused when it is rendered.  Start-up is most
+of such a run, so it loads no ``dataclasses`` (the value classes are
+``errors.frozen_record`` ones) and no ``importlib.resources`` (``units``
+reads its snapshot with ``open``), and ``_csv`` imports ``csv`` only for
+a CSV table.
 
 No zpflab code calls BLAS, so ``main`` sets ``OPENBLAS_NUM_THREADS=1``
 unless the caller has set it, before any handler loads numpy: OpenBLAS
@@ -44,7 +48,9 @@ then starts no worker threads, which would otherwise each spin for a
 tenth of a second at load and never be used.  Once the run is rendered
 and recorded, ``main`` freezes the garbage collector, so the
 interpreter's exit collects none of the objects numpy's import made: the
-OS reclaims them anyway.  ``dispatch`` leaves the environment and the
+OS reclaims them anyway.  A stdout that ``dispatch`` could not write,
+``main`` points at the null device, so the exit's flush does not fail
+again and exit 120.  ``dispatch`` leaves the environment and the
 collector alone, so library callers keep their own BLAS and GC settings.
 
 Importing ``numpy.random`` imports ``secrets``, for the entropy of an
@@ -70,23 +76,12 @@ import resource
 import sys
 import time
 
-from . import __version__
+from . import PARTICLES, SNAPSHOT, SYSTEMS, __version__
 from .errors import (
     ConfigurationError,
     ConvergenceError,
     DomainError,
     InvariantError,
-)
-from .units import (
-    ERG_PER_EV,
-    LENGTH,
-    PARTICLES,
-    Quantity,
-    SNAPSHOT,
-    SYSTEMS,
-    compton_time,
-    constants_for,
-    particle_mass,
 )
 from . import lamb as lamb_mod
 
@@ -155,6 +150,12 @@ def _emit(text: str, stream) -> None:
     stream.write(text)
     if not text.endswith("\n"):
         stream.write("\n")
+
+
+def _flushed(text: str, stream) -> None:
+    """Write and flush, so a full disk or a closed pipe raises here, not at exit."""
+    stream.write(text)
+    stream.flush()
 
 
 def _finite(raw: str) -> float:
@@ -291,6 +292,8 @@ def _keyed(payload: dict) -> list:
 
 
 def _cmd_constants(args):
+    from .units import constants_for
+
     table = constants_for(args.system)
     rows = list(table.rows())
     payload = [{"name": n, "value": v, "unit": u} for n, v, u in rows]
@@ -299,6 +302,7 @@ def _cmd_constants(args):
 
 def _cmd_oscillator(args):
     from . import oscillator as osc_mod
+    from .units import constants_for
 
     table = constants_for(args.units)
     params = osc_mod.OscillatorParams(m=args.m, omega=args.omega, hbar=table.hbar.value)
@@ -372,6 +376,7 @@ def _cmd_field_scaling(args):
 
 def _cmd_casimir(args):
     from . import casimir as casimir_mod
+    from .units import constants_for
 
     if args.epsilons is None:  # resolved on every run, so the manifest lists the ladder
         args.epsilons = list(casimir_mod.DEFAULT_EPSILONS)
@@ -407,6 +412,8 @@ def _cmd_casimir(args):
 
 
 def _cmd_lamb(args):
+    from .units import ERG_PER_EV, constants_for
+
     table = constants_for("gaussian")
     if args.jitter is not None:
         if args.omega_min is not None or args.omega_max is not None:
@@ -435,6 +442,7 @@ def _cmd_lamb(args):
 
 def _cmd_coil(args):
     from . import coil as coil_mod
+    from .units import LENGTH, Quantity, compton_time, constants_for, particle_mass
 
     table = constants_for(args.units)
     spec = coil_mod.CoilSpec(turns=args.turns, area=args.area, resistance=args.resistance)
@@ -467,7 +475,10 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     table is printed unless ``--format json``, then the JSON unless ``csv``.
     ``--manifest PATH`` is opened before the run: an unwritable path exits 1
     with nothing on stdout, and a run that then fails leaves the file empty.
-    The result reaches stdout only if the run and its rendering both succeed.
+    The result reaches stdout only if the run and its rendering both succeed,
+    and after the manifest file is written: a manifest or a result that cannot
+    be written exits 1 with one line on stderr.  Without ``--manifest`` the
+    manifest goes to stderr once the result is written.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -508,7 +519,6 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             _emit(f"internal error: {exc}", err)
             return 2
         duration = time.perf_counter() - start
-        out.write(text)
 
         subcommand = args.subcommand
         if subcommand == "field":
@@ -526,7 +536,25 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
             "peak_rss_kb": _peak_rss_kb(),
             "versions": _versions(),
         }
-        _emit(json.dumps(manifest, sort_keys=True), sink)
+        record = json.dumps(manifest, sort_keys=True) + "\n"
+        if args.manifest:  # flushed first: a file that cannot be written leaves stdout empty
+            try:
+                _flushed(record, sink)
+            except OSError as exc:
+                with contextlib.suppress(OSError):
+                    sink.close()  # so the with block's exit does not retry the failed flush
+                _emit(f"error: cannot write manifest: {exc}", err)
+                return 1
+        try:
+            _flushed(text, out)
+        except OSError as exc:
+            if args.manifest:  # a failed run leaves the file empty; a pipe cannot be emptied
+                with contextlib.suppress(OSError):
+                    sink.truncate(0)
+            _emit(f"error: cannot write the result: {exc}", err)
+            return 1
+        if not args.manifest:
+            _emit(record, sink)
     return 0
 
 
@@ -537,6 +565,10 @@ def main() -> None:
     if all(find_spec(name) for name in _BUILTIN_DIGESTS):  # else hashlib logs each one missing
         sys.modules.setdefault("_hashlib", None)  # numpy.random's import of secrets loads it
     code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # dispatch has reported it; the exit's flush would retry it and exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     import gc  # here, so only a finished run loads it, past its peak RSS
 
     gc.freeze()  # the exit's collections would only free what the OS reclaims anyway

@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, frozen_record
-from .units import AREA, ENERGY, VOLUME, ConstantsTable, Quantity
+
+# The annotations name units' ConstantsTable and Quantity; the functions
+# that build a Quantity import units themselves, so this module loads with
+# the command line's parser and units only with a run that uses it.
 
 
 @frozen_record
@@ -70,6 +73,8 @@ def hydrogen_s_shift(
     table must be gaussian or natural.  A positive jitter whose s-state
     shift underflows to 0 is refused with ``DomainError``.
     """
+    from .units import AREA, ENERGY, VOLUME, Quantity
+
     if constants.system == "si":
         raise DomainError(
             "hydrogen_s_shift uses the Gaussian-form Coulomb potential; "
@@ -123,6 +128,8 @@ def default_cutoffs(constants: ConstantsTable) -> tuple[float, float]:
 
 def shift_to_frequency(dE: Quantity, constants: ConstantsTable) -> Quantity:
     """Convert an energy shift to a frequency: dE / h with h = 2 pi hbar."""
+    from .units import ENERGY
+
     if dE.dim != ENERGY:
         raise DomainError(f"expected an energy, got dimension [{dE.dim}]")
     return dE / constants.h

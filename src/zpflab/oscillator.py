@@ -20,7 +20,7 @@ from .errors import DomainError, frozen_record
 QUADRATURE_NODES = 2**14 + 1  # trapezoid node count
 QUADRATURE_HALF_WIDTH = 12.0  # support half-width in units of the Gaussian sigma
 MAX_SAMPLES = 2**53  # above it a sample count is not an exact float64
-_LEAF = 2**16  # draws held at once by sample_moments: 512 KiB
+_LEAF = 2**13  # draws held at once by sample_moments: 64 KiB, under glibc's mmap threshold
 
 
 @frozen_record

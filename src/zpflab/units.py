@@ -18,14 +18,12 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
+# kept at the package root, where the CLI parser reads them without loading this module
+from . import PARTICLES, SNAPSHOT, SYSTEMS
 from .errors import ConfigurationError, DimensionError, DomainError, InvariantError, frozen_record
 
-SYSTEMS = ("gaussian", "si", "natural")
-SNAPSHOT = "codata2018"
 # setuptools installs package data as plain files beside the modules
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data", f"{SNAPSHOT}.txt")
-# the snapshot's mass entry for each particle a run can name
-PARTICLES = {"electron": "m_e", "proton": "m_p"}
 
 # 1 eV in erg (from the exact SI elementary charge); display conversion only.
 ERG_PER_EV = 1.602176634e-12

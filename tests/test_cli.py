@@ -660,6 +660,23 @@ class TestDispatchPlumbing:
 
 
 
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails"
+)
+
+
+def cli_process(argv, stdout=subprocess.PIPE, unbuffered=True):
+    """A ``python -m zpflab.cli`` process run to its end, its output as bytes."""
+    env = probe_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "zpflab.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
 class TestManifest:
     def test_manifest_written_to_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -708,6 +725,47 @@ class TestManifest:
         assert result.stdout == out
         assert result.stderr == ""
         assert json.loads(path.read_text()).keys() == manifest_of(err).keys()
+
+    def test_a_result_that_cannot_be_written_empties_the_manifest_file(self, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = tmp_path / "m.json"
+        err = io.StringIO()
+        code = dispatch(["lamb", "--manifest", str(path)], ClosedPipe(), err)
+        assert code == 1
+        assert err.getvalue() == "error: cannot write the result: [Errno 32] Broken pipe\n"
+        assert path.read_text() == ""
+
+    @needs_dev_full
+    def test_a_full_manifest_file_exits_one_with_nothing_on_stdout(self):
+        result = cli_process(["constants", "--manifest", "/dev/full"])
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode().startswith("error: cannot write manifest: ")
+        assert result.stderr.count(b"\n") == 1
+
+    @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_full_stdout_exits_one_with_one_line(self, unbuffered):
+        # unbuffered, the write raised a traceback; buffered, the exit's flush exited 120
+        with open("/dev/full", "w") as full:
+            result = cli_process(["constants"], stdout=full, unbuffered=unbuffered)
+        assert result.returncode == 1
+        assert result.stderr.decode().startswith("error: cannot write the result: ")
+        assert result.stderr.count(b"\n") == 1
+
+    def test_a_closed_stdout_pipe_exits_one_with_one_line_and_no_manifest(self):
+        # the manifest, on stderr, would record a run whose result was lost
+        process = subprocess.Popen(
+            [sys.executable, "-m", "zpflab.cli", *SUBCOMMAND_RUNS["field"]],
+            env=probe_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait() == 1
+        assert stderr == b"error: cannot write the result: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -832,7 +890,8 @@ def test_oscillator_without_samples_never_loads_numpy(tmp_path):
         [argv + ["--manifest", str(path)], argv + ["--samples", str(2**53 + 1)]]
     )
     assert report["runs"] == [[0, False, False], [1, False, False]]
-    assert report["run_modules"] == [["zpflab.oscillator"], []]
+    # the first run reads hbar from units; the refused count loads nothing
+    assert report["run_modules"] == [["zpflab.oscillator", "zpflab.units"], []]
     manifest = json.loads(path.read_text())
     assert manifest["versions"]["numpy"] is None
     assert manifest["parameters"]["samples"] is None
@@ -863,12 +922,13 @@ SUBCOMMAND_RUNS = {
 
 def test_each_subcommand_module_loads_only_with_its_run():
     report = probe_fresh_interpreter(list(SUBCOMMAND_RUNS.values()))
-    # lamb adds no import of its own and is loaded with the cli, so that
-    # perfbench/tracer.py, which wraps the modules loaded before a run, traces it
-    assert report["modules"] == ["zpflab.cli", "zpflab.errors", "zpflab.lamb", "zpflab.units"]
+    # lamb imports units only inside its functions and is loaded with the cli,
+    # so that perfbench/tracer.py, which wraps the modules loaded before a run,
+    # traces it; units loads with the first run that builds a quantity
+    assert report["modules"] == ["zpflab.cli", "zpflab.errors", "zpflab.lamb"]
     assert [code for code, _, _ in report["runs"]] == [0] * len(SUBCOMMAND_RUNS)
     assert dict(zip(SUBCOMMAND_RUNS, report["run_modules"])) == {
-        "constants": [],
+        "constants": ["zpflab.units"],
         "casimir": ["zpflab.casimir"],
         "lamb": [],
         "coil": ["zpflab.coil"],
@@ -878,6 +938,18 @@ def test_each_subcommand_module_loads_only_with_its_run():
     assert report["openblas"] is None  # dispatch leaves a library caller's environment alone
     # nor does it hide OpenSSL: numpy.random's import of secrets loads it where it exists
     assert report["openssl"] == (importlib.util.find_spec("_hashlib") is not None)
+
+
+# what units loads: a field run computes in lattice units and needs none of it
+UNITS_IMPORTS = ("fractions", "decimal", "_decimal", "zpflab.units")
+
+
+def test_a_field_run_loads_no_units():
+    report = probe_fresh_interpreter([SUBCOMMAND_RUNS["field"]])
+    assert report["runs"][0][:2] == [0, True]
+    added = report["start_added"] + report["run_added"][0]
+    assert [m for m in UNITS_IMPORTS if m in added] == []
+    assert report["run_modules"] == [["zpflab.field"]]
 
 
 # stdlib modules that cost a pure run more than its computation: dataclasses

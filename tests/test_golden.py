@@ -3,17 +3,23 @@
 One small deterministic run per subcommand (several for the CSV
 renderers), plus the Casimir mode sum on the default epsilon ladder.
 A digest that moves means the printed bytes changed; every such change
-is declared in CHANGES.md together with its reason.
+is declared in CHANGES.md together with its reason.  The goldens that
+load no numpy are also run under every other CPython 3.10-3.13 on PATH.
 """
 
 import csv
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zpflab import field
+from zpflab import cli, field
 from zpflab.cli import dispatch
 
 GOLDEN = {
@@ -204,3 +210,40 @@ def test_field_golden_takes_the_route_it_names(name):
     blocks = [round(parameters["box"] / scale) for scale in parameters["scales"]]
     modes = field.class_layout(parameters["grid"], blocks)[1]
     assert ("modes" if modes else "cholesky") == FIELD_ROUTES[name]
+
+
+# The goldens that load no numpy: plain math and decimal, whose digits the
+# language fixes, so they hold on every CPython the package supports.
+PURE_GOLDENS = {name: argv for name, (argv, _, _) in GOLDEN.items()
+                if argv[0] != "field" and "--samples" not in argv}
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 14)
+                 if (3, minor) != sys.version_info[:2]]
+# Runs each {name: argv} through dispatch and prints {name: [exit code, stdout sha256]}.
+DIGEST_SCRIPT = """
+import hashlib, io, json, sys
+from zpflab.cli import dispatch
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    code = dispatch(argv, out, io.StringIO())
+    digests[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("python", OTHER_PYTHONS)
+def test_pure_goldens_print_the_same_bytes_on_another_python(python):
+    # a pyenv shim for a version that is not installed is on PATH but fails
+    exe = shutil.which(python)
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; print(sys.implementation.name)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != "cpython":
+        pytest.skip(f"no working {python} on PATH")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [exe, "-c", DIGEST_SCRIPT, json.dumps(PURE_GOLDENS)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(result.stdout) == {name: [0, GOLDEN[name][1]] for name in PURE_GOLDENS}
