@@ -88,13 +88,7 @@ def zpf_tap_estimate(
             "the sqrt(hbar c) <-> e comparison needs Gaussian-form charge; "
             "use gaussian or natural constants"
         )
-    if scale.dim != LENGTH or not scale.value > 0:
-        raise DomainError(f"scale must be a positive length, got {scale.value} [{scale.dim}]")
-    if tau.dim != TIME or not tau.value > 0:
-        raise DomainError(f"tau must be a positive time, got {tau.value} [{tau.dim}]")
-    if scale.system != constants.system or tau.system != constants.system:
-        raise DomainError("scale, tau and constants must share one unit system")
-
+    # predicted_rms checks the scale and its system, coil_current tau and its system
     field = predicted_rms(scale, constants)
     current_exact = coil_current(field, spec, tau)
     area_q = Quantity(spec.area, AREA, constants.system)

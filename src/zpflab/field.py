@@ -308,9 +308,9 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
     period, modes = class_layout(n, blocks)
     s, nz = len(blocks), n // 2 + 1
     grid = 16 * period * period * (period // 2 + 1)  # a complex class-grid array
-    if modes:  # L = N: a block's amplitude and two weighted copies; |column|^2 and a temporary
+    if modes:  # L = N: a block's s_k and its cutoff mask; |column|^2 and a temporary
         width, factor = 1, s * grid
-        build = factor + 40 * min(_BLOCK_SLABS, n) * n * nz + grid
+        build = factor + 9 * min(_BLOCK_SLABS, n) * n * nz + grid
     else:  # a block's s^2 and cutoff mask, y and its product term; Cov K; the factoring
         width, factor = s, s * (s + 1) // 2 * grid
         build = min(_BLOCK_SLABS, nz) * nz * (9 * nz + 32 * period) + factor + (s + 4) * grid
@@ -391,7 +391,7 @@ def class_covariance(spec: LatticeSpec, plans) -> np.ndarray:
     """
     n = spec.points_per_axis
     half = n // 2 + 1  # the stored kz; also the kx and ky = 0..N/2 whose s^2 is computed
-    period = math.lcm(*(p.blocks for p in plans))
+    period = class_layout(n, [p.blocks for p in plans])[0]
     minus = -np.arange(period) % period  # the class -r of each r along an axis
     pairs = [plans[a].transform * np.conj(plans[b].transform)
              for a in range(len(plans)) for b in range(a + 1)]
@@ -476,25 +476,22 @@ def _mode_columns(spec: LatticeSpec, plans) -> np.ndarray:
     """The half layout's modes as the factor's columns s_k W(k), shape (S, 1, N, N, N/2 + 1).
 
     The mode route's factor, at L = N, where the half layout is the class
-    grid and each class one mode.  Filled a block of x-slabs at a time in
-    one reused amplitude buffer, each scale's column as s_k W(kx), then
-    times W(ky), then times W(kz).
+    grid and each class one mode.  Filled a block of x-slabs at a time,
+    each scale's column written in place as s_k W(kx), then times W(ky),
+    then times W(kz).
     """
     n = spec.points_per_axis
     nz = n // 2 + 1
     factor = np.empty((len(plans), 1, n, n, nz), np.complex128)
-    amplitude = np.empty((min(_BLOCK_SLABS, n), n, nz))
     for lo in range(0, n, _BLOCK_SLABS):
         hi = min(lo + _BLOCK_SLABS, n)
-        block = amplitude[: hi - lo]
-        block[...] = _slab_std(spec, lo, hi)
+        block = _slab_std(spec, lo, hi)
         block[:, :, :: n // 2] *= math.sqrt(0.5)
         for plan, out in zip(plans, factor):
             w = plan.transform
-            weighted = block * w[lo:hi, None, None]
-            weighted *= w[None, :, None]
-            weighted *= w[None, None, :nz]
-            out[0, lo:hi] = weighted
+            column = np.multiply(block, w[lo:hi, None, None], out=out[0, lo:hi])
+            column *= w[None, :, None]
+            column *= w[None, None, :nz]
     return factor
 
 

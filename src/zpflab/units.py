@@ -8,7 +8,11 @@ natural units charge carries the M^(1/2) L^(3/2) T^(-1) dimension, which
 is what makes the sqrt(hbar*c) <-> e comparison meaningful at all.
 
 Constant values come from a pinned CODATA-2018 snapshot shipped as
-``data/codata2018.txt``; nothing is fetched at runtime.
+``data/codata2018.txt``; nothing is fetched at runtime.  Each system's
+table is built from one ordered list of its constants and their
+dimensions, which is also the order its rows print in, and every
+snapshot entry, a particle's mass too, is read through one lookup that
+refuses a missing entry as a corrupt snapshot.
 """
 
 from __future__ import annotations
@@ -47,35 +51,25 @@ class Dimension:
     charge: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("length", "mass", "time", "charge"):
+        for name in self.__match_args__:
             object.__setattr__(self, name, _frac(getattr(self, name)))
 
+    def _exponents(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(
-            self.length + other.length,
-            self.mass + other.mass,
-            self.time + other.time,
-            self.charge + other.charge,
-        )
+        return Dimension(*(a + b for a, b in zip(self._exponents(), other._exponents())))
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(
-            self.length - other.length,
-            self.mass - other.mass,
-            self.time - other.time,
-            self.charge - other.charge,
-        )
+        return Dimension(*(a - b for a, b in zip(self._exponents(), other._exponents())))
 
     def __pow__(self, exponent) -> "Dimension":
         p = _frac(exponent)
-        return Dimension(self.length * p, self.mass * p, self.time * p, self.charge * p)
+        return Dimension(*(e * p for e in self._exponents()))
 
     def __str__(self) -> str:
-        parts = []
-        for sym, exp in (("L", self.length), ("M", self.mass), ("T", self.time), ("Q", self.charge)):
-            if exp:
-                parts.append(f"{sym}^{exp}" if exp != 1 else sym)
-        return " ".join(parts) if parts else "1"
+        parts = [sym if e == 1 else f"{sym}^{e}" for sym, e in zip("LMTQ", self._exponents()) if e]
+        return " ".join(parts) or "1"
 
 
 DIMENSIONLESS = Dimension()
@@ -134,20 +128,19 @@ class Quantity:
                 f"mixed unit systems: {self.system!r} vs {other.system!r}"
             )
 
-    def __add__(self, other):
+    def _check_addend(self, other, verb: str) -> None:
         if not isinstance(other, Quantity):
-            raise DimensionError(f"cannot add Quantity and {type(other).__name__}")
+            raise DimensionError(f"cannot {verb} Quantity and {type(other).__name__}")
         self._check_partner(other)
         if self.dim != other.dim:
-            raise DimensionError(f"cannot add dimensions [{self.dim}] and [{other.dim}]")
+            raise DimensionError(f"cannot {verb} dimensions [{self.dim}] and [{other.dim}]")
+
+    def __add__(self, other):
+        self._check_addend(other, "add")
         return Quantity(self.value + other.value, self.dim, self.system)
 
     def __sub__(self, other):
-        if not isinstance(other, Quantity):
-            raise DimensionError(f"cannot subtract {type(other).__name__} from Quantity")
-        self._check_partner(other)
-        if self.dim != other.dim:
-            raise DimensionError(f"cannot subtract dimensions [{self.dim}] and [{other.dim}]")
+        self._check_addend(other, "subtract")
         return Quantity(self.value - other.value, self.dim, self.system)
 
     def __neg__(self):
@@ -186,6 +179,18 @@ class Quantity:
         return self ** Fraction(1, 2)
 
 
+# Each system's table in print order, the snapshot's: name -> dimension, None for
+# the dimensionless alpha; epsilon0 closes the fine-structure relation in SI only.
+_TABLE_DIMENSIONS = {
+    system: {
+        "hbar": ACTION, "c": VELOCITY, "e": charge_dimension(system), "m_e": MASS, "alpha": None,
+        **({"epsilon0": CHARGE_SI**2 / (ENERGY * LENGTH)} if system == "si" else {}),
+        "a0": LENGTH, "lambda_C": LENGTH, "tau_C": TIME,
+    }
+    for system in SYSTEMS
+}
+
+
 @frozen_record
 class ConstantsTable:
     """Pinned physical constants for one unit system.
@@ -214,13 +219,9 @@ class ConstantsTable:
 
     def rows(self):
         """(name, value, unit-label) rows for the CSV/JSON table output."""
-        names = ["hbar", "c", "e", "m_e", "alpha", "a0", "lambda_C", "tau_C"]
-        if self.epsilon0 is not None:
-            names.insert(5, "epsilon0")
-        for name in names:
-            attr = getattr(self, name)
-            value = attr.value if isinstance(attr, Quantity) else attr
-            yield name, value, self.labels.get(name, "")
+        for name, dim in _TABLE_DIMENSIONS[self.system].items():
+            value = getattr(self, name)
+            yield name, value if dim is None else value.value, self.labels.get(name, "")
 
 
 def _parse_snapshot(text: str) -> dict:
@@ -254,6 +255,14 @@ def _snapshot_entries() -> dict:
     return _parse_snapshot(text)
 
 
+def _entry(system: str, name: str) -> float:
+    """The snapshot's value of system.name; a missing entry is a corrupt snapshot."""
+    try:
+        return _snapshot_entries()[(system, name)][0]
+    except KeyError:
+        raise InvariantError(f"constants snapshot missing {system}.{name}") from None
+
+
 def _verify(table: ConstantsTable) -> ConstantsTable:
     if table.system == "si":
         assert table.epsilon0 is not None
@@ -281,42 +290,12 @@ def _verify(table: ConstantsTable) -> ConstantsTable:
 @lru_cache(maxsize=None)
 def constants_for(system: str) -> ConstantsTable:
     """Build the pinned ConstantsTable for one of gaussian, si, natural."""
-    _require_system(system)
-    entries = _snapshot_entries()
-
-    def pick(name: str) -> tuple[float, str]:
-        try:
-            return entries[(system, name)]
-        except KeyError as exc:
-            raise InvariantError(f"constants snapshot missing {system}.{name}") from exc
-
-    def q(name: str, dim: Dimension) -> Quantity:
-        return Quantity(pick(name)[0], dim, system)
-
-    labels = {
-        name: entries[(sys_, name)][1]
-        for (sys_, name) in entries
-        if sys_ == system
+    values = {
+        name: _entry(system, name) if dim is None else Quantity(_entry(system, name), dim, system)
+        for name, dim in _TABLE_DIMENSIONS[_require_system(system)].items()
     }
-    table = ConstantsTable(
-        system=system,
-        snapshot=SNAPSHOT,
-        hbar=q("hbar", ACTION),
-        c=q("c", VELOCITY),
-        e=q("e", charge_dimension(system)),
-        m_e=q("m_e", MASS),
-        alpha=pick("alpha")[0],
-        a0=q("a0", LENGTH),
-        lambda_C=q("lambda_C", LENGTH),
-        tau_C=q("tau_C", TIME),
-        epsilon0=(
-            Quantity(pick("epsilon0")[0], CHARGE_SI**2 / (ENERGY * LENGTH), "si")
-            if system == "si"
-            else None
-        ),
-        labels=labels,
-    )
-    return _verify(table)
+    labels = {n: label for (sys_, n), (_, label) in _snapshot_entries().items() if sys_ == system}
+    return _verify(ConstantsTable(system=system, snapshot=SNAPSHOT, labels=labels, **values))
 
 
 def particle_mass(name: str, system: str) -> Quantity:
@@ -325,8 +304,7 @@ def particle_mass(name: str, system: str) -> Quantity:
     key = PARTICLES.get(name)
     if key is None:
         raise DomainError(f"unknown particle {name!r}; expected {' or '.join(PARTICLES)}")
-    entries = _snapshot_entries()
-    return Quantity(entries[(system, key)][0], MASS, system)
+    return Quantity(_entry(system, key), MASS, system)
 
 
 def compton_time(mass: Quantity) -> Quantity:

@@ -185,6 +185,14 @@ class TestCoilCommand:
         assert code == 1
         assert "resistance" in err
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_nonpositive_scale_exits_one(self, scale):
+        code, out, err = run(["coil", "--turns", "1", "--area", "1", "--resistance", "1",
+                              "--scale", scale])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "scale" in err and repr(float(scale)) in err
+
 
 class TestConstantsCommand:
     @pytest.mark.parametrize("system", ["gaussian", "si", "natural"])
@@ -238,6 +246,18 @@ class TestConstantsCommand:
         assert code == 2 and out == ""
         assert err.startswith("internal error: " + message.format(path=path))
         assert err.count("\n") == 1
+
+    def test_a_snapshot_without_the_proton_mass_exits_two_with_one_line(self, snapshot_at,
+                                                                        tmp_path):
+        shipped = Path(units.SNAPSHOT_PATH).read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "codata2018.txt"
+        path.write_text("".join(line for line in shipped if ".m_p =" not in line),
+                        encoding="utf-8")
+        snapshot_at(path)
+        code, out, err = run(["coil", "--turns", "1", "--area", "1", "--resistance", "1",
+                              "--scale", "1", "--particle", "proton"])
+        assert code == 2 and out == ""
+        assert err == "internal error: constants snapshot missing gaussian.m_p\n"
 
 
 class TestOscillatorCommand:

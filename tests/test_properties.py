@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import per_mode
@@ -228,3 +229,27 @@ def test_exact_rms_is_the_per_mode_oracles(route, data):
     cov = per_mode.class_covariance(per_mode.mode_std(spec), plans)
     oracle = [2 * float(cov[a, a].real.sum()) for a in range(len(plans))]
     assert np.sqrt(law.mean_squares) == pytest.approx(np.sqrt(oracle), rel=1e-12, abs=0)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_run_bytes_bound_the_traced_peak_of_any_layout(data):
+    # _run_bytes adds terms no phase holds at once, so it is at least the
+    # peak on either route.  Only that side is checked: on a tiny layout its
+    # fixed term for numpy's iterator buffers is many times the peak.
+    n = data.draw(st.sampled_from(range(8, 49, 2)), label="grid")
+    divisors = [m for m in range(1, n // 2 + 1) if n % m == 0]
+    cells = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5, unique=True),
+                      label="cells")
+    window = data.draw(st.sampled_from(field.WINDOWS), label="window")
+    spec = field.LatticeSpec(box_size=1.0, points_per_axis=n)
+    scales = [m / n for m in cells]
+    field.scaling_run(spec, scales, draws=2, seed=0, window=window)  # one-time lazy imports
+    tracemalloc.start()
+    try:
+        field.scaling_run(spec, scales, draws=3, seed=1, window=window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field._run_bytes(n, [n // m for m in cells], 3) >= peak

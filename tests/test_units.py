@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zpflab import units
 from zpflab.errors import ConfigurationError, DimensionError, DomainError
 from zpflab.units import (
     ACTION,
@@ -16,6 +17,7 @@ from zpflab.units import (
     LENGTH,
     MASS,
     TIME,
+    ConstantsTable,
     Dimension,
     Quantity,
     compton_time,
@@ -135,6 +137,20 @@ class TestConstantsTables:
     def test_rows_cover_table(self):
         names = [row[0] for row in constants_for("si").rows()]
         assert names == ["hbar", "c", "e", "m_e", "alpha", "epsilon0", "a0", "lambda_C", "tau_C"]
+
+    @pytest.mark.parametrize("system", ["gaussian", "si", "natural"])
+    def test_rows_are_the_snapshot_entries_in_file_order(self, system):
+        # the table's one list of constants, read against the file itself
+        with open(units.SNAPSHOT_PATH, encoding="utf-8") as f:
+            keys = [line.partition("=")[0].strip() for line in f
+                    if line.strip() and not line.startswith("#")]
+        entries = [key.partition(".")[2] for key in keys if key.partition(".")[0] == system]
+        expected = [name for name in entries if name != "m_p"]
+        assert [row[0] for row in constants_for(system).rows()] == expected
+
+    def test_record_fields_are_the_si_rows(self):
+        fields = set(ConstantsTable.__match_args__) - {"system", "snapshot", "labels"}
+        assert sorted(fields) == sorted(row[0] for row in constants_for("si").rows())
 
 
 class TestComptonTime:
