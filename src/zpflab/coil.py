@@ -13,7 +13,6 @@ is surfaced in every result rather than silently absorbed.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import DomainError, InvariantError, frozen_record
 from .units import (
@@ -95,17 +94,9 @@ def zpf_tap_estimate(
     resistance_q = Quantity(
         spec.resistance, resistance_dimension(constants.system), constants.system
     )
-    charge = spec.turns * area_q / resistance_q * constants.e
-    extent_time = scale**2 * tau
-    current_via_charge = charge / extent_time
-    # Every factor of both routes must be a normal float before the ratio guard:
-    # a subnormal one keeps too few digits to compare, an infinite one none.
-    factors = (
-        field, spec.turns * field * area_q, resistance_q * tau, current_exact,
-        charge, extent_time, current_via_charge,
-    )
-    if not all(sys.float_info.min <= q.value <= sys.float_info.max for q in factors):
-        raise DomainError("the inputs put a tap-current factor outside the normal float range")
+    current_via_charge = spec.turns * area_q / resistance_q * constants.e / (scale**2 * tau)
+    # Quantity keeps every factor of both routes a normal float, or refuses it, before
+    # the ratio guard: a subnormal one keeps too few digits to compare, an infinite one none.
     ratio = current_exact.value / current_via_charge.value
     expected = 1.0 / math.sqrt(constants.alpha)
     if abs(ratio - expected) > RATIO_GUARD_REL * expected:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all zpflab modules, the ``frozen_record`` decorator
-that makes their frozen value classes, and the memory they check sizes against."""
+that makes their frozen value classes, the one rule for a result's float range,
+and the memory they check sizes against."""
 
 import os
+import sys
 
 
 class ZpfLabError(Exception):
@@ -82,6 +84,17 @@ def frozen_record(cls):
         setattr(cls, method.__name__, method)
     cls.__match_args__ = names
     return cls
+
+
+def normal_float(value: float, what: str) -> float:
+    """``value`` if it is a normal float, else a DomainError naming ``what``.
+
+    A subnormal keeps too few digits to compute or compare with, and 0, an
+    infinity or NaN none; a caller for whom 0 is exact tests it first.
+    """
+    if not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        raise DomainError(f"{what} at {value!r}, outside the normal float range")
+    return value
 
 
 def physical_memory_bytes() -> float:

@@ -54,12 +54,12 @@ a time, and only for kx and ky = 0..N/2: sigma^2 is even in each, and
 W(-k) = conj W(k).  Each slab is folded into Cov K, and again as slab
 N - x, as soon as it is made, so the build holds Cov K, one block of s^2
 and two (block, L, N/2 + 1) buffers, and no N^3 array.
-It then factors every class with a diagonal-scaled semidefinite
-Cholesky; ``draw_mean_squares`` draws J from the factor (about 2.3 k
-complex normals per scale at the default, at any N), folds it from L
-down to each scale's nb classes, completes the Hermitian symmetry and
-takes the energy of the fold, which by Parseval is the mean square of
-the cube averages.  The trace of Cov K gives each scale's exact ensemble
+It then factors every class with a semidefinite Cholesky whose pivot
+floor is relative to the class's diagonal entry; ``draw_mean_squares``
+draws J from the factor (about 2.3 k complex normals per scale at the
+default, at any N), folds it from L down to each scale's nb classes,
+completes the Hermitian symmetry and takes the energy of the fold,
+which by Parseval is the mean square of the cube averages.  The trace of Cov K gives each scale's exact ensemble
 mean square, 2 sum_r Cov K_r[a, a], at no extra cost.  The build adds
 its y- and x-aliases one at a time, every other alias-class sum is one
 ``_fold``, and every contraction in the build, the factor and a draw is
@@ -91,7 +91,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from numpy.random import SeedSequence, default_rng
 
-from .errors import ConfigurationError, DomainError, frozen_record, physical_memory_bytes
+from .errors import (
+    ConfigurationError, DomainError, frozen_record, normal_float, physical_memory_bytes,
+)
 
 WINDOWS = ("tophat", "hann")
 # k_max may exceed Nyquist by this factor, and the cut keeps every shell up
@@ -277,7 +279,9 @@ def scale_plans(n: int, cells, window: str) -> tuple[ScalePlan, ...]:
 # time, the last block taking what is left, so the build's temporaries grow
 # as N^2, not N^3.
 _BLOCK_SLABS = 8
-_PIVOT_FLOOR = 1e-12  # a pivot of a class's correlation matrix at or below this is rank lost
+# a pivot at or below this times its class's diagonal entry is rank lost: the
+# same test as a floor on the pivot of the class's correlation matrix, at every scale
+_PIVOT_FLOOR = 1e-12
 
 
 def class_layout(n: int, blocks) -> tuple[int, bool]:
@@ -313,7 +317,7 @@ def _run_bytes(n: int, blocks, draws: int) -> int:
         build = factor + 9 * min(_BLOCK_SLABS, n) * n * nz + grid
     else:  # a block's s^2 and cutoff mask, y and its product term; Cov K; the factoring
         width, factor = s, s * (s + 1) // 2 * grid
-        build = min(_BLOCK_SLABS, nz) * nz * (9 * nz + 32 * period) + factor + (s + 4) * grid
+        build = min(_BLOCK_SLABS, nz) * nz * (9 * nz + 32 * period) + factor + 4 * grid
     # the normals, class sums and product term; at the largest nb, the (nb, nb, nb) fold,
     # its completion and the three float arrays of its squares and their sum
     draw = factor + (width + 2) * grid + 56 * max(blocks) ** 3
@@ -441,35 +445,27 @@ def _factor_in_place(rows) -> None:
 
     ``rows`` are the packed rows of ``class_covariance``: rows[a][b] is
     entry (a, b), b <= a, and becomes F_r[a, b].  Every class at once, in
-    elementwise numpy with loops over the scales only.  Each class is
-    scaled to its correlation matrix first, dividing entry (a, b) by
-    sqrt(Cov_r[a, a]) and by sqrt(Cov_r[b, b]) one at a time:
-    |Cov_r[a, b]| <= sqrt(Cov_r[a, a] Cov_r[b, b]) bounds each quotient,
-    whatever the size of the diagonal entries.  A pivot at or below
-    ``_PIVOT_FLOOR`` leaves its column zero, so a rank-deficient class (the
-    tophat's transform has exact zeros) gets a semidefinite factor; a
-    diagonal entry of 0 is such a pivot, and the scale it restores at the
-    end zeroes its row.
+    elementwise numpy with loops over the scales only.  A pivot at or
+    below ``_PIVOT_FLOOR`` times its diagonal entry Cov_r[j, j] leaves its
+    column zero, so a rank-deficient class (the tophat's transform has
+    exact zeros) gets a semidefinite factor; a diagonal entry of 0 is such
+    a pivot.  The floor is relative, so scaling a class by 4^k scales its
+    factor by 2^k, bit for bit.  The law is built at box 1 and kappa 1,
+    where every entry is 0 or well inside the float range, so the factoring
+    needs no rescaling against overflow or underflow.
     """
     s = len(rows)
-    scale = np.sqrt(np.stack([row[a].real for a, row in enumerate(rows)]))
-    divisor = np.where(scale > 0, scale, 1.0)
-    for a, row in enumerate(rows):
-        row /= divisor[a]
-        row /= divisor[: a + 1]
     for j in range(s):
         pivot = rows[j][j].real.copy()
         for k in range(j):
             pivot -= rows[j][k].real ** 2 + rows[j][k].imag ** 2
-        live = pivot > _PIVOT_FLOOR
+        live = pivot > _PIVOT_FLOOR * rows[j][j].real
         root = np.sqrt(np.where(live, pivot, 1.0))
         rows[j][j] = np.where(live, root, 0.0)
         for i in range(j + 1, s):
             for k in range(j):
                 rows[i][j] -= rows[i][k] * np.conj(rows[j][k])
             rows[i][j] = np.where(live, rows[i][j] / root, 0.0)
-    for a, row in enumerate(rows):
-        row *= scale[a]
 
 
 def _mode_columns(spec: LatticeSpec, plans) -> np.ndarray:
@@ -597,15 +593,13 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # whose exp is still a float
 
 
 def _outside_the_floats(value: str) -> DomainError:
-    """The one refusal of a reported value, ``value`` as the message shows it."""
+    """The refusal of an amplitude past the floats, ``value`` as the message shows it."""
     return DomainError(f"kappa and box put a result at {value}, outside the normal floats")
 
 
 def _reported(lattice: float, value: float) -> float:
     """``value``, refused unless it is a normal float, or 0 where its ``lattice`` value is."""
-    if lattice and not sys.float_info.min <= abs(value) <= sys.float_info.max:
-        raise _outside_the_floats(repr(value))
-    return value
+    return normal_float(value, "kappa and box put a result") if lattice else value
 
 
 def _in_box(spec: LatticeSpec, values) -> tuple[float, ...]:

@@ -71,7 +71,8 @@ def hydrogen_s_shift(
 
     Uses the Gaussian-form Coulomb potential -e^2/r, so the constants
     table must be gaussian or natural.  A positive jitter whose s-state
-    shift underflows to 0 is refused with ``DomainError``.
+    shift, or a factor of it, leaves the normal floats is refused with
+    ``DomainError`` by the ``Quantity`` that holds it.
     """
     from .units import AREA, ENERGY, VOLUME, Quantity
 
@@ -88,10 +89,6 @@ def hydrogen_s_shift(
     )
     shift = 0.5 * jitter_q * (4.0 * math.pi) * constants.e**2 * density_q
     assert shift.dim == ENERGY
-    if shift.value == 0.0:  # a positive jitter whose product fell below the float range
-        raise DomainError(
-            f"the n={state.n} s-state shift of jitter {jitter.value!r} underflowed to 0"
-        )
     return shift
 
 

@@ -13,9 +13,8 @@ sampling holds no more than a leaf of its draws at a time.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import DomainError, frozen_record
+from .errors import DomainError, frozen_record, normal_float
 
 QUADRATURE_NODES = 2**14 + 1  # trapezoid node count
 QUADRATURE_HALF_WIDTH = 12.0  # support half-width in units of the Gaussian sigma
@@ -35,14 +34,8 @@ class OscillatorParams:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise DomainError(f"oscillator parameter {name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, float(v))
-        if not 0.0 < self.m * self.omega < math.inf:
-            raise DomainError(f"m*omega must be finite and > 0, got {self.m * self.omega!r}")
-        # a subnormal variance keeps too few digits to sample or compare, one of 0 none
-        variance = position_variance(self)
-        if variance < sys.float_info.min:
-            raise DomainError(
-                f"the variance hbar/(2 m omega) = {variance!r} is below the normal float range"
-            )
+        normal_float(self.m * self.omega, "m*omega")
+        normal_float(position_variance(self), "the variance hbar/(2 m omega)")
 
 
 def ground_state_psi(x, p: OscillatorParams):
@@ -109,7 +102,7 @@ def sample_moments(p: OscillatorParams, seed: int | None, n: int) -> tuple[float
 
     mean = summed(np.add.reduce) / n
     squares = summed(lambda x: np.add.reduce(np.square(np.subtract(x, mean, out=x), out=x)))
-    return mean, squares / (n - 1)
+    return mean, normal_float(squares / (n - 1), "the sample variance")
 
 
 def normalization_quadrature(p: OscillatorParams) -> float:

@@ -13,6 +13,12 @@ table is built from one ordered list of its constants and their
 dimensions, which is also the order its rows print in, and every
 snapshot entry, a particle's mass too, is read through one lookup that
 refuses a missing entry as a corrupt snapshot.
+
+A ``Quantity``'s value is 0 or a normal float, by construction: one that
+is subnormal, infinite or NaN is refused, and so is a 0 that ``*``, ``/``
+or ``**`` made from nonzero operands, which underflowed.  So every
+intermediate of a dimensioned result keeps its digits, or the result is
+refused where the digits were lost.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from functools import lru_cache
 
 # kept at the package root, where the CLI parser reads them without loading this module
 from . import PARTICLES, SNAPSHOT, SYSTEMS
-from .errors import ConfigurationError, DimensionError, DomainError, InvariantError, frozen_record
+from .errors import (
+    ConfigurationError, DimensionError, DomainError, InvariantError, frozen_record, normal_float,
+)
 
 # setuptools installs package data as plain files beside the modules
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data", f"{SNAPSHOT}.txt")
@@ -111,7 +119,9 @@ class Quantity:
 
     Multiplicative arithmetic composes dimensions; addition and subtraction
     require identical dimension and system.  Mixing systems always errors:
-    conversions happen explicitly at the boundary, never implicitly.
+    conversions happen explicitly at the boundary, never implicitly.  The
+    value is 0 or a normal float, and a product, quotient or power of
+    nonzero operands is not 0.
     """
 
     value: float
@@ -119,8 +129,17 @@ class Quantity:
     system: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if value:  # 0 is exact
+            normal_float(value, "a dimensioned quantity")
+        object.__setattr__(self, "value", value)
         _require_system(self.system)
+
+    def _made(self, value: float, dim: Dimension, *operands) -> "Quantity":
+        """The result of ``*``, ``/`` or ``**``; a 0 made from nonzero ``operands`` underflowed."""
+        if not value and all(operands):
+            normal_float(value, f"a [{dim}] result of nonzero operands")
+        return Quantity(value, dim, self.system)
 
     def _check_partner(self, other: "Quantity") -> None:
         if self.system != other.system:
@@ -149,9 +168,10 @@ class Quantity:
     def __mul__(self, other):
         if isinstance(other, Quantity):
             self._check_partner(other)
-            return Quantity(self.value * other.value, self.dim * other.dim, self.system)
+            product = self.value * other.value
+            return self._made(product, self.dim * other.dim, self.value, other.value)
         if isinstance(other, (int, float)):
-            return Quantity(self.value * other, self.dim, self.system)
+            return self._made(self.value * other, self.dim, self.value, other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -159,21 +179,21 @@ class Quantity:
     def __truediv__(self, other):
         if isinstance(other, Quantity):
             self._check_partner(other)
-            return Quantity(self.value / other.value, self.dim / other.dim, self.system)
+            return self._made(self.value / other.value, self.dim / other.dim, self.value)
         if isinstance(other, (int, float)):
-            return Quantity(self.value / other, self.dim, self.system)
+            return self._made(self.value / other, self.dim, self.value)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quantity(other / self.value, DIMENSIONLESS / self.dim, self.system)
+            return self._made(other / self.value, DIMENSIONLESS / self.dim, other)
         return NotImplemented
 
     def __pow__(self, exponent):
         p = _frac(exponent)
         if p.denominator != 1 and self.value < 0:
             raise DomainError(f"fractional power of negative quantity {self.value}")
-        return Quantity(self.value ** float(p), self.dim**p, self.system)
+        return self._made(self.value ** float(p), self.dim**p, self.value)
 
     def sqrt(self) -> "Quantity":
         return self ** Fraction(1, 2)

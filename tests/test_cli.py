@@ -516,6 +516,14 @@ OUT_OF_FLOAT_RANGE = [
     "oscillator --m 2.3e-308 --omega 1 --units natural --samples 64",
     "oscillator --omega 1 --samples 16 --m 1e300",
     "oscillator --m 1e300 --omega 1",
+    # each passes a dimensioned intermediate, or the sample variance, through the
+    # subnormal floats, where it keeps too few digits: the forces would print off
+    # the A / l^4 law, the shifts 2.2 % off the jitter and n^-3 laws
+    "casimir --area 1e-300 --sep 1",
+    "casimir --area 1e-200 --sep 1e-80",
+    "lamb --jitter 1e-305",
+    f"lamb --n {10**102}",
+    "oscillator --m 2.2e307 --omega 1 --units natural --samples 16 --seed 1",
 ]
 
 
@@ -567,6 +575,15 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_shift_at_large_n_keeps_the_n_cubed_law():
+    # the control of OUT_OF_FLOAT_RANGE's n = 10^102: at n = 10^96 every factor is normal
+    code, out, err = run(["lamb", "--n", str(10**96), "--format", "json"])
+    assert code == 0, err
+    at_two = json.loads(run(["lamb", "--n", "2", "--format", "json"])[1])["delta_e_erg"]
+    law = at_two * (2 / 10**96) ** 3
+    assert json.loads(out)["delta_e_erg"] == pytest.approx(law, rel=1e-12, abs=0)
 
 
 # Each asks for more than can be run, so nothing is allocated: scaling_run

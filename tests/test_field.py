@@ -878,6 +878,32 @@ class TestClassLaw:
         trace = [2 * float(cov[a * (a + 1) // 2 + a].real.sum()) for a in range(4)]
         assert list(law.mean_squares) == trace
 
+    @pytest.mark.parametrize("k", [-100, -20, 20, 100])
+    @pytest.mark.parametrize(
+        "spec, window, dead",
+        [
+            (MEDIUM, "tophat", 0),
+            (LatticeSpec(box_size=1.0, points_per_axis=64), "hann", 0),
+            (LatticeSpec(box_size=1.0, points_per_axis=32, k_max=12.6), "tophat", 9128),
+        ],
+        ids=["N32-tophat", "N64-hann", "N32-tophat-kmax"],
+    )
+    def test_the_pivot_floor_scales_with_the_class(self, spec, window, dead, k):
+        # Cov K x 4^k has the factor 2^k F bit for bit: every product, quotient
+        # and root of the factoring is exact in the power of two, and the floor,
+        # relative to each class's diagonal entry, drops the same pivots at
+        # every k, those of the zero diagonal entries (dead) among them
+        cov = class_covariance(spec, plans_for(spec, [1 / 16, 1 / 8, 1 / 4, 1 / 2], window))
+        assert sum(int(np.sum(cov[a * (a + 1) // 2 + a] == 0)) for a in range(4)) == dead
+
+        def factored(c):
+            field._factor_in_place(tuple(c[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2]
+                                         for a in range(4)))
+            return c
+
+        expected = factored(cov.copy()) * 2.0**k
+        assert np.array_equal(factored(cov * 4.0**k).view(np.int64), expected.view(np.int64))
+
     @pytest.mark.parametrize("window", WINDOWS)
     def test_row_a_of_the_packed_factor_is_its_a_plus_one_columns(self, window):
         # L = 16 at any N: scale a's columns j <= a are one slice of the

@@ -72,7 +72,7 @@ GOLDEN = {
         # its scales' L = 8 is below N, so it takes the Cholesky route
         ["field", "scaling-run", "--grid", "16", "--draws", "3", "--seed", "21", "--box", "2",
          "--window", "tophat", "--format", "csv", "--scales", "0.5,0.25,1"],
-        "c428a2f6ff753dd435e1310ce47bcace7ff03dcf3e15ae140453567404d88b61",
+        "3c6ef52cf5dd250e5d9e35edf266169e1971912bb239a7b37ca67d40de27873b",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 16, "k_max": 25.132741228718345,
          "kappa": 1.0, "scales": [0.25, 0.5, 1.0], "seed": 21, "window": "tophat"},
     ),
@@ -80,7 +80,7 @@ GOLDEN = {
         # 64^3 on the default scales: the class grid L = 16 is below N, so the
         # law is the Cholesky factor of the class covariance, as in a benchmark run
         ["field", "scaling-run", "--grid", "64", "--draws", "3", "--seed", "13"],
-        "b694a3a40d87a6ed2dc15b915760ae85039883625f1fd4e73def6f5ae7ddc143",
+        "f4d5d2017b6d844a528e8f35e5a780386f446a6a06a4301af0a8a92524e173db",
         {"box": 1.0, "draws": 3, "format": None, "grid": 64, "k_max": 201.06192982974676,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 13, "window": "hann"},
     ),
@@ -88,14 +88,14 @@ GOLDEN = {
         # the Cholesky route with the tophat window and a cutoff far below Nyquist
         ["field", "scaling-run", "--grid", "32", "--window", "tophat", "--box", "2",
          "--k-max", "6.3", "--draws", "3", "--format", "csv"],
-        "2eb0fc308ad98f62018b0f4c9b1e3ae78441fe08aa0a841512200301985947bb",
+        "59b79e55aabd52b7a85a393999f6e65f0ea961708b5170519bf972071d6c888c",
         {"box": 2.0, "draws": 3, "format": "csv", "grid": 32, "k_max": 6.3, "kappa": 1.0,
          "scales": [0.125, 0.25, 0.5, 1.0], "seed": 0, "window": "tophat"},
     ),
     "field-cholesky-128": (
         # the scale target's grid, with the arguments of the field_scale benchmark
         ["field", "scaling-run", "--grid", "128", "--draws", "2", "--seed", "5"],
-        "7aee5ecd9e88b72294498b27f55841628740927ba76e8db423c7e7cfa75f11ab",
+        "9fe5fd7a4e61275a24862ac5c1a0f0009897cea0d0ded255d45f514fbcb7d4b7",
         {"box": 1.0, "draws": 2, "format": None, "grid": 128, "k_max": 402.1238596594935,
          "kappa": 1.0, "scales": [0.0625, 0.125, 0.25, 0.5], "seed": 5, "window": "hann"},
     ),

@@ -101,9 +101,10 @@ class TestHydrogenShift:
 
     @pytest.mark.parametrize("state, j", [(HydrogenState(n=2), 1e-320), (HydrogenState(n=1), 5e-324)])
     def test_positive_jitter_whose_shift_underflows_is_refused(self, state, j):
-        # 0.5 * j * 4 pi * e^2 falls below the smallest subnormal before |psi(0)|^2
-        # scales it back up, so the product is 0.0 although every factor is positive
-        with pytest.raises(DomainError, match="underflowed to 0"):
+        # 0.5 * j * 4 pi * e^2 would fall below the smallest subnormal before
+        # |psi(0)|^2 scales it back up; both jitters are subnormal already, so
+        # the Quantity that holds the jitter refuses it first
+        with pytest.raises(DomainError, match="at (1e-320|5e-324), outside the normal float range"):
             hydrogen_s_shift(state, JitterVariance(j), GAUSSIAN)
 
     def test_matches_oracle_arithmetic(self):

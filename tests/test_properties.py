@@ -10,11 +10,12 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import per_mode
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from zpflab import field
@@ -144,6 +145,41 @@ def check_dispatch(argv):
 @given(data=st.data())
 def test_every_input_ends_in_a_documented_way(subcommand, data):
     check_dispatch(data.draw(SUBCOMMANDS[subcommand], label="argv"))
+
+
+# 10^e over the whole float range, its subnormals included
+MAGNITUDES = st.integers(-320, 308).map(lambda e: float(f"1e{e}"))
+
+
+def answered(argv):
+    """The JSON result of argv if it exits 0, else None; either way a documented end."""
+    code, out, _ = check_dispatch(argv + ["--format", "json"])
+    return json.loads(out) if code == 0 else None
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(area=MAGNITUDES, sep=MAGNITUDES, units=UNITS)
+@example(area=1e-300, sep=1.0, units="gaussian")
+@example(area=1e-200, sep=1e-80, units="gaussian")
+@example(area=1.0, sep=1e-78, units="gaussian")
+def test_every_answered_casimir_force_keeps_the_area_over_l4_law(area, sep, units):
+    # a force is answered only where every factor of it kept its digits
+    force = answered(["casimir", flag("area", area), flag("sep", sep), "--units", units])
+    if force is not None:
+        unit = answered(["casimir", "--area=1", "--sep=1", "--units", units])["force_closed"]
+        law = Fraction(unit) * Fraction(area) / Fraction(sep) ** 4
+        assert force["force_closed"] == pytest.approx(float(law), rel=1e-12, abs=0)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(jitter=MAGNITUDES)
+@example(jitter=1e-305)
+def test_every_answered_lamb_shift_is_linear_in_the_jitter(jitter):
+    shift = answered(["lamb", flag("jitter", jitter)])
+    if shift is not None:
+        unit = answered(["lamb", "--jitter=1e-20"])["delta_e_erg"]
+        law = Fraction(unit) * Fraction(jitter) / Fraction(1e-20)
+        assert shift["delta_e_erg"] == pytest.approx(float(law), rel=1e-12, abs=0)
 
 
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
