@@ -30,17 +30,18 @@ which computes in lattice units, adds only ``field`` and numpy.  ``lamb``
 is imported with this module, because ``perfbench/tracer.py`` traces only
 the modules that importing this one loads; it imports ``units`` inside
 its functions.  Only the field run and the oscillator's ``--samples``
-compute with arrays; they load numpy and run under numpy's raising
-float-error state.  The samples are streamed a leaf of draws at a time,
-never held whole, and a count past 2**53 is refused before numpy loads.
-The rest is pure ``math``/``decimal`` and never loads numpy, whose import
-would be most of its run time.  Its float errors need no such state:
-Python raises ``OverflowError`` or ``ZeroDivisionError``, and a result
-that overflowed to inf is refused when it is rendered.  Start-up is most
-of such a run, so it loads no ``dataclasses`` (the value classes are
-``errors.frozen_record`` ones) and no ``importlib.resources`` (``units``
-reads its snapshot with ``open``), and ``_csv`` imports ``csv`` only for
-a CSV table.
+compute with arrays; they load numpy, and ``field.scaling_run`` and
+``oscillator.sample_moments`` set numpy's raising float-error state
+themselves, so an overflow in their arrays raises ``FloatingPointError``.
+The samples are streamed a leaf of draws at a time, never held whole,
+and a count past 2**53 is refused before numpy loads.  The rest is pure
+``math``/``decimal`` and never loads numpy, whose import would be most
+of its run time.  Its dimensioned intermediates are ``units.Quantity``
+values, which refuse a product, quotient or power outside the normal
+float range with a ``DomainError``.  Start-up is most of such a run, so
+it loads no ``dataclasses`` (the value classes are ``errors.frozen_record``
+ones) and no ``importlib.resources`` (``units`` reads its snapshot with
+``open``), and ``_csv`` imports ``csv`` only for a CSV table.
 
 No zpflab code calls BLAS, so ``main`` sets ``OPENBLAS_NUM_THREADS=1``
 unless the caller has set it, before any handler loads numpy: OpenBLAS
@@ -181,17 +182,6 @@ def _seed(raw: str) -> int:
     return int(raw)
 
 
-def _raising_float_errors():
-    """numpy's overflow, division and invalid-value errors raised, inside a ``with`` block.
-
-    numpy raises them as FloatingPointError, an ArithmeticError, which
-    ``dispatch`` reports as a number that left the float range.
-    """
-    import numpy as np
-
-    return np.errstate(over="raise", divide="raise", invalid="raise")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors raise instead of exiting(2)."""
 
@@ -317,8 +307,7 @@ def _cmd_oscillator(args):
                 f"--samples must be >= 2 for a sample variance and <= 2**53 for an exact "
                 f"mean, got {n}"
             )
-        with _raising_float_errors():
-            mean, variance = osc_mod.sample_moments(params, seed=args.seed, n=n)
+        mean, variance = osc_mod.sample_moments(params, seed=args.seed, n=n)
         payload["sample_count"] = n
         payload["sample_mean"] = mean
         payload["sample_variance"] = variance
@@ -342,10 +331,9 @@ def _cmd_field_scaling(args):
         k_max=args.k_max,
         spectrum_normalization=args.kappa,
     )
-    with _raising_float_errors():
-        report, fit = field_mod.scaling_run(
-            spec, args.scales, draws=args.draws, seed=args.seed, window=args.window
-        )
+    report, fit = field_mod.scaling_run(
+        spec, args.scales, draws=args.draws, seed=args.seed, window=args.window
+    )
     args.k_max = spec.k_max
     args.scales = list(report.scales)
     args.convergence = {

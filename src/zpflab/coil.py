@@ -58,10 +58,6 @@ def predicted_rms(scale: Quantity, constants: ConstantsTable) -> Quantity:
         raise DomainError(f"scale must carry length dimension, got [{scale.dim}]")
     if not scale.value > 0:
         raise DomainError(f"scale must be > 0, got {scale.value}")
-    if scale.system != constants.system:
-        raise DomainError(
-            f"scale system {scale.system!r} does not match constants {constants.system!r}"
-        )
     return (constants.hbar * constants.c).sqrt() / scale**2
 
 
@@ -87,7 +83,7 @@ def zpf_tap_estimate(
             "the sqrt(hbar c) <-> e comparison needs Gaussian-form charge; "
             "use gaussian or natural constants"
         )
-    # predicted_rms checks the scale and its system, coil_current tau and its system
+    # predicted_rms checks the scale and coil_current tau; their quotients refuse another system
     field = predicted_rms(scale, constants)
     current_exact = coil_current(field, spec, tau)
     area_q = Quantity(spec.area, AREA, constants.system)

@@ -612,6 +612,7 @@ def _in_box(spec: LatticeSpec, values) -> tuple[float, ...]:
     return tuple(_reported(v, v * root_kappa / box / box) for v in values)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def scaling_run(
     spec: LatticeSpec,
     scales: list[float] | None,
@@ -635,7 +636,9 @@ def scaling_run(
     to the fit is computed at box 1 and kappa 1, on the lattice scales m/N,
     and ``_in_box`` then puts the rms, stderr and exact RMS in the box's
     units.  A reported value, the amplitude too, that is not a normal float
-    where its lattice value is not 0 raises ``DomainError``.
+    where its lattice value is not 0 raises ``DomainError``.  The run holds
+    numpy's raising float-error state, so an array overflow, division by
+    zero or invalid value raises ``FloatingPointError``, not a warning.
     """
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")

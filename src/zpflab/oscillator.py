@@ -31,9 +31,9 @@ class OscillatorParams:
     def __post_init__(self):
         for name in ("m", "omega", "hbar"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and v > 0):
                 raise DomainError(f"oscillator parameter {name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, normal_float(float(v), f"oscillator parameter {name}"))
         normal_float(self.m * self.omega, "m*omega")
         normal_float(position_variance(self), "the variance hbar/(2 m omega)")
 
@@ -84,7 +84,9 @@ def sample_moments(p: OscillatorParams, seed: int | None, n: int) -> tuple[float
     each summed in numpy's pairwise order.  Both passes are seeded from one
     ``SeedSequence(seed)``, so they read the same stream even for a seed
     of None, whose OS entropy is drawn once; a ``Generator``, whose stream
-    a second pass could only continue, raises TypeError.
+    a second pass could only continue, raises TypeError.  The passes hold
+    numpy's raising float-error state, so a draw or square that overflows
+    raises ``FloatingPointError``, not a warning.
     """
     if not 2 <= n <= MAX_SAMPLES:
         raise DomainError(
@@ -100,8 +102,9 @@ def sample_moments(p: OscillatorParams, seed: int | None, n: int) -> tuple[float
         rng = np.random.default_rng(seeds)
         return float(_pairwise_sum(n, lambda k: leaf_sum(rng.normal(0.0, sigma, size=k))))
 
-    mean = summed(np.add.reduce) / n
-    squares = summed(lambda x: np.add.reduce(np.square(np.subtract(x, mean, out=x), out=x)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        mean = summed(np.add.reduce) / n
+        squares = summed(lambda x: np.add.reduce(np.square(np.subtract(x, mean, out=x), out=x)))
     return mean, normal_float(squares / (n - 1), "the sample variance")
 
 

@@ -14,11 +14,14 @@ dimensions, which is also the order its rows print in, and every
 snapshot entry, a particle's mass too, is read through one lookup that
 refuses a missing entry as a corrupt snapshot.
 
-A ``Quantity``'s value is 0 or a normal float, by construction: one that
-is subnormal, infinite or NaN is refused, and so is a 0 that ``*``, ``/``
-or ``**`` made from nonzero operands, which underflowed.  So every
-intermediate of a dimensioned result keeps its digits, or the result is
-refused where the digits were lost.
+A ``Quantity`` has the multiplicative algebra only: ``*``, ``/``, ``**``
+and ``sqrt``, the operations every dimensioned estimate here is built
+from.  Its value is 0 or a normal float, by construction: one that is
+subnormal, infinite or NaN is refused, and so is a 0 that ``*``, ``/``
+or ``**`` made from nonzero operands, which underflowed.  A power that
+overflows is refused as inf, as an overflowing product or quotient is.
+So every intermediate of a dimensioned result keeps its digits, or the
+result is refused where the digits were lost.
 """
 
 from __future__ import annotations
@@ -117,11 +120,13 @@ def resistance_dimension(system: str) -> Dimension:
 class Quantity:
     """A real value with a Dimension, tagged by the unit system it lives in.
 
-    Multiplicative arithmetic composes dimensions; addition and subtraction
-    require identical dimension and system.  Mixing systems always errors:
-    conversions happen explicitly at the boundary, never implicitly.  The
-    value is 0 or a normal float, and a product, quotient or power of
-    nonzero operands is not 0.
+    Its algebra is the one the formulas use: ``*`` by a Quantity or a
+    number, on either side, ``/`` by a Quantity, ``**`` and ``sqrt``, each
+    composing the dimensions.  A product or quotient of two Quantities from
+    different systems raises DimensionError: conversions happen explicitly
+    at the boundary, never implicitly.  The value is 0 or a normal float,
+    and a product, quotient or power of nonzero operands is not 0; a power
+    that overflows is refused as inf, like a product or quotient that does.
     """
 
     value: float
@@ -147,24 +152,6 @@ class Quantity:
                 f"mixed unit systems: {self.system!r} vs {other.system!r}"
             )
 
-    def _check_addend(self, other, verb: str) -> None:
-        if not isinstance(other, Quantity):
-            raise DimensionError(f"cannot {verb} Quantity and {type(other).__name__}")
-        self._check_partner(other)
-        if self.dim != other.dim:
-            raise DimensionError(f"cannot {verb} dimensions [{self.dim}] and [{other.dim}]")
-
-    def __add__(self, other):
-        self._check_addend(other, "add")
-        return Quantity(self.value + other.value, self.dim, self.system)
-
-    def __sub__(self, other):
-        self._check_addend(other, "subtract")
-        return Quantity(self.value - other.value, self.dim, self.system)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.dim, self.system)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             self._check_partner(other)
@@ -180,20 +167,17 @@ class Quantity:
         if isinstance(other, Quantity):
             self._check_partner(other)
             return self._made(self.value / other.value, self.dim / other.dim, self.value)
-        if isinstance(other, (int, float)):
-            return self._made(self.value / other, self.dim, self.value)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self._made(other / self.value, DIMENSIONLESS / self.dim, other)
         return NotImplemented
 
     def __pow__(self, exponent):
         p = _frac(exponent)
         if p.denominator != 1 and self.value < 0:
             raise DomainError(f"fractional power of negative quantity {self.value}")
-        return self._made(self.value ** float(p), self.dim**p, self.value)
+        try:
+            value = self.value ** float(p)
+        except OverflowError:  # where * and / make inf, ** raises; both are refused as inf
+            value = math.inf
+        return self._made(value, self.dim**p, self.value)
 
     def sqrt(self) -> "Quantity":
         return self ** Fraction(1, 2)

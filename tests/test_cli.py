@@ -302,6 +302,14 @@ class TestOscillatorCommand:
         assert err == "error: a number left the float range: overflow encountered in square\n"
         assert caught == []
 
+    def test_an_overflow_in_the_samples_raises_without_dispatch(self, monkeypatch):
+        # sample_moments holds numpy's raising state itself, so a library caller gets it too
+        draws = StubStream(lambda size: np.resize([1e200, -1e200], size))
+        monkeypatch.setattr(np.random, "default_rng", draws.default_rng)
+        params = oscillator.OscillatorParams(m=1.0, omega=1.0, hbar=1.0)
+        with pytest.raises(FloatingPointError, match="overflow encountered in square"):
+            oscillator.sample_moments(params, seed=0, n=8)
+
     def test_samples_up_to_2_53_run_and_more_exit_one_with_one_line(self, monkeypatch):
         # 2**53 samples reach the first leaf's draw, which the stub stops;
         # one more is refused before any draw
@@ -380,9 +388,19 @@ class TestFieldCommand:
         _, out2, _ = run(self.ARGS)
         assert out1 == out2
 
+    def test_an_overflow_in_a_draw_raises_without_dispatch(self, monkeypatch):
+        # scaling_run holds numpy's raising state itself, so a library caller gets it too
+        def overflowing(law, seed):
+            return np.full(len(law.mean_squares), 1e200) * 1e200
+
+        monkeypatch.setattr(field, "draw_mean_squares", overflowing)
+        spec = field.LatticeSpec(box_size=1.0, points_per_axis=16)
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            field.scaling_run(spec, [0.25, 0.5], draws=2, seed=7)
+
     @pytest.mark.parametrize("cells", [1, 2])
     def test_overflow_in_a_draw_exits_one_with_one_line(self, monkeypatch, cells):
-        # the error state dispatch sets holds in the draws, on either factor
+        # the error state scaling_run sets holds in the draws, on either factor
         # route: a smallest scale of one cell makes L = N and takes the modes
         # as the factor's columns, one of two cells the Cholesky factor
         argv = self.ARGS[:-1] + [f"{cells / 16},0.5"]
@@ -501,7 +519,14 @@ class TestFieldCommand:
         assert out.splitlines()[1] == ",".join(cli._fmt(v) for v in row)
 
 
-OUT_OF_FLOAT_RANGE = [
+# Each overflows a power of a dimensioned length, l^2 or l^4, which Quantity
+# refuses as inf, as it does an overflowing product or quotient.
+POWER_OVERFLOWS = [
+    "coil --turns 1 --area 1e-300 --resistance 1e300 --scale 1e300",
+    "casimir --area 1 --sep 1e100",
+    "coil --turns 1 --area 1 --resistance 1 --scale 1e200",
+]
+OUT_OF_FLOAT_RANGE = POWER_OVERFLOWS + [
     "field scaling-run --grid 16 --draws 2 --box 1e-200",
     "field scaling-run --grid 16 --draws 2 --box 1e200 --scales 6.25e198,1.25e199,2.5e199,5e199",
     "casimir --area 1e-300 --sep 1e10",
@@ -509,7 +534,6 @@ OUT_OF_FLOAT_RANGE = [
     "casimir --area 1 --sep 1e-300 --units si",
     "casimir --area 1e300 --sep 1e-100",
     "coil --turns 1 --area 1e300 --resistance 1e-300 --scale 1e-300",
-    "coil --turns 1 --area 1e-300 --resistance 1e300 --scale 1e300",
     "coil --turns 1 --area 1e-300 --resistance 1e5 --scale 1e5",
     "lamb --jitter 1e308",
     "lamb --n 2 --jitter 1e-320",
@@ -518,12 +542,14 @@ OUT_OF_FLOAT_RANGE = [
     "oscillator --m 1e300 --omega 1",
     # each passes a dimensioned intermediate, or the sample variance, through the
     # subnormal floats, where it keeps too few digits: the forces would print off
-    # the A / l^4 law, the shifts 2.2 % off the jitter and n^-3 laws
+    # the A / l^4 law, the shifts 2.2 % off the jitter and n^-3 laws, and a
+    # subnormal mass's variance 1.5e-12 off hbar / (2 m omega)
     "casimir --area 1e-300 --sep 1",
     "casimir --area 1e-200 --sep 1e-80",
     "lamb --jitter 1e-305",
     f"lamb --n {10**102}",
     "oscillator --m 2.2e307 --omega 1 --units natural --samples 16 --seed 1",
+    "oscillator --m 1e-312 --omega 1e10",
 ]
 
 
@@ -532,7 +558,7 @@ OUT_OF_FLOAT_RANGE = [
 @pytest.mark.parametrize("grid", ["32", "64"])
 def test_tiny_kappa_on_the_cholesky_route_draws_the_unit_exponent(grid, kappa, window):
     # classes whose covariance falls to the subnormal range stay in the
-    # float range under dispatch's raising error state
+    # float range under scaling_run's raising error state
     argv = ["field", "scaling-run", "--grid", grid, "--draws", "2", "--window", window]
     code, out, err = run(argv + ["--kappa", kappa])
     assert code == 0, err
@@ -575,6 +601,15 @@ def test_out_of_float_range_input_exits_one_with_one_line(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", POWER_OVERFLOWS)
+def test_an_overflowing_power_is_refused_by_the_normal_float_rule(argv):
+    code, out, err = run(argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a dimensioned quantity at inf, outside the normal float range")
+    assert err.count("\n") == 1
 
 
 def test_a_shift_at_large_n_keeps_the_n_cubed_law():

@@ -1470,3 +1470,8 @@ class TestPredictedRms:
             predicted_rms(Quantity(-1.0, LENGTH, "natural"), nat)
         with pytest.raises(DomainError):
             predicted_rms(Quantity(1.0, MASS, "natural"), nat)
+
+    def test_scale_from_another_system_rejected(self):
+        # the quotient sqrt(hbar c) / l^2 refuses it, as any Quantity product or quotient does
+        with pytest.raises(DomainError, match="mixed unit systems"):
+            predicted_rms(Quantity(1.0, LENGTH, "gaussian"), constants_for("natural"))

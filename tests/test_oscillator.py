@@ -74,10 +74,10 @@ class TestAmplitude:
         tiny = sys.float_info.min
         assert position_variance(OscillatorParams(m=0.5, omega=1.0, hbar=tiny)) == tiny
         subnormal, zero = dict(hbar=tiny / 2), dict(m=1e300, hbar=1.0545718176461565e-27)
-        for bad in (subnormal, zero):
+        for bad, match in ((subnormal, "hbar"), (zero, "variance")):
             kwargs = dict(m=0.5, omega=1.0)
             kwargs.update(bad)
-            with pytest.raises(DomainError, match="variance"):
+            with pytest.raises(DomainError, match=match):
                 OscillatorParams(**kwargs)
 
 

