@@ -7,6 +7,12 @@ regulated as sum_{n>=1} n^3 exp(-eps n) minus its continuum integral
 6/eps^4.  Extrapolating eps -> 0 (the error series is even in eps) gives
 1/120, and the energy per area is E/A = -(pi^2/6) * limit * hbar c / l^3,
 i.e. a coefficient pi^2/720 whose l-derivative reproduces pi^2/240.
+
+That coefficient depends on the regulator ladder and the extrapolation
+order only, so ``casimir_energy_modesum(epsilons, order)`` takes nothing
+else and returns a ``CasimirResult`` of the coefficient, the extrapolated
+sum and the ladder's diagnostics; ``modesum_energy_per_area`` puts the
+coefficient in a table's units at one separation.
 """
 
 from __future__ import annotations
@@ -22,21 +28,6 @@ ENERGY_COEFFICIENT_EXACT = math.pi**2 / 720.0
 FORCE_COEFFICIENT_EXACT = math.pi**2 / 240.0
 RESIDUAL_TOLERANCE = 1e-3
 _SUM_DPS = 30  # working digits at eps >= 1; regulated_cubic_sum adds 5 per decade below
-
-
-@frozen_record
-class CasimirConfig:
-    plate_area: float
-    separation: float
-    regulator_epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    extrapolation_order: int = 3
-
-    def __post_init__(self):
-        if not self.plate_area > 0:
-            raise DomainError(f"plate_area must be > 0, got {self.plate_area}")
-        if not self.separation > 0:
-            raise DomainError(f"separation must be > 0, got {self.separation}")
-        object.__setattr__(self, "regulator_epsilons", _checked_ladder(self.regulator_epsilons))
 
 
 def _checked_ladder(epsilons) -> tuple[float, ...]:
@@ -65,7 +56,6 @@ class CasimirDiagnostics:
 
 @frozen_record
 class CasimirResult:
-    force_closed: Quantity
     energy_coefficient: float  # c_E in E/A = -c_E hbar c / l^3
     zeta_check: float  # extrapolated regulated sum, expect 1/120
     diagnostics: CasimirDiagnostics
@@ -134,7 +124,15 @@ def extrapolate_to_zero(
     return extrapolants[-1], tuple(extrapolants), residuals
 
 
-def _extrapolated_sum(epsilons: tuple[float, ...], order: int):
+def casimir_energy_modesum(
+    epsilons: tuple[float, ...] = DEFAULT_EPSILONS, order: int = 3
+) -> CasimirResult:
+    """Recover the Casimir energy coefficient from the regulated mode sum.
+
+    The ladder is checked, summed at each eps and extrapolated to eps = 0;
+    a final residual above ``RESIDUAL_TOLERANCE`` raises ``ConvergenceError``.
+    """
+    epsilons = _checked_ladder(epsilons)
     values = tuple(regulated_cubic_sum(e) for e in epsilons)
     limit, extrapolants, residuals = extrapolate_to_zero(epsilons, values, order)
     if not residuals[-1] <= RESIDUAL_TOLERANCE:  # a NaN residual fails too
@@ -142,7 +140,10 @@ def _extrapolated_sum(epsilons: tuple[float, ...], order: int):
             f"regulator extrapolation residual {residuals[-1]:.3e} "
             f"exceeds {RESIDUAL_TOLERANCE:.1e}; refine the epsilon ladder"
         )
-    return limit, values, extrapolants, residuals
+    diagnostics = CasimirDiagnostics(epsilons, values, extrapolants, residuals)
+    return CasimirResult(
+        energy_coefficient=(math.pi**2 / 6.0) * limit, zeta_check=limit, diagnostics=diagnostics
+    )
 
 
 def modesum_energy_per_area(
@@ -154,25 +155,6 @@ def modesum_energy_per_area(
     """Vacuum energy per plate area from the regulated mode sum."""
     if not separation > 0:
         raise DomainError(f"separation must be > 0, got {separation}")
-    limit, _, _, _ = _extrapolated_sum(_checked_ladder(epsilons), order)
+    coefficient = casimir_energy_modesum(epsilons, order).energy_coefficient
     l_q = Quantity(separation, LENGTH, constants.system)
-    coefficient = (math.pi**2 / 6.0) * limit
     return -coefficient * constants.hbar * constants.c / l_q**3
-
-
-def casimir_energy_modesum(config: CasimirConfig, constants: ConstantsTable) -> CasimirResult:
-    """Recover the Casimir energy coefficient from the regulated mode sum."""
-    limit, values, extrapolants, residuals = _extrapolated_sum(
-        config.regulator_epsilons, config.extrapolation_order
-    )
-    return CasimirResult(
-        force_closed=casimir_force_closed(config.plate_area, config.separation, constants),
-        energy_coefficient=(math.pi**2 / 6.0) * limit,
-        zeta_check=limit,
-        diagnostics=CasimirDiagnostics(
-            epsilons=config.regulator_epsilons,
-            regulated_values=values,
-            extrapolants=extrapolants,
-            residuals=residuals,
-        ),
-    )

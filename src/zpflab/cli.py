@@ -376,13 +376,7 @@ def _cmd_casimir(args):
         "units": args.units,
     }
     if args.modesum:
-        config = casimir_mod.CasimirConfig(
-            plate_area=args.area,
-            separation=args.sep,
-            regulator_epsilons=args.epsilons,
-            extrapolation_order=args.order,
-        )
-        result = casimir_mod.casimir_energy_modesum(config, table)
+        result = casimir_mod.casimir_energy_modesum(args.epsilons, args.order)
         payload.update(
             {
                 "energy_coefficient": result.energy_coefficient,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InvariantError, frozen_record
+from .errors import DomainError, InvariantError, frozen_record, normal_float
 from .units import (
     AREA,
     LENGTH,
@@ -36,6 +36,7 @@ class CoilSpec:
     def __post_init__(self):
         if not (isinstance(self.turns, int) and self.turns >= 1):
             raise DomainError(f"turns must be an integer >= 1, got {self.turns!r}")
+        normal_float(self.turns, "turns")  # an int past the floats, where float(turns) raises
         if not self.area > 0:
             raise DomainError(f"area must be > 0, got {self.area}")
         if not self.resistance > 0:
@@ -47,9 +48,6 @@ class TapEstimate:
     current_via_charge: Quantity  # (N A / R) e / (l^2 tau)
     current_exact: Quantity  # N B A / (R tau) with B = sqrt(hbar c)/l^2
     ratio: float  # current_exact / current_via_charge = 1/sqrt(alpha)
-    scale: Quantity
-    fluctuation_time: Quantity
-    coil: CoilSpec
 
 
 def predicted_rms(scale: Quantity, constants: ConstantsTable) -> Quantity:
@@ -100,10 +98,5 @@ def zpf_tap_estimate(
             f"exact/charge current ratio {ratio!r} deviates from 1/sqrt(alpha) {expected!r}"
         )
     return TapEstimate(
-        current_via_charge=current_via_charge,
-        current_exact=current_exact,
-        ratio=ratio,
-        scale=scale,
-        fluctuation_time=tau,
-        coil=spec,
+        current_via_charge=current_via_charge, current_exact=current_exact, ratio=ratio
     )

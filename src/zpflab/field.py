@@ -85,7 +85,6 @@ whole-box average is the mean, which is pinned to zero).
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -112,6 +111,7 @@ class LatticeSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 8 and n % 2 == 0):
             raise ConfigurationError(f"points_per_axis must be an even integer >= 8, got {n!r}")
+        normal_float(n, "points_per_axis")  # before pi * N, which raises for an int past the floats
         # 2 pi / L and pi N / L finite and non-zero, so a default k_max can be replayed
         if not (0 < self.box_size < math.inf and math.isfinite(self.nyquist)):
             raise ConfigurationError(
@@ -183,7 +183,6 @@ def _reflect(folded: np.ndarray) -> np.ndarray:
 class CoarseGrainReport:
     scales: tuple[float, ...]
     rms: tuple[float, ...]
-    draws: int
     stderr: tuple[float, ...]  # standard error of the pooled RMS at each scale across draws
     exact_rms: tuple[float, ...] = ()  # the exact ensemble RMS at each scale
     # (pooled mean square - its exact mean) / its standard error; None below 2 draws
@@ -546,9 +545,9 @@ def fit_scaling(scales, rms, kappa: float = 1.0, box: float = 1.0) -> ScalingFit
     For a fit at box 1 and kappa 1, ``kappa`` and ``box`` give the amplitude
     in a box's units: its RMS at scale l is sqrt(kappa) / L^2 times the
     lattice RMS at l / L, so A = exp(intercept + ln(kappa) / 2 - (2 + p) ln L).
-    Its log is checked before the exp, and an A that is not a normal float
-    raises the ``DomainError`` of every other reported value.  The other
-    fields do not depend on them.
+    An exp past the largest float is taken as inf, and an A that is not a
+    normal float raises the ``DomainError`` of every other reported value.
+    The other fields do not depend on kappa and box.
     """
     n = len(scales)
     if n < 3:
@@ -565,11 +564,13 @@ def fit_scaling(scales, rms, kappa: float = 1.0, box: float = 1.0) -> ScalingFit
     r_squared = 1.0 if ss_tot < 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     stderr = math.sqrt(ss_res / (n - 2) / sxx)
     log_amplitude = intercept + 0.5 * math.log(kappa) - (2.0 + slope) * math.log(box)
-    if log_amplitude > _LOG_FLOAT_MAX:  # past the largest float, where math.exp overflows
-        raise _outside_the_floats(f"exp({log_amplitude!r})")
+    try:
+        amplitude = math.exp(log_amplitude)
+    except OverflowError:  # past the largest float; refused as inf
+        amplitude = math.inf
     return ScalingFit(
         exponent=slope,
-        amplitude=_reported(1.0, math.exp(log_amplitude)),
+        amplitude=_reported(1.0, amplitude),
         r_squared=r_squared,
         stderr_exponent=stderr,
     )
@@ -587,14 +588,6 @@ def _z_score(mean_squares: np.ndarray, exact: float) -> float | None:
     ratio = mean_squares / exact
     spread = float(np.std(ratio, ddof=1))
     return (float(np.mean(ratio)) - 1.0) * math.sqrt(len(ratio)) / spread if spread > 0 else None
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # whose exp is still a float
-
-
-def _outside_the_floats(value: str) -> DomainError:
-    """The refusal of an amplitude past the floats, ``value`` as the message shows it."""
-    return DomainError(f"kappa and box put a result at {value}, outside the normal floats")
 
 
 def _reported(lattice: float, value: float) -> float:
@@ -676,7 +669,6 @@ def scaling_run(
     return CoarseGrainReport(
         scales=tuple(ordered),
         rms=_in_box(spec, rms),
-        draws=draws,
         stderr=_in_box(spec, stderr),
         exact_rms=_in_box(spec, exact_rms),
         z_scores=tuple(_z_score(ms, e) for ms, e in zip(per_scale_ms, law.mean_squares)),

@@ -17,8 +17,9 @@ breakdown m c^2 / hbar).
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import DomainError, frozen_record
+from .errors import DomainError, frozen_record, normal_float
 
 # The annotations name units' ConstantsTable and Quantity; the functions
 # that build a Quantity import units themselves, so this module loads with
@@ -54,14 +55,23 @@ class HydrogenState:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"principal quantum number must be an integer >= 1, got {self.n!r}")
+        if self.n**3 > sys.float_info.max:  # the density needs n^3 as a float; float() raises
+            raise DomainError(
+                f"principal quantum number cubed at {self.n!r}**3, outside the normal float range"
+            )
         if not (isinstance(self.ell, int) and 0 <= self.ell < self.n):
             raise DomainError(f"need 0 <= ell < n, got ell={self.ell!r}, n={self.n!r}")
 
     def density_at_origin(self, a0: float) -> float:
-        """|psi_n(0)|^2 = 1/(pi n^3 a0^3) for s-states, 0 otherwise."""
+        """|psi_n(0)|^2 = 1/(pi n^3 a0^3) for s-states, 0 otherwise.
+
+        An s-state's density is never 0, so one that leaves the normal floats,
+        as where pi n^3 overflows, raises ``DomainError``.
+        """
         if self.ell > 0:
             return 0.0
-        return 1.0 / (math.pi * self.n**3 * a0**3)
+        density = 1.0 / (math.pi * self.n**3 * a0**3)
+        return normal_float(density, "the s-state density at the origin")
 
 
 def hydrogen_s_shift(

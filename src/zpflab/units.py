@@ -205,7 +205,6 @@ class ConstantsTable:
     """
 
     system: str
-    snapshot: str
     hbar: Quantity
     c: Quantity
     e: Quantity
@@ -299,7 +298,7 @@ def constants_for(system: str) -> ConstantsTable:
         for name, dim in _TABLE_DIMENSIONS[_require_system(system)].items()
     }
     labels = {n: label for (sys_, n), (_, label) in _snapshot_entries().items() if sys_ == system}
-    return _verify(ConstantsTable(system=system, snapshot=SNAPSHOT, labels=labels, **values))
+    return _verify(ConstantsTable(system=system, labels=labels, **values))
 
 
 def particle_mass(name: str, system: str) -> Quantity:

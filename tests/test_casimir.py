@@ -10,7 +10,6 @@ from zpflab.casimir import (
     DEFAULT_EPSILONS,
     ENERGY_COEFFICIENT_EXACT,
     FORCE_COEFFICIENT_EXACT,
-    CasimirConfig,
     casimir_energy_modesum,
     casimir_force_closed,
     extrapolate_to_zero,
@@ -148,34 +147,26 @@ class TestExtrapolation:
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
     def test_coarse_ladder_raises_convergence_error(self):
-        config = CasimirConfig(
-            plate_area=1.0, separation=1.0, regulator_epsilons=(6.0, 5.0),
-            extrapolation_order=1,
-        )
         with pytest.raises(ConvergenceError):
-            casimir_energy_modesum(config, NATURAL)
+            casimir_energy_modesum((6.0, 5.0), 1)
 
     @pytest.mark.parametrize("ladder", [(1e300, 0.4), (20.0, 0.4)])
     def test_ladder_past_two_pi_rejected(self, ladder):
         # 2*pi bounds the convergence of the eps-series the extrapolation assumes
         with pytest.raises(ConfigurationError, match="2\\*pi"):
-            CasimirConfig(
-                plate_area=1.0, separation=1.0, regulator_epsilons=ladder,
-                extrapolation_order=1,
-            )
+            casimir_energy_modesum(ladder, 1)
         with pytest.raises(ConfigurationError, match="2\\*pi"):
             modesum_energy_per_area(1.0, NATURAL, epsilons=ladder, order=1)
 
 
 class TestModeSum:
     def test_energy_coefficient(self):
-        config = CasimirConfig(plate_area=1.0, separation=1.0)
-        result = casimir_energy_modesum(config, NATURAL)
+        result = casimir_energy_modesum()
         assert result.energy_coefficient == pytest.approx(
             ENERGY_COEFFICIENT_EXACT, rel=1e-3
         )
         assert result.zeta_check == pytest.approx(1.0 / 120.0, abs=1e-6)
-        assert result.force_closed.value < 0
+        assert result.diagnostics.epsilons == DEFAULT_EPSILONS
 
     def test_force_coefficient_is_three_times_energy_coefficient(self):
         assert FORCE_COEFFICIENT_EXACT == pytest.approx(
@@ -192,14 +183,10 @@ class TestModeSum:
         assert force_numeric == pytest.approx(closed, rel=1e-3)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CasimirConfig(plate_area=1.0, separation=1.0, regulator_epsilons=(0.4,))
-        with pytest.raises(ConfigurationError):
-            CasimirConfig(plate_area=1.0, separation=1.0, regulator_epsilons=(0.1, 0.2))
-        with pytest.raises(ConfigurationError):
-            CasimirConfig(plate_area=1.0, separation=1.0, regulator_epsilons=(0.2, -0.1))
-        with pytest.raises(DomainError):
-            CasimirConfig(plate_area=-1.0, separation=1.0)
+        # the plates' area and separation are the closed form's to check
+        for ladder in [(0.4,), (0.1, 0.2), (0.2, -0.1)]:
+            with pytest.raises(ConfigurationError):
+                casimir_energy_modesum(ladder, 3)
 
     def test_order_below_one_is_a_configuration_error(self):
         # checked where the extrapolation needs it, so every entry point agrees
@@ -209,9 +196,8 @@ class TestModeSum:
             extrapolate_to_zero(DEFAULT_EPSILONS, values, order=0)
         with pytest.raises(ConfigurationError, match=message):
             modesum_energy_per_area(1.0, NATURAL, order=0)
-        config = CasimirConfig(plate_area=1.0, separation=1.0, extrapolation_order=0)
         with pytest.raises(ConfigurationError, match=message):
-            casimir_energy_modesum(config, NATURAL)
+            casimir_energy_modesum(order=0)
 
     def test_modesum_energy_per_area_checks_the_ladder(self):
         with pytest.raises(ConfigurationError, match="decreasing"):

@@ -72,6 +72,22 @@ class TestCasimirCommand:
         assert payload["zeta_check"] == pytest.approx(1 / 120, abs=1e-6)
         assert len(payload["diagnostics"]["epsilons"]) == 4
 
+    def test_modesum_run_forms_the_closed_form_once(self, monkeypatch):
+        # the mode sum takes its ladder and order only, so the force is the handler's alone
+        from zpflab import casimir
+
+        calls = []
+        closed_form = casimir.casimir_force_closed
+
+        def counted(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(casimir, "casimir_force_closed", counted)
+        code, _, _ = run(["casimir", "--area", "1", "--sep", "1", "--modesum"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_negative_separation_exits_one_with_diagnostic(self):
         code, out, err = run(["casimir", "--area", "1", "--sep", "-2"])
         assert code == 1
@@ -526,7 +542,14 @@ POWER_OVERFLOWS = [
     "casimir --area 1 --sep 1e100",
     "coil --turns 1 --area 1 --resistance 1 --scale 1e200",
 ]
-OUT_OF_FLOAT_RANGE = POWER_OVERFLOWS + [
+# Each integer flag is past the largest float, where float(n) itself raises:
+# refused by name where its record is built.
+INTEGERS_PAST_THE_FLOATS = [
+    f"lamb --n {10**103}",
+    f"coil --turns {10**400} --area 1 --resistance 1 --scale 1",
+    f"field scaling-run --grid {2 * 10**400} --draws 1",
+]
+OUT_OF_FLOAT_RANGE = POWER_OVERFLOWS + INTEGERS_PAST_THE_FLOATS + [
     "field scaling-run --grid 16 --draws 2 --box 1e-200",
     "field scaling-run --grid 16 --draws 2 --box 1e200 --scales 6.25e198,1.25e199,2.5e199,5e199",
     "casimir --area 1e-300 --sep 1e10",
@@ -584,7 +607,10 @@ def test_extreme_kappa_or_box_with_a_representable_result_draws_the_unit_exponen
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "csv,json"])
-@pytest.mark.parametrize("argv", [a for a in OUT_OF_FLOAT_RANGE if a.startswith("field")])
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in OUT_OF_FLOAT_RANGE if a.startswith("field") and a not in INTEGERS_PAST_THE_FLOATS],
+)
 def test_field_result_past_the_float_range_exits_one_under_every_format(argv, fmt):
     # the run checks its reported values itself, not by rendering them
     formats = [] if fmt == "csv,json" else ["--format", fmt]

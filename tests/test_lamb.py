@@ -144,6 +144,16 @@ class TestHydrogenShift:
             HydrogenState(n=2, ell=2)
         with pytest.raises(DomainError):
             HydrogenState(n=2, ell=-1)
+        # n^3 is a float up to n ~ 5.6e102; float(n**3) itself raises past it
+        HydrogenState(n=5 * 10**102)
+        with pytest.raises(DomainError, match=r"cubed at 10+\*\*3, outside the normal float range"):
+            HydrogenState(n=10**103)
+
+    def test_density_past_the_floats_is_refused(self):
+        # pi n^3 overflows to inf for n above ~3.9e102, so 1 / (pi n^3 a0^3) would be 0
+        state = HydrogenState(n=4 * 10**102)
+        with pytest.raises(DomainError, match="density at the origin at 0.0, outside the normal"):
+            hydrogen_s_shift(state, JitterVariance(1e-23), GAUSSIAN)
 
 
 class TestWeltonJitter:

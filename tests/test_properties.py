@@ -11,6 +11,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import per_mode
@@ -210,6 +211,33 @@ def test_every_refused_force_or_current_names_the_normal_float_rule(argv):
     if code != 0:
         assert code == 1 and "outside the normal float range" in err, (argv, err)
         assert "Numerical result out of range" not in err
+
+
+# 10^k for k up to 400: from k = 309 an integer flag is past the largest float,
+# where float(n) itself raises
+POWERS_OF_TEN = st.integers(0, 400).map(lambda k: 10**k)
+INTEGER_FLAG_RUNS = st.one_of(
+    POWERS_OF_TEN.map(lambda n: ["lamb", f"--n={n}"]),
+    POWERS_OF_TEN.map(
+        lambda n: ["coil", f"--turns={n}", "--area=1", "--resistance=1", "--scale=1"]
+    ),
+    POWERS_OF_TEN.map(lambda n: ["field", "scaling-run", f"--grid={n}", "--draws=1"]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=INTEGER_FLAG_RUNS)
+@example(argv=f"lamb --n {10**103}".split())
+@example(argv=f"coil --turns {10**400} --area 1 --resistance 1 --scale 1".split())
+@example(argv=f"field scaling-run --grid {2 * 10**400} --draws 1".split())
+def test_every_refused_integer_flag_is_refused_by_the_normal_float_rule(argv):
+    # an integer past the floats is refused where its record is built, not by
+    # Python's OverflowError; with no memory to run in, no field run builds an array
+    with mock.patch.object(field, "physical_memory_bytes", lambda: 0):
+        code, _, err = check_dispatch(argv + ["--format", "json"])
+    if code != 0:
+        assert code == 1, (argv, err)
+        assert "int too large to convert to float" not in err
 
 
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)

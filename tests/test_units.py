@@ -136,7 +136,7 @@ class TestConstantsTables:
         assert [row[0] for row in constants_for(system).rows()] == expected
 
     def test_record_fields_are_the_si_rows(self):
-        fields = set(ConstantsTable.__match_args__) - {"system", "snapshot", "labels"}
+        fields = set(ConstantsTable.__match_args__) - {"system", "labels"}
         assert sorted(fields) == sorted(row[0] for row in constants_for("si").rows())
 
 
